@@ -114,7 +114,7 @@ int main() {
             opt.relative_scale =
                 app.workload.eval_scale / app.workload.profile_scale;
             auto shape = perf::build_kernel_shape(
-                *mod->find_function(name), types, *mod, ch, opt);
+                *mod->find_function(name), *mod, ch, opt);
             if (reference_seconds == 0.0) {
                 // CPU reference for the *whole* kernel: sum of part flops
                 // equals the original, so accumulate.

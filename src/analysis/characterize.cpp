@@ -55,10 +55,9 @@ KernelCharacterization characterize_kernel(Module& module,
     ensure(kernel_fn != nullptr,
            "characterize_kernel: no function '" + kernel + "' in module");
 
-    // Category records the engine that actually ran ("interp:tree" /
-    // "interp:vm") so traces and BENCH reports can attribute cold time.
-    trace::ScopedSpan span("characterize:" + kernel,
-                           interp::engine_category(interp::default_engine()));
+    // Both runs go through the profile cache: a real interpreter run shows
+    // up as a nested engine-tagged "run_function:" span, a hit does not.
+    trace::ScopedSpan span("characterize:" + kernel, "analysis");
 
     auto profile_at = [&](double scale) {
         interp::InterpOptions opt;

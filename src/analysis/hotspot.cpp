@@ -15,11 +15,9 @@ HotspotReport detect_hotspots(Module& module, const sema::TypeInfo& types,
                               const Workload& workload) {
     interp::InterpOptions opt;
     opt.profile = true;
-    // Category records the engine that actually ran ("interp:tree" /
-    // "interp:vm") so traces and BENCH reports can attribute cold time.
-    trace::ScopedSpan span(
-        "detect_hotspots:" + workload.entry,
-        interp::engine_category(opt.engine.value_or(interp::default_engine())));
+    // A real interpreter run (cache miss) nests its own engine-tagged
+    // "run_function:" span under this one; a hit does not.
+    trace::ScopedSpan span("detect_hotspots:" + workload.entry, "analysis");
     const interp::ExecutionProfile profile = ProfileCache::global().run(
         module, types, workload.entry,
         workload.make_args(workload.profile_scale), opt);

@@ -28,6 +28,22 @@ void hash_double(std::uint64_t& h, double v) {
     hash_u64(h, bits);
 }
 
+/// The interpreter run behind a miss (or a disabled cache), in its own
+/// engine-tagged span so a trace tells a real run from a cache hit.
+interp::RunResult profiled_run(const ast::Module& module,
+                               const sema::TypeInfo& types,
+                               const std::string& entry,
+                               const std::vector<interp::Arg>& args,
+                               const interp::InterpOptions& options) {
+    trace::ScopedSpan span(
+        "run_function:" + entry,
+        interp::engine_category(
+            options.engine.value_or(interp::default_engine())));
+    auto result = interp::run_function(module, types, entry, args, options);
+    span.set_work_units(result.profile.total_cost);
+    return result;
+}
+
 /// Pre-order For-node ids of the whole module.
 std::vector<ast::Node::Id> loop_id_order(const ast::Module& module) {
     std::vector<ast::Node::Id> out;
@@ -253,14 +269,14 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
                   interp::InterpOptions options) {
     options.profile = true;
 
-    if (!enabled()) {
-        auto result = interp::run_function(module, types, entry, args, options);
-        return std::move(result.profile);
-    }
+    if (!enabled())
+        return profiled_run(module, types, entry, args, options).profile;
 
+    // Keyed on the pragma-free print: pragmas never reach the interpreter,
+    // so modules that differ only in pragmas share one profile.
     cas::Hasher hasher;
     hasher.str("interp-profile");
-    hasher.str(ast::to_source(module));
+    hasher.str(ast::to_source_without_pragmas(module));
     hasher.str(entry);
     hasher.str(options.focus_function);
     hasher.u64(static_cast<std::uint64_t>(options.max_steps));
@@ -278,8 +294,8 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
                 trace::Registry::current().count("profile_cache.hits", 1);
                 return std::move(*profile);
             }
-            // Structure mismatch despite equal source text should be
-            // impossible; recompute defensively.
+            // Structure mismatch despite equal (pragma-free) source text
+            // should be impossible; recompute defensively.
         }
     }
 
@@ -312,7 +328,7 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
         }
     }
 
-    auto result = interp::run_function(module, types, entry, args, options);
+    auto result = profiled_run(module, types, entry, args, options);
     const std::vector<ast::Node::Id> loop_order = loop_id_order(module);
 
     {

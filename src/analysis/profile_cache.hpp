@@ -10,14 +10,25 @@
 //
 // The cache keys a profiled run by
 //   (module content hash, entry/focus function, argument digest, step limit)
-// where the content hash covers the printed module source (the printer is
-// source-faithful, so equal text implies an isomorphic AST) and the argument
-// digest covers scalar values and full buffer contents. Profiles keyed this
-// way are safe to share across AST clones with one correction: LoopStats are
-// keyed by node id, and clones get fresh ids. Cached entries therefore also
-// record the pre-order For-loop id sequence of the module they were computed
-// on; a hit remaps the stats onto the current module's loop ids by position
-// (equal source text guarantees the same loop structure and order).
+// where the content hash covers the module printed with every pragma left
+// out (ast::to_source_without_pragmas) and the argument digest covers scalar
+// values and full buffer contents. The printer is source-faithful, so equal
+// pragma-free text implies an AST that is isomorphic up to pragmas — and
+// pragmas cannot change a profile: no interpreter engine, analysis or sema
+// pass reads them, and they never change loop structure. A PSA-flow path
+// that only adds `omp parallel for` or `gpu shared(...)` therefore reuses
+// the profile of the module it annotated instead of re-running it. (The
+// design-artifact key and every emitted design do keep pragmas: they change
+// the design, not the profile.) Profiles keyed this way are safe to share
+// across AST clones with one correction: LoopStats are keyed by node id, and
+// clones get fresh ids. Cached entries therefore also record the pre-order
+// For-loop id sequence of the module they were computed on; a hit remaps the
+// stats onto the current module's loop ids by position (equal pragma-free
+// text guarantees the same loop structure and order).
+//
+// A miss (or a disabled cache) runs the interpreter inside its own
+// "run_function:<entry>" span, tagged with interp::engine_category, so in a
+// trace only real runs carry an "interp:*" category.
 //
 // When the process-wide content-addressed store (support/cas) is
 // configured — via --cache-dir or PSAFLOW_CACHE_DIR — profiles also

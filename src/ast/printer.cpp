@@ -46,6 +46,8 @@ std::string float_spelling(const FloatLit& lit) {
 
 class Printer {
 public:
+    explicit Printer(bool pragmas = true) : pragmas_(pragmas) {}
+
     void expr(const Expr& e, int parent_prec = 0) {
         switch (e.kind()) {
             case NodeKind::IntLit:
@@ -106,9 +108,11 @@ public:
     }
 
     void stmt(const Stmt& s, int depth) {
-        for (const auto& pragma : s.pragmas) {
-            pad(depth);
-            os_ << "#pragma " << pragma << '\n';
+        if (pragmas_) {
+            for (const auto& pragma : s.pragmas) {
+                pad(depth);
+                os_ << "#pragma " << pragma << '\n';
+            }
         }
         switch (s.kind()) {
             case NodeKind::Block: {
@@ -240,6 +244,7 @@ private:
         for (int i = 0; i < depth; ++i) os_ << "    ";
     }
 
+    bool pragmas_; ///< false: the pragma-free form the profile cache keys on
     std::ostringstream os_;
 };
 
@@ -247,6 +252,12 @@ private:
 
 std::string to_source(const Module& module) {
     Printer p;
+    p.module(module);
+    return p.str();
+}
+
+std::string to_source_without_pragmas(const Module& module) {
+    Printer p(/*pragmas=*/false);
     p.module(module);
     return p.str();
 }

@@ -13,6 +13,12 @@ namespace psaflow::ast {
 /// Render a whole module as HLC source.
 [[nodiscard]] std::string to_source(const Module& module);
 
+/// Render a whole module as to_source does, but with every statement's
+/// pragmas left out. Pragmas steer code generation only; no interpreter,
+/// analysis or type check reads them, so this is the form that decides
+/// what a profiling run computes (the profile cache keys on it).
+[[nodiscard]] std::string to_source_without_pragmas(const Module& module);
+
 /// Render a single function definition.
 [[nodiscard]] std::string to_source(const Function& fn);
 

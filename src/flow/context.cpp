@@ -75,8 +75,8 @@ platform::KernelShape FlowContext::shape() {
     opt.relative_scale = relative_scale();
     opt.single_precision = spec.single_precision;
     opt.shared_arrays = spec.shared_arrays;
-    return perf::build_kernel_shape(kernel(), types_, *module_,
-                                    characterization(), opt);
+    return perf::build_kernel_shape(kernel(), *module_, characterization(),
+                                    opt);
 }
 
 std::uint64_t FlowContext::workload_digest() {

@@ -78,11 +78,10 @@ void hash_fpga_report(cas::Hasher& h, const platform::FpgaReport& r) {
     h.boolean(r.overmapped).i64(r.unroll);
 }
 
-/// Persistent cache key of one leaf design. The signature pins the exact
-/// task sequence that produced the state; the module print, spec, FPGA
-/// report and workload digest pin everything finalize consumes.
-std::uint64_t artifact_key(FlowContext& ctx, double reference_seconds,
-                           const std::string& signature) {
+} // namespace
+
+std::uint64_t detail::artifact_key(FlowContext& ctx, double reference_seconds,
+                                   const std::string& signature) {
     cas::Hasher h;
     h.str("design-artifact");
     h.str(signature);
@@ -94,6 +93,8 @@ std::uint64_t artifact_key(FlowContext& ctx, double reference_seconds,
     h.real(reference_seconds);
     return h.digest();
 }
+
+namespace {
 
 std::string serialize_artifact_payload(const DesignArtifact& a,
                                        const std::string& note) {
@@ -165,7 +166,7 @@ DesignArtifact finalize(FlowContext ctx, double reference_seconds,
     cas::CasStore* disk = cas::store();
     std::uint64_t key = 0;
     if (disk != nullptr) {
-        key = artifact_key(ctx, reference_seconds, signature);
+        key = detail::artifact_key(ctx, reference_seconds, signature);
         if (auto payload = disk->get(key)) {
             DesignArtifact cached;
             std::string note;

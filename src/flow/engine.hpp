@@ -4,6 +4,7 @@
 // feedback loop in informed mode.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,14 @@ namespace detail {
 [[nodiscard]] FlowResult run_flow_impl(const DesignFlow& flow,
                                        FlowContext ctx,
                                        const EngineOptions& options);
+
+/// Persistent-cache key of one leaf design. The signature pins the exact
+/// task sequence that produced the state; the module print (pragmas
+/// included: they change the emitted design), spec, FPGA report and
+/// workload digest pin everything finalize consumes.
+[[nodiscard]] std::uint64_t artifact_key(FlowContext& ctx,
+                                         double reference_seconds,
+                                         const std::string& signature);
 } // namespace detail
 
 } // namespace psaflow::flow

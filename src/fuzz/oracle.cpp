@@ -28,6 +28,7 @@
 #include "flow/session.hpp"
 #include "frontend/parser.hpp"
 #include "interp/interpreter.hpp"
+#include "meta/instrument.hpp"
 #include "meta/query.hpp"
 #include "sema/type_check.hpp"
 #include "support/cas/cas.hpp"
@@ -314,6 +315,45 @@ std::optional<std::string> compare_engine_runs(const EngineCapture& tree,
     return std::nullopt;
 }
 
+// ------------------------------------------------------ pragma edits ---
+
+/// Attach 1-4 pragmas from the transforms' vocabulary to random printed
+/// statements of `module` (every statement held in a block's list; bodies
+/// themselves print without their own pragmas). `rng` decides placement,
+/// so the edit is a pure function of the seed.
+void add_random_pragmas(ast::Module& module, SplitMix64& rng) {
+    std::vector<ast::Stmt*> stmts;
+    for (ast::Block* block : ast::collect<ast::Block>(module))
+        for (auto& stmt : block->stmts) stmts.push_back(stmt.get());
+    if (stmts.empty()) return;
+    std::vector<std::string> names;
+    for (const auto& fn : module.functions)
+        for (const auto& param : fn->params) names.push_back(param->name);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.next_below(n));
+    };
+    const std::size_t count = 1 + pick(4);
+    for (std::size_t i = 0; i < count; ++i) {
+        std::string text;
+        switch (pick(3)) {
+            case 0:
+                text = "omp parallel for num_threads(" +
+                       std::to_string(2 << pick(5)) + ")";
+                break;
+            case 1:
+                text = "gpu shared(" +
+                       (names.empty() ? std::string("a")
+                                      : names[pick(names.size())]) +
+                       ")";
+                break;
+            default:
+                text = "unroll " + std::to_string(2 + pick(15));
+                break;
+        }
+        meta::add_pragma(*stmts[pick(stmts.size())], std::move(text));
+    }
+}
+
 // --------------------------------------------------------- module query ---
 
 /// First outermost loop across the module's functions in order, plus the
@@ -429,6 +469,52 @@ OracleOutcome run_oracles(const std::string& source,
                 fail("interp:vm", *mismatch);
         } catch (const std::exception& e) {
             fail("interp:vm:crash", e.what());
+        }
+    }
+
+    // ---- pragma-only edits share one profile (profile:pragma) ---------
+    // The profile cache keys on the pragma-free print, so a clone that
+    // differs only in pragmas must hit the entry of the original, and the
+    // profile it is served must equal an uncached run of the clone.
+    if (options.check_cache && analysis::ProfileCache::global().enabled()) {
+        ++out.oracles_run;
+        try {
+            const LoopTarget target = first_outer_loop(*module);
+            interp::InterpOptions io;
+            io.focus_function =
+                target.fn != nullptr ? target.fn->name : std::string();
+            auto edited = ast::clone_module(*module);
+            SplitMix64 rng(analysis::fnv1a(source.data(), source.size()));
+            add_random_pragmas(*edited, rng);
+            const sema::TypeInfo edited_types = sema::check(*edited);
+
+            auto& cache = analysis::ProfileCache::global();
+            cache.clear();
+            (void)cache.run(*module, types, workload.entry,
+                            workload.make_args(1.0), io);
+            const auto cached = cache.run(*edited, edited_types,
+                                          workload.entry,
+                                          workload.make_args(1.0), io);
+            if (cache.stats().hits != 1) {
+                fail("profile:pragma",
+                     "a pragma-only edit missed the profile cache");
+            } else {
+                const auto fresh =
+                    interp::run_function(*edited, edited_types,
+                                         workload.entry,
+                                         workload.make_args(1.0), io);
+                std::vector<ast::Node::Id> loop_order;
+                for (const auto* l : meta::for_loops(*edited))
+                    loop_order.push_back(l->id);
+                if (analysis::serialize_profile_payload(cached, loop_order) !=
+                    analysis::serialize_profile_payload(fresh.profile,
+                                                        loop_order))
+                    fail("profile:pragma",
+                         "cached profile differs from an uncached run of "
+                         "the pragma-edited module");
+            }
+        } catch (const std::exception& e) {
+            fail("profile:pragma:crash", e.what());
         }
     }
 

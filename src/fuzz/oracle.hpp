@@ -10,6 +10,11 @@
 //   interp:vm   (with check_vm) the bytecode VM and the tree walker produce
 //               bit-identical results, buffer contents, error strings and
 //               serialized execution profiles on the same workload
+//   profile:pragma
+//               (with check_cache) the program with random pragmas added
+//               hits the profile-cache entry of the original, and the
+//               served profile is bit-identical to an uncached run of the
+//               edited program (pragmas never change a profile)
 //   transform:* every transform in src/transform/ either rejects its
 //               precondition with psaflow::Error (counted as a skip) or
 //               produces a module that still type-checks, still round-trips
@@ -58,8 +63,9 @@ struct OracleOptions {
     /// Cold-vs-warm persistent-cache oracle ("flow:cache"): run the flow
     /// once against an empty content-addressed store, then again with only
     /// the disk entries carried over; all three results (no cache, cold,
-    /// warm) must be byte-identical. Off by default — it triples the flow
-    /// oracle's work and touches the filesystem.
+    /// warm) must be byte-identical. Also enables the "profile:pragma"
+    /// oracle. Off by default — it triples the flow oracle's work and
+    /// touches the filesystem.
     bool check_cache = false;
 
     /// Store root for the cache oracle; empty uses a fresh directory under

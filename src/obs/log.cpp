@@ -96,7 +96,8 @@ std::string LogRecord::to_line() const {
 #else
     gmtime_r(&seconds, &tm_utc);
 #endif
-    char stamp[40];
+    // Sized for seven full-width ints, so no tm value can truncate it.
+    char stamp[96];
     std::snprintf(stamp, sizeof stamp,
                   "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", tm_utc.tm_year + 1900,
                   tm_utc.tm_mon + 1, tm_utc.tm_mday, tm_utc.tm_hour,

@@ -59,8 +59,8 @@ int estimate_regs_per_thread(const Function& kernel, bool double_precision) {
 }
 
 platform::KernelShape
-build_kernel_shape(const Function& kernel, const sema::TypeInfo& types,
-                   const Module& module, const KernelCharacterization& ch,
+build_kernel_shape(const Function& kernel, const Module& module,
+                   const KernelCharacterization& ch,
                    const ShapeOptions& options) {
     const double s = options.relative_scale;
     platform::KernelShape shape;

@@ -10,7 +10,6 @@
 #include "analysis/characterize.hpp"
 #include "ast/nodes.hpp"
 #include "platform/kernel_shape.hpp"
-#include "sema/type_check.hpp"
 
 namespace psaflow::perf {
 
@@ -32,8 +31,7 @@ struct ShapeOptions {
 /// transformed, form) from `ch`. `ch` must have been produced by
 /// characterize_kernel on the same module state.
 [[nodiscard]] platform::KernelShape
-build_kernel_shape(const ast::Function& kernel, const sema::TypeInfo& types,
-                   const ast::Module& module,
+build_kernel_shape(const ast::Function& kernel, const ast::Module& module,
                    const analysis::KernelCharacterization& ch,
                    const ShapeOptions& options);
 

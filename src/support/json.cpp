@@ -85,6 +85,11 @@ bool Value::bool_or(bool def) const {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so without a cap a frame of nested '[' overflows the stack;
+/// no document the toolchain reads comes near this depth.
+constexpr int kMaxDepth = 256;
+
 class Parser {
 public:
     Parser(std::string_view text, std::string* error)
@@ -132,8 +137,19 @@ private:
             return false;
         }
         switch (peek()) {
-            case '{': return parse_object(out);
-            case '[': return parse_array(out);
+            case '{':
+            case '[': {
+                if (depth_ == kMaxDepth) {
+                    set_error("nesting deeper than " +
+                              std::to_string(kMaxDepth) + " levels");
+                    return false;
+                }
+                ++depth_;
+                const bool ok = peek() == '{' ? parse_object(out)
+                                              : parse_array(out);
+                --depth_;
+                return ok;
+            }
             case '"': {
                 out.kind = Value::Kind::String;
                 return parse_string(out.string_value);
@@ -312,6 +328,7 @@ private:
     std::string_view text_;
     std::string* error_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< arrays/objects currently open
 };
 
 } // namespace

@@ -59,7 +59,8 @@ public:
 };
 
 /// Parse one JSON document (trailing whitespace allowed, trailing garbage
-/// rejected). On failure returns nullopt and, when `error` is non-null,
+/// rejected; arrays and objects nested deeper than 256 levels rejected, so
+/// hostile input cannot exhaust the stack). On failure returns nullopt and, when `error` is non-null,
 /// stores a message with the byte offset of the problem.
 [[nodiscard]] std::optional<Value> parse(std::string_view text,
                                          std::string* error = nullptr);

@@ -39,7 +39,7 @@ namespace psaflow::trace {
 
 struct Span {
     std::string name;     ///< e.g. "task:identify-hotspot-loops"
-    std::string category; ///< "flow" | "task" | "dse" | "interp:tree" | "interp:vm" | ...
+    std::string category; ///< "flow" | "task" | "dse" | "analysis" | "interp:tree" | "interp:vm" | ...
     std::uint64_t id = 0;          ///< process-unique span id (never 0)
     std::uint64_t parent = 0;      ///< enclosing span's id; 0 = a root
     std::uint64_t thread = 0;      ///< small per-thread ordinal, stable per run

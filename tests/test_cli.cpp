@@ -124,6 +124,17 @@ TEST(CliBatch, MalformedManifestFails) {
     EXPECT_EQ(r.exit_code, 2) << r.output;
 }
 
+TEST(CliBatch, DeeplyNestedManifestFailsWithoutCrashing) {
+    // 2 MB of '[' overflows the stack of a recursive JSON parser without a
+    // depth cap; with the cap it is an ordinary malformed-manifest exit.
+    BatchDir dir("nested");
+    const auto manifest =
+        dir.write("manifest.json", std::string(2u << 20, '['));
+    const CliResult r = run_cli("--batch " + manifest.string());
+    EXPECT_EQ(r.exit_code, 2) << r.output; // -1 would mean a signal
+    EXPECT_NE(r.output.find("nesting"), std::string::npos) << r.output;
+}
+
 TEST(CliBatch, RequestWithoutAppFails) {
     BatchDir dir("noapp");
     const auto manifest =

@@ -355,6 +355,27 @@ TEST(Router, RoutedCompilesAreByteIdenticalToDirectOnes) {
     }
 }
 
+TEST(Router, DeeplyNestedFrameIsABadRequestAndTheFleetKeepsServing) {
+    ClusterFixture fleet("nesting");
+    fleet.start();
+
+    // 2 MB of '[' is far below the frame cap, but overflows the stack of
+    // a recursive JSON parser without a depth cap, in router and shard.
+    const std::string hostile(2u << 20, '[');
+    for (const std::string& socket :
+         {fleet.router_socket, fleet.shard_a->options().socket_path}) {
+        SCOPED_TRACE(socket);
+        const auto view = serve::parse_response(round_trip(socket, hostile));
+        ASSERT_TRUE(view.has_value());
+        EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+
+        const json::Value pong = round_trip(socket, R"({"type":"ping"})");
+        const json::Value* ok = pong.find("ok");
+        ASSERT_NE(ok, nullptr);
+        EXPECT_TRUE(ok->bool_value);
+    }
+}
+
 TEST(Router, DrainMovesKeysAwayAndRejoinRestoresThem) {
     ClusterFixture fleet("drain");
     fleet.start();

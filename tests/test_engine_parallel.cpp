@@ -13,9 +13,13 @@
 #include "ast/clone.hpp"
 #include "ast/walk.hpp"
 #include "core/psaflow.hpp"
+#include "flow/engine.hpp"
+#include "meta/instrument.hpp"
+#include "meta/query.hpp"
 #include "support/cas/cas.hpp"
 #include "support/trace.hpp"
 #include "test_util.hpp"
+#include "transform/single_precision.hpp"
 
 namespace psaflow {
 namespace {
@@ -234,6 +238,138 @@ void app(int n, double* a) {
     EXPECT_EQ(cache.stats().misses, 2u);
 }
 
+/// kSmallApp's loops with a pragma of each kind the transforms attach:
+/// OpenMP on the outer loop, a shared-memory buffer annotation, an unroll
+/// hint on the inner loop.
+ast::ModulePtr with_pragmas(const ast::Module& module) {
+    auto edited = ast::clone_module(module);
+    const auto loops = meta::for_loops(*edited);
+    meta::add_pragma(*loops.at(0), "omp parallel for num_threads(32)");
+    meta::add_pragma(*loops.at(0), "gpu shared(a)");
+    meta::add_pragma(*loops.at(1), "unroll 4");
+    return edited;
+}
+
+interp::InterpOptions focused_on_app() {
+    interp::InterpOptions options;
+    options.focus_function = "app"; // exercise the focus fields too
+    return options;
+}
+
+/// Bit-exact, field-for-field equality of two profiles of `module`: the
+/// CAS payload serialises every field (doubles as bit patterns, loop stats
+/// by pre-order position), and the loop maps must key the same node ids.
+void expect_same_profile(const interp::ExecutionProfile& got,
+                         const interp::ExecutionProfile& want,
+                         ast::Module& module) {
+    std::vector<ast::Node::Id> order;
+    for (const ast::For* loop : meta::for_loops(module))
+        order.push_back(loop->id);
+    EXPECT_EQ(analysis::serialize_profile_payload(got, order),
+              analysis::serialize_profile_payload(want, order));
+    ASSERT_EQ(got.loops.size(), want.loops.size());
+    for (const auto& [id, stats] : want.loops)
+        EXPECT_EQ(got.loops.count(id), 1u) << "loop id " << id;
+}
+
+interp::ExecutionProfile uncached_run(const ast::Module& module,
+                                      const sema::TypeInfo& types,
+                                      const analysis::Workload& w) {
+    auto& cache = ProfileCache::global();
+    cache.set_enabled(false);
+    auto profile =
+        cache.run(module, types, w.entry, w.make_args(1.0), focused_on_app());
+    cache.set_enabled(true);
+    return profile;
+}
+
+TEST(ProfileCacheTest, PragmaOnlyEditHitsInMemory) {
+    auto [mod, types] = parse_and_check(kSmallApp);
+    auto& cache = ProfileCache::global();
+    cache.clear();
+    const analysis::Workload w = small_workload();
+    (void)cache.run(*mod, types, w.entry, w.make_args(1.0), focused_on_app());
+
+    auto edited = with_pragmas(*mod);
+    ASSERT_NE(ast::to_source(*edited), ast::to_source(*mod));
+    const auto edited_types = sema::check(*edited);
+    const auto cached = cache.run(*edited, edited_types, w.entry,
+                                  w.make_args(1.0), focused_on_app());
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    expect_same_profile(cached, uncached_run(*edited, edited_types, w),
+                        *edited);
+}
+
+TEST(ProfileCacheTest, PragmaOnlyEditHitsThroughTheDiskStore) {
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "psaflow-pragma-disk-cache";
+    fs::remove_all(root);
+    cas::configure(root.string());
+
+    auto [mod, types] = parse_and_check(kSmallApp);
+    auto& cache = ProfileCache::global();
+    cache.clear();
+    const analysis::Workload w = small_workload();
+    (void)cache.run(*mod, types, w.entry, w.make_args(1.0), focused_on_app());
+
+    // A cleared memory tier over the same store: only disk can serve it.
+    cache.clear();
+    auto edited = with_pragmas(*mod);
+    const auto edited_types = sema::check(*edited);
+    const auto cached = cache.run(*edited, edited_types, w.entry,
+                                  w.make_args(1.0), focused_on_app());
+    EXPECT_EQ(cache.stats().disk_hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    expect_same_profile(cached, uncached_run(*edited, edited_types, w),
+                        *edited);
+
+    cas::configure("");
+    std::error_code ec;
+    fs::remove_all(root, ec);
+}
+
+TEST(ProfileCacheTest, SinglePrecisionEditStillMisses) {
+    auto [mod, types] = parse_and_check(R"(
+void app(int n, double* a) {
+    for (int i = 0; i < n; i++) {
+        double s = a[i] * 0.1;
+        a[i] = s + 1.0;
+    }
+}
+)");
+    auto& cache = ProfileCache::global();
+    cache.clear();
+    const analysis::Workload w = small_workload();
+    (void)cache.run(*mod, types, w.entry, w.make_args(1.0));
+
+    auto edited = ast::clone_module(*mod);
+    ast::Function& fn = *edited->find_function("app");
+    EXPECT_GT(transform::employ_sp_literals(fn), 0);
+    EXPECT_GT(transform::demote_double_locals(fn), 0);
+    const auto edited_types = sema::check(*edited);
+    (void)cache.run(*edited, edited_types, w.entry, w.make_args(1.0));
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(ProfileCacheTest, DesignArtifactKeyStillSeesPragmas) {
+    // Pragmas change the emitted design, so unlike the profile key the
+    // design-artifact key must tell a pragma-only edit apart.
+    flow::FlowContext plain("small", psaflow::testing::parse(kSmallApp),
+                            small_workload());
+    flow::FlowContext same = plain.fork();
+    flow::FlowContext edited = plain.fork();
+    meta::add_pragma(*meta::for_loops(edited.module()).at(0),
+                     "omp parallel for num_threads(32)");
+    const auto key = [](flow::FlowContext& ctx) {
+        return flow::detail::artifact_key(ctx, 1.0, "signature");
+    };
+    EXPECT_EQ(key(plain), key(same));
+    EXPECT_NE(key(plain), key(edited));
+}
+
 TEST(ProfileCacheTest, DifferentArgsMiss) {
     auto [mod, types] = parse_and_check(kSmallApp);
     auto& cache = ProfileCache::global();
@@ -295,6 +431,59 @@ TEST(TraceIntegration, BranchedFlowEmitsSpansAndCacheHits) {
     EXPECT_NE(json.find("\"spans\""), std::string::npos);
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("profile_cache.hits"), std::string::npos);
+}
+
+TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
+    // Pins the interpreter runs of a cold jobs=1 compile (cleared profile
+    // cache, no disk store). Every run left is a real program change; a
+    // higher count means something re-profiles a program it already has,
+    // e.g. a key that sees pragmas again.
+    struct Expected {
+        const char* app;
+        std::uint64_t informed;
+        std::uint64_t uninformed;
+    };
+    const Expected table[] = {{"nbody", 5, 5},
+                              {"adpredictor", 5, 7},
+                              {"kmeans", 3, 5},
+                              {"rushlarsen", 3, 3},
+                              {"bezier", 3, 3}};
+    cas::configure("");
+    auto& cache = ProfileCache::global();
+    const bool was_enabled = cache.enabled();
+    cache.set_enabled(true);
+    for (const Expected& row : table) {
+        for (flow::Mode mode : {flow::Mode::Informed, flow::Mode::Uninformed}) {
+            const bool informed = mode == flow::Mode::Informed;
+            SCOPED_TRACE(std::string(row.app) +
+                         (informed ? "/informed" : "/uninformed"));
+            trace::Registry registry;
+            registry.set_enabled(true);
+            cache.clear();
+            {
+                trace::ScopedRegistry install(registry);
+                RunOptions options;
+                options.mode = mode;
+                options.jobs = 1;
+                (void)compile(apps::application_by_name(row.app), options);
+            }
+            const std::uint64_t runs = registry.counter("interp.runs");
+            EXPECT_EQ(runs, informed ? row.informed : row.uninformed);
+
+            // Only real runs carry an interpreter category; the analysis
+            // spans that wrap cache lookups do not.
+            std::uint64_t interp_spans = 0;
+            for (const auto& span : registry.spans()) {
+                if (span.category.rfind("interp:", 0) == 0) ++interp_spans;
+                if (span.name.rfind("characterize:", 0) == 0 ||
+                    span.name.rfind("detect_hotspots:", 0) == 0) {
+                    EXPECT_EQ(span.category, "analysis") << span.name;
+                }
+            }
+            EXPECT_EQ(interp_spans, runs);
+        }
+    }
+    cache.set_enabled(was_enabled);
 }
 
 TEST(TraceIntegration, ParallelFlowKeepsASingleRootedSpanTree) {

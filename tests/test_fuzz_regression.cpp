@@ -86,6 +86,27 @@ TEST(FuzzRegression, VmEngineMatchesTreeWalkerOnCorpus) {
     }
 }
 
+TEST(FuzzRegression, PragmaOnlyEditsShareTheProfileOnCorpus) {
+    // The "profile:pragma" oracle over every checked-in program: random
+    // pragmas from the transforms' vocabulary must not cost a profile-cache
+    // miss, and the served profile must match an uncached run bit for bit.
+    fuzz::OracleOptions options;
+    options.check_roundtrip = false;
+    options.check_transforms = false;
+    options.check_codegen = false;
+    options.check_flow = false; // only the pragma half of check_cache
+    options.check_cache = true;
+    const auto corpus = fuzz::load_corpus(PSAFLOW_CORPUS_DIR);
+    ASSERT_GE(corpus.size(), 30u)
+        << "corpus went missing from " << PSAFLOW_CORPUS_DIR;
+    for (const auto& entry : corpus) {
+        const auto outcome = fuzz::run_oracles(entry.source, options);
+        for (const auto& f : outcome.failures)
+            ADD_FAILURE() << entry.path << ": " << f.oracle << ": "
+                          << f.detail;
+    }
+}
+
 TEST(FuzzRegression, GeneratedProgramsPassOracles) {
     // A handful of fresh seeds beyond the stored corpus, so the suite also
     // covers the generator/oracle pair itself, not just the snapshot.

@@ -74,8 +74,8 @@ struct ShapeFixture {
     }
 
     KernelShape shape(perf::ShapeOptions opt = {}) {
-        return perf::build_kernel_shape(*mod->find_function(ch.kernel), types,
-                                        *mod, ch, opt);
+        return perf::build_kernel_shape(*mod->find_function(ch.kernel), *mod,
+                                        ch, opt);
     }
 };
 

@@ -4,9 +4,9 @@
 // reports client-observed throughput and latency plus server-side queue
 // waits, as one JSON document (the raw material for BENCH_9.json):
 //
-//   psaflow-loadgen --connect 127.0.0.1:7400 --requests 10000 \
-//       --concurrency 16 --warm-fraction 0.9 --seed 42 --label router4 \
-//       --shard-stats 127.0.0.1:7401 --shard-stats 127.0.0.1:7402 \
+//   psaflow-loadgen --connect 127.0.0.1:7400 --requests 10000
+//       --concurrency 16 --warm-fraction 0.9 --seed 42 --label router4
+//       --shard-stats 127.0.0.1:7401 --shard-stats 127.0.0.1:7402
 //       --out run.json
 //
 // Workload model: a "warm" request repeats one of `--warm-pool` fixed

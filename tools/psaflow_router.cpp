@@ -8,7 +8,7 @@
 // --cas-upstream to the router), health-checks every shard, fails over
 // with jittered backoff, and supports graceful drain/rejoin:
 //
-//   psaflow-router --socket /tmp/psaflow.sock \
+//   psaflow-router --socket /tmp/psaflow.sock
 //       --shard a=127.0.0.1:7401 --shard b=127.0.0.1:7402
 //
 //   psaflow-client --socket /tmp/psaflow.sock --app nbody   # unchanged
