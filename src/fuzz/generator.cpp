@@ -174,6 +174,13 @@ private:
     /// their domain preconditions hold for every argument value; exp and
     /// pow arguments are clamped so results stay finite in float.
     ExprPtr num_expr(int depth) {
+        // fabs(e), with NaN (from inf - inf once a float buffer overflows)
+        // mapped to 0: fmax returns its other operand when one is NaN, and
+        // sqrt and log reject NaN like a negative argument.
+        const auto nonneg = [](ExprPtr e) {
+            return b::call("fmax", vec2(b::call("fabs", vec(std::move(e))),
+                                        b::float_lit(0.0, "0.0")));
+        };
         if (depth <= 0 || chance(30)) return atom();
         switch (below(8)) {
             case 0:
@@ -196,16 +203,13 @@ private:
             }
             case 5: { // domain-guarded builtins
                 switch (below(4)) {
-                    case 0: // sqrt(fabs(e))
+                    case 0: // sqrt(fmax(fabs(e), 0.0))
+                        return b::call("sqrt",
+                                       vec(nonneg(num_expr(depth - 1))));
+                    case 1: // log(fmax(fabs(e), 0.0) + 1.0)
                         return b::call(
-                            "sqrt",
-                            vec(b::call("fabs", vec(num_expr(depth - 1)))));
-                    case 1: // log(fabs(e) + 1.0)
-                        return b::call(
-                            "log",
-                            vec(b::add(
-                                b::call("fabs", vec(num_expr(depth - 1))),
-                                b::float_lit(1.0, "1.0"))));
+                            "log", vec(b::add(nonneg(num_expr(depth - 1)),
+                                              b::float_lit(1.0, "1.0"))));
                     case 2: // exp(fmin(fabs(e), 8.0))
                         return b::call(
                             "exp",

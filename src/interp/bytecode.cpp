@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <optional>
 #include <sstream>
 
+#include "ast/walk.hpp"
 #include "support/error.hpp"
 
 namespace psaflow::interp::bc {
@@ -34,27 +37,9 @@ struct ModuleCompiler {
     const std::string focus;
     CompiledModule out;
 
-    std::unordered_map<long long, std::int32_t> int_ids;
-    std::unordered_map<std::uint64_t, std::int32_t> real_ids;
     std::unordered_map<std::string, std::int32_t> name_ids;
     std::unordered_map<const sema::BuiltinInfo*, std::int32_t> builtin_ids;
     std::unordered_map<std::string, std::int32_t> buf_ids;
-
-    std::int32_t intern_int(long long v) {
-        auto [it, fresh] = int_ids.try_emplace(
-            v, static_cast<std::int32_t>(out.int_pool.size()));
-        if (fresh) out.int_pool.push_back(v);
-        return it->second;
-    }
-
-    std::int32_t intern_real(double v) {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &v, sizeof bits);
-        auto [it, fresh] = real_ids.try_emplace(
-            bits, static_cast<std::int32_t>(out.real_pool.size()));
-        if (fresh) out.real_pool.push_back(v);
-        return it->second;
-    }
 
     std::int32_t intern_name(const std::string& s) {
         auto [it, fresh] = name_ids.try_emplace(
@@ -90,6 +75,78 @@ struct ModuleCompiler {
     }
 };
 
+/// Whether `body` can write scalar `var`: an assignment to it, or a nested
+/// for-loop or declaration of the same name (one slot per name per
+/// function, so those overwrite it too).
+bool body_writes(const Block& body, const std::string& var) {
+    bool found = false;
+    walk(static_cast<const Node&>(body), [&](const Node& n) {
+        if (const auto* a = dyn_cast<Assign>(&n)) {
+            const auto* id = dyn_cast<Ident>(a->target.get());
+            if (id != nullptr && id->name == var) found = true;
+        } else if (const auto* f = dyn_cast<For>(&n)) {
+            if (f->var == var) found = true;
+        } else if (const auto* d = dyn_cast<VarDecl>(&n)) {
+            if (d->name == var) found = true;
+        }
+        return !found;
+    });
+    return found;
+}
+
+/// Ops that only read their sources and write S[a]: the instruction that
+/// produced an assigned value may be retargeted to the variable itself.
+/// Mov and LoadB are not among them: `&&`/`||` write their result temp on
+/// two paths (LoadB, then Mov after the jump), and the Mov is the one
+/// instruction an expression's jump lands after.
+bool is_pure_producer(Op op) {
+    switch (op) {
+        case Op::I2D:
+        case Op::D2I:
+        case Op::D2F:
+        case Op::I2F:
+        case Op::AddI:
+        case Op::SubI:
+        case Op::MulI:
+        case Op::DivI:
+        case Op::ModI:
+        case Op::NegI:
+        case Op::AddD:
+        case Op::SubD:
+        case Op::MulD:
+        case Op::DivD:
+        case Op::NegD:
+        case Op::AddF:
+        case Op::SubF:
+        case Op::MulF:
+        case Op::DivF:
+        case Op::NegF:
+        case Op::LtI:
+        case Op::LeI:
+        case Op::GtI:
+        case Op::GeI:
+        case Op::EqI:
+        case Op::NeI:
+        case Op::LtD:
+        case Op::LeD:
+        case Op::GtD:
+        case Op::GeD:
+        case Op::EqD:
+        case Op::NeD:
+        case Op::NotB:
+        case Op::LoadElemI:
+        case Op::LoadElemF:
+        case Op::LoadElemD:
+        case Op::CallBuiltin:
+        case Op::CallUser: return true;
+        default: return false;
+    }
+}
+
+double round_f(double v) {
+    return static_cast<double>(static_cast<float>(v));
+}
+
 class FnCompiler {
 public:
     FnCompiler(ModuleCompiler& mc, const Function& fn) : mc_(mc), fn_(fn) {}
@@ -118,19 +175,50 @@ public:
                 ++next_reg_;
             }
         }
+        n_named_ = next_reg_;
         max_reg_ = next_reg_;
+        const std::size_t arg_base = mc_.out.arg_pool.size();
 
         emit_block(*fn_.body);
         // Falling off the end of a non-void function mirrors the tree
         // walker: Value::void_value().convert_to(ret) throws.
         emit_implicit_return();
 
-        cf_.n_sregs = static_cast<std::uint32_t>(max_reg_);
+        // Constant registers go after the temps, whose count is known only
+        // now. Rewrite the placeholder operands (see constant()) in order
+        // of first use, dropping constants nothing reads (an int literal
+        // folded into a double one). -1, a void CallUser's destination, is
+        // the only other negative operand.
+        std::vector<std::int32_t*> refs;
+        for (Insn& in : cf_.code)
+            for (std::int32_t* r : {&in.a, &in.b, &in.c})
+                if (*r <= kConstTag) refs.push_back(r);
+        for (std::size_t k = arg_base; k < mc_.out.arg_pool.size(); ++k)
+            if (mc_.out.arg_pool[k] <= kConstTag)
+                refs.push_back(&mc_.out.arg_pool[k]);
+        std::vector<std::int32_t> placed(cf_.consts.size(), -1);
+        std::vector<Constant> used;
+        for (std::int32_t* r : refs) {
+            const auto k = static_cast<std::size_t>(kConstTag - *r);
+            if (placed[k] < 0) {
+                placed[k] = max_reg_ + static_cast<std::int32_t>(used.size());
+                used.push_back(cf_.consts[k]);
+            }
+            *r = placed[k];
+        }
+        cf_.consts = std::move(used);
+
+        cf_.n_sregs = static_cast<std::uint32_t>(max_reg_) +
+                      static_cast<std::uint32_t>(cf_.consts.size());
         cf_.n_bregs = static_cast<std::uint32_t>(n_bregs);
         return std::move(cf_);
     }
 
 private:
+    /// Constant k is referred to as kConstTag - k until compile() knows
+    /// where the constants go.
+    static constexpr std::int32_t kConstTag = -2;
+
     ModuleCompiler& mc_;
     const Function& fn_;
     CompiledFunction cf_;
@@ -138,6 +226,8 @@ private:
     std::unordered_map<std::string, std::int32_t> breg_of_;
     std::unordered_map<std::string, Type> scalar_type_;
     std::unordered_map<std::string, Type> buf_elem_;
+    std::map<std::pair<Type, std::uint64_t>, std::int32_t> const_ids_;
+    std::int32_t n_named_ = 0;
     std::int32_t next_reg_ = 0;
     std::int32_t max_reg_ = 0;
 
@@ -178,6 +268,51 @@ private:
         return it->second;
     }
 
+    // ---- constants -----------------------------------------------------
+
+    /// The constant register holding `value`, shared by equal constants.
+    /// `storage` is Int, Double or Bool; `type` is the Reg's static type
+    /// (Float for a rounded single-precision value).
+    Reg constant(Type storage, Sreg value, Type type) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &value, sizeof bits);
+        auto [it, fresh] = const_ids_.try_emplace(
+            std::pair{storage, bits},
+            static_cast<std::int32_t>(cf_.consts.size()));
+        if (fresh) cf_.consts.push_back(Constant{storage, value});
+        return Reg{kConstTag - it->second, type};
+    }
+
+    Reg int_constant(long long v) {
+        Sreg r{};
+        r.i = v;
+        return constant(Type::Int, r, Type::Int);
+    }
+
+    Reg real_constant(double v, Type type) {
+        Sreg r{};
+        r.d = v;
+        return constant(Type::Double, r, type);
+    }
+
+    const Constant* constant_of(Reg r) const {
+        if (r.idx > kConstTag) return nullptr;
+        return &cf_.consts[static_cast<std::size_t>(kConstTag - r.idx)];
+    }
+
+    /// A constant converted to Double or Float at compile time: the same
+    /// I2D/I2F/D2F arithmetic the VM would do, done once. D2I is left to
+    /// runtime (out-of-range truncation is not portable to fold).
+    std::optional<Reg> fold(Reg src, Type want) {
+        const Constant* k = constant_of(src);
+        if (k == nullptr || k->type == Type::Bool) return std::nullopt;
+        if (want != Type::Double && want != Type::Float) return std::nullopt;
+        const double v = k->type == Type::Int
+                             ? static_cast<double>(k->value.i)
+                             : k->value.d;
+        return real_constant(want == Type::Float ? round_f(v) : v, want);
+    }
+
     // ---- conversions (all charge-free, mirroring Value::convert_to /
     //      as_double / as_int, which never charge) ----------------------
 
@@ -193,6 +328,7 @@ private:
     Reg to_double(Reg src) {
         switch (src.type) {
             case Type::Int: {
+                if (const auto k = fold(src, Type::Double)) return *k;
                 const std::int32_t r = alloc();
                 emit(Op::I2D, r, src.idx);
                 return Reg{r, Type::Double};
@@ -218,15 +354,32 @@ private:
         }
     }
 
+    /// S[dst] = S[src]. When the instruction just emitted is a pure
+    /// producer of the temp `src`, that instruction writes `dst` instead
+    /// and no Mov is needed.
+    void move_into(std::int32_t dst, std::int32_t src) {
+        if (dst == src) return;
+        if (src >= n_named_ && here() > 0) {
+            Insn& last = cf_.code.back();
+            if (last.a == src && is_pure_producer(last.op)) {
+                last.a = dst;
+                return;
+            }
+        }
+        emit(Op::Mov, dst, src);
+    }
+
     /// Store `src` converted to declared type `want` into scalar reg `dst`
     /// (Value::convert_to at assignment / declaration).
     void conv_into(std::int32_t dst, Reg src, Type want) {
+        if (const auto k = fold(src, want)) {
+            move_into(dst, k->idx);
+            return;
+        }
         switch (want) {
             case Type::Int:
                 switch (src.type) {
-                    case Type::Int:
-                        if (dst != src.idx) emit(Op::Mov, dst, src.idx);
-                        return;
+                    case Type::Int: move_into(dst, src.idx); return;
                     case Type::Float:
                     case Type::Double: emit(Op::D2I, dst, src.idx); return;
                     default: trap("value is not numeric"); return;
@@ -235,23 +388,19 @@ private:
                 switch (src.type) {
                     case Type::Int: emit(Op::I2D, dst, src.idx); return;
                     case Type::Float:
-                    case Type::Double:
-                        if (dst != src.idx) emit(Op::Mov, dst, src.idx);
-                        return;
+                    case Type::Double: move_into(dst, src.idx); return;
                     default: trap("value is not numeric"); return;
                 }
             case Type::Float:
                 switch (src.type) {
                     case Type::Int: emit(Op::I2F, dst, src.idx); return;
-                    case Type::Float:
-                        if (dst != src.idx) emit(Op::Mov, dst, src.idx);
-                        return;
+                    case Type::Float: move_into(dst, src.idx); return;
                     case Type::Double: emit(Op::D2F, dst, src.idx); return;
                     default: trap("value is not numeric"); return;
                 }
             case Type::Bool:
                 if (src.type == Type::Bool) {
-                    if (dst != src.idx) emit(Op::Mov, dst, src.idx);
+                    move_into(dst, src.idx);
                 } else {
                     trap("value is not bool");
                 }
@@ -260,11 +409,13 @@ private:
         }
     }
 
-    /// Fresh register holding `src` converted to `want`.
+    /// Register holding `src` converted to `want` (fresh unless no
+    /// conversion or a compile-time one suffices).
     Reg conv(Reg src, Type want) {
         if (src.type == want) return src;
         if (want == Type::Double && src.type == Type::Float)
             return Reg{src.idx, Type::Double}; // representation unchanged
+        if (const auto k = fold(src, want)) return *k;
         const std::int32_t r = alloc();
         conv_into(r, src, want);
         return Reg{r, want};
@@ -276,30 +427,19 @@ private:
 
     Reg emit_expr(const Expr& e) {
         switch (e.kind()) {
-            case NodeKind::IntLit: {
-                const std::int32_t r = alloc();
-                emit(Op::LoadI, r,
-                     mc_.intern_int(static_cast<const IntLit&>(e).value));
-                return Reg{r, Type::Int};
-            }
+            case NodeKind::IntLit:
+                return int_constant(static_cast<const IntLit&>(e).value);
             case NodeKind::FloatLit: {
                 const auto& lit = static_cast<const FloatLit&>(e);
-                const std::int32_t r = alloc();
-                if (lit.single) {
-                    // Value::of_float rounds at construction.
-                    const double rounded = static_cast<double>(
-                        static_cast<float>(lit.value));
-                    emit(Op::LoadD, r, mc_.intern_real(rounded));
-                    return Reg{r, Type::Float};
-                }
-                emit(Op::LoadD, r, mc_.intern_real(lit.value));
-                return Reg{r, Type::Double};
+                // Value::of_float rounds at construction.
+                if (lit.single)
+                    return real_constant(round_f(lit.value), Type::Float);
+                return real_constant(lit.value, Type::Double);
             }
             case NodeKind::BoolLit: {
-                const std::int32_t r = alloc();
-                emit(Op::LoadB, r,
-                     static_cast<const BoolLit&>(e).value ? 1 : 0);
-                return Reg{r, Type::Bool};
+                Sreg r{};
+                r.b = static_cast<const BoolLit&>(e).value;
+                return constant(Type::Bool, r, Type::Bool);
             }
             case NodeKind::Ident: {
                 const auto& id = static_cast<const Ident&>(e);
@@ -578,9 +718,9 @@ private:
                 // of_int(0).convert_to(Bool) throws in the tree walker.
                 trap("value is not bool");
             } else if (d.elem == Type::Int) {
-                emit(Op::LoadI, dst, mc_.intern_int(0));
+                move_into(dst, int_constant(0).idx);
             } else {
-                emit(Op::LoadD, dst, mc_.intern_real(0.0));
+                move_into(dst, real_constant(0.0, d.elem).idx);
             }
         }
         emit(Op::ChargeAssign);
@@ -675,15 +815,18 @@ private:
 
         const Reg init = to_int(emit_expr(*loop.init));
         const std::int32_t var = sreg(loop.var);
-        if (var != init.idx) emit(Op::Mov, var, init.idx);
+        move_into(var, init.idx);
         next_reg_ = save;
 
         // Head snapshot: the step update uses the value read at the head,
         // so a body write to the loop variable does not change the next
-        // iteration (exactly the tree walker's local `i`).
-        const std::int32_t snap = alloc();
+        // iteration (exactly the tree walker's local `i`). A body that
+        // cannot write the variable leaves it equal to the snapshot, so the
+        // variable serves as its own snapshot.
+        const bool snapshot = body_writes(*loop.body, loop.var);
+        const std::int32_t snap = snapshot ? alloc() : var;
         const std::int32_t head = here();
-        emit(Op::Mov, snap, var);
+        if (snapshot) emit(Op::Mov, snap, var);
         const std::int32_t body_save = next_reg_;
         const Reg limit = to_int(emit_expr(*loop.limit));
         const std::int32_t jexit = emit(Op::LoopHead, snap, limit.idx, 0);
@@ -691,9 +834,11 @@ private:
         emit(Op::LoopTrip, lidx);
         emit_block(*loop.body);
         const Reg step = to_int(emit_expr(*loop.step));
-        emit(Op::StepCheck, step.idx,
-             mc_.intern_name(to_string(loop.loc) +
-                             ": for-loop step must be positive"));
+        const auto* lit = dyn_cast<IntLit>(loop.step.get());
+        if (lit == nullptr || lit->value <= 0)
+            emit(Op::StepCheck, step.idx,
+                 mc_.intern_name(to_string(loop.loc) +
+                                 ": for-loop step must be positive"));
         emit(Op::IncI, var, snap, step.idx);
         next_reg_ = body_save;
         emit(Op::Jmp, head);
@@ -727,8 +872,6 @@ CompiledModule compile(const ast::Module& module, const sema::TypeInfo& types,
 
 const char* to_string(Op op) {
     switch (op) {
-        case Op::LoadI: return "LoadI";
-        case Op::LoadD: return "LoadD";
         case Op::LoadB: return "LoadB";
         case Op::Mov: return "Mov";
         case Op::I2D: return "I2D";
@@ -816,14 +959,6 @@ void disasm_insn(std::ostringstream& os, const CompiledModule& m,
     const auto at = [](std::int32_t pc) { return "@" + std::to_string(pc); };
     os << to_string(in.op);
     switch (in.op) {
-        case Op::LoadI:
-            os << " " << s(in.a) << ", "
-               << m.int_pool[static_cast<std::size_t>(in.b)];
-            break;
-        case Op::LoadD:
-            os << " " << s(in.a) << ", "
-               << fmt_real(m.real_pool[static_cast<std::size_t>(in.b)]);
-            break;
         case Op::LoadB:
             os << " " << s(in.a) << ", " << (in.b != 0 ? "true" : "false");
             break;
@@ -923,6 +1058,18 @@ std::string disassemble(const CompiledModule& module,
        << " bregs=" << fn.n_bregs;
     if (fn.is_focus) os << " focus";
     os << "\n";
+    const std::size_t first_const = fn.n_sregs - fn.consts.size();
+    for (std::size_t k = 0; k < fn.consts.size(); ++k) {
+        const Constant& c = fn.consts[k];
+        os << "  const " << ast::to_string(c.type) << " s" << first_const + k
+           << " = ";
+        switch (c.type) {
+            case ast::Type::Int: os << c.value.i; break;
+            case ast::Type::Bool: os << (c.value.b ? "true" : "false"); break;
+            default: os << fmt_real(c.value.d); break;
+        }
+        os << "\n";
+    }
     for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
         os << "  ";
         if (pc < 10) os << " ";

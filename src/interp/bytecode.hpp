@@ -16,6 +16,24 @@
 //   - for-loop init/limit/step and subscripts are statically Int;
 //   - conditions and logical operands are strictly Bool;
 //   - call arity and argument kinds match the callee's parameters.
+//
+// Charge-free bookkeeping is kept out of the instruction stream wherever
+// the tree walker's behaviour allows it:
+//   - Frame layout: named variables, then expression temps, then read-only
+//     constant registers. Every literal (and every literal conversion the
+//     tree walker would make at runtime, such as `x * 2` on a double `x`)
+//     is a constant register whose value the VM copies in when it pushes
+//     the frame, so no instruction loads a literal.
+//   - Destination forwarding: an assignment or declaration whose value is
+//     produced by a pure instruction (arithmetic, compare, conversion,
+//     element load, call) writes the variable directly instead of going
+//     through a temp and a Mov. The Mov/LoadB pair that merges the two
+//     paths of `&&`/`||` is never retargeted.
+//   - A for-loop whose step is a positive integer literal emits no
+//     StepCheck.
+//   - A for-loop keeps a head snapshot register (the tree walker's local
+//     `i`) only when its body can write the loop variable: an assignment
+//     to it, or a nested for-loop or declaration of the same name.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +51,11 @@ namespace psaflow::interp::bc {
 /// (Int, Double, Float); Float values live in double registers, rounded to
 /// float precision exactly where the tree walker rounds (Value::of_float).
 /// "charge-free" ops mirror tree-walker work that never called charge().
+/// Literals need no load op: they live in constant registers (see
+/// CompiledFunction::consts).
 enum class Op : std::uint8_t {
     // ---- charge-free data movement ----
-    LoadI,  ///< S[a].i = int_pool[b]
-    LoadD,  ///< S[a].d = real_pool[b]
-    LoadB,  ///< S[a].b = (b != 0)
+    LoadB,  ///< S[a].b = (b != 0): the short-circuit result of `&&`/`||`
     Mov,    ///< S[a] = S[b] (raw copy)
     I2D,    ///< S[a].d = double(S[b].i)
     D2I,    ///< S[a].i = (long long)S[b].d   (truncate toward zero)
@@ -99,11 +117,14 @@ enum class Op : std::uint8_t {
     NeD,
     NotB, ///< charge(1); S[a].b = !S[b].b
     // ---- for loops ----
+    // S[a] of LoopHead and S[b] of IncI is the loop variable itself, or its
+    // head snapshot when the body can write the variable.
     LoopEnter, ///< profiling: ++entries of loop_pool[a], push active loop
     LoopHead,  ///< charge(kCmpCost); if (S[a].i >= S[b].i) pc = c
     LoopTrip,  ///< profiling: ++trips of loop_pool[a]; charge(kLoopIterCost)
     LoopExit,  ///< profiling: pop active loop
-    StepCheck, ///< if (S[a].i <= 0) throw InterpError(name_pool[b])
+    StepCheck, ///< if (S[a].i <= 0) throw InterpError(name_pool[b]); not
+               ///< emitted for a positive integer-literal step
     // ---- buffers ----
     NewBuf,    ///< B[a] = fresh Buffer(buf_pool[c], size S[b].i)
     LoadElemI, ///< note_access(read); S[a].i = (long long)B[b]->load(S[c].i)
@@ -129,6 +150,25 @@ struct Insn {
     std::int32_t c = 0;
 };
 
+/// One scalar register. Float values are stored in `d` already rounded to
+/// float precision (the lowering rounds wherever Value::of_float did), so
+/// the union needs no type tag: the instruction encodes which member it
+/// reads.
+union Sreg {
+    long long i;
+    double d;
+    bool b;
+};
+
+static_assert(sizeof(Sreg) == 8);
+
+/// The value of one read-only constant register. `type` is Int, Double
+/// (also for Float literals, which are stored pre-rounded) or Bool.
+struct Constant {
+    ast::Type type = ast::Type::Int;
+    Sreg value{};
+};
+
 /// Element type and declared name of a local array (NewBuf operand).
 struct BufDecl {
     ast::Type elem = ast::Type::Double;
@@ -148,9 +188,14 @@ struct CompiledFunction {
     std::string name;
     ast::Type ret = ast::Type::Void;
     std::vector<ParamSpec> params;
-    std::uint32_t n_sregs = 0; ///< scalar frame size (named vars + temps)
+    /// Scalar frame size: named vars, then temps, then constants.
+    std::uint32_t n_sregs = 0;
     std::uint32_t n_bregs = 0; ///< buffer frame size
     bool is_focus = false;     ///< profile focus function (baked at compile)
+    /// Values of the constant registers, which are the last consts.size()
+    /// sregs of the frame. The VM copies them in when it pushes the frame;
+    /// no instruction writes them.
+    std::vector<Constant> consts;
     std::vector<Insn> code;
 };
 
@@ -160,8 +205,6 @@ struct CompiledFunction {
 struct CompiledModule {
     std::vector<CompiledFunction> functions;
     std::unordered_map<std::string, std::uint32_t> fn_index;
-    std::vector<long long> int_pool;
-    std::vector<double> real_pool;
     std::vector<std::string> name_pool; ///< pre-composed error messages
     std::vector<const sema::BuiltinInfo*> builtin_pool;
     std::vector<ast::Node::Id> loop_pool; ///< For node ids, compile order

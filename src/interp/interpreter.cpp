@@ -144,8 +144,8 @@ struct Interpreter::Impl {
 
     Value call_function(const Function& fn, std::vector<Slot> arg_slots) {
         charge(kCallCost);
-        ensure(arg_slots.size() == fn.params.size(),
-               "internal: call arity mismatch for '" + fn.name + "'");
+        if (arg_slots.size() != fn.params.size())
+            throw Error("internal: call arity mismatch for '" + fn.name + "'");
 
         const bool is_focus =
             options.profile && fn.name == options.focus_function;
@@ -171,16 +171,18 @@ struct Interpreter::Impl {
             const Param& p = *fn.params[i];
             if (p.type.is_pointer) {
                 auto* b = std::get_if<BufferPtr>(&arg_slots[i]);
-                ensure(b != nullptr, "array argument expected for parameter '" +
-                                         p.name + "'");
-                ensure((*b)->elem_type() == p.type.elem,
-                       "buffer element type mismatch for parameter '" + p.name +
-                           "'");
+                if (b == nullptr)
+                    throw Error("array argument expected for parameter '" +
+                                p.name + "'");
+                if ((*b)->elem_type() != p.type.elem)
+                    throw Error("buffer element type mismatch for parameter '" +
+                                p.name + "'");
                 new_frame.emplace(p.name, *b);
             } else {
                 auto* v = std::get_if<Value>(&arg_slots[i]);
-                ensure(v != nullptr, "scalar argument expected for parameter '" +
-                                         p.name + "'");
+                if (v == nullptr)
+                    throw Error("scalar argument expected for parameter '" +
+                                p.name + "'");
                 new_frame.emplace(p.name, v->convert_to(p.type.elem));
             }
         }
@@ -355,9 +357,9 @@ struct Interpreter::Impl {
             const double r = rhs.as_double();
             double out = 0.0;
             switch (a.op) {
-                case AssignOp::Add: out = l + r; break;
+                case AssignOp::Add: out = add_pinned(l, r); break;
                 case AssignOp::Sub: out = l - r; break;
-                case AssignOp::Mul: out = l * r; break;
+                case AssignOp::Mul: out = mul_pinned(l, r); break;
                 case AssignOp::Div: out = l / r; break;
                 default: break;
             }
@@ -518,9 +520,9 @@ struct Interpreter::Impl {
             const float a = static_cast<float>(l.as_double());
             const float c = static_cast<float>(r.as_double());
             switch (b.op) {
-                case BinaryOp::Add: return Value::of_float(a + c);
+                case BinaryOp::Add: return Value::of_float(add_pinned(a, c));
                 case BinaryOp::Sub: return Value::of_float(a - c);
-                case BinaryOp::Mul: return Value::of_float(a * c);
+                case BinaryOp::Mul: return Value::of_float(mul_pinned(a, c));
                 case BinaryOp::Div: return Value::of_float(a / c);
                 default: break;
             }
@@ -529,9 +531,9 @@ struct Interpreter::Impl {
         const double a = l.as_double();
         const double c = r.as_double();
         switch (b.op) {
-            case BinaryOp::Add: return Value::of_double(a + c);
+            case BinaryOp::Add: return Value::of_double(add_pinned(a, c));
             case BinaryOp::Sub: return Value::of_double(a - c);
-            case BinaryOp::Mul: return Value::of_double(a * c);
+            case BinaryOp::Mul: return Value::of_double(mul_pinned(a, c));
             case BinaryOp::Div: return Value::of_double(a / c);
             default: break;
         }
@@ -578,8 +580,8 @@ Value Interpreter::call(const std::string& name, const std::vector<Arg>& args) {
     const Function* fn = impl_->module.find_function(name);
     if (fn == nullptr)
         throw InterpError("entry function '" + name + "' not found");
-    ensure(args.size() == fn->params.size(),
-           "entry call arity mismatch for '" + name + "'");
+    if (args.size() != fn->params.size())
+        throw Error("entry call arity mismatch for '" + name + "'");
 
     std::vector<Impl::Slot> slots;
     slots.reserve(args.size());

@@ -17,6 +17,23 @@
 
 namespace psaflow::interp {
 
+/// `a + b` and `a * b` with the NaN of a two-NaN operation pinned to `a`'s.
+/// IEEE 754 leaves that choice open, x86 takes the first operand's NaN, and
+/// the compiler may swap the operands of a commutative op, so without this
+/// the two engines can disagree on the sign of a NaN (fabs or negation
+/// makes NaNs of both signs). Both engines compute these ops through here.
+template <typename T>
+[[nodiscard]] T add_pinned(T a, T b) {
+    const T r = a + b;
+    return r != r && a != a ? a : r;
+}
+
+template <typename T>
+[[nodiscard]] T mul_pinned(T a, T b) {
+    const T r = a * b;
+    return r != r && a != a ? a : r;
+}
+
 /// A scalar runtime value with its HLC type.
 class Value {
 public:

@@ -22,18 +22,9 @@ constexpr double kLoopIterCost = 2.0;
 constexpr double kAssignCost = 1.0;
 constexpr double kCallCost = 8.0;
 
-/// One scalar register. Float values are stored in `d` already rounded to
-/// float precision (the lowering rounds wherever Value::of_float did), so
-/// the union needs no type tag: the instruction encodes which member it
-/// reads. Frames are zero-initialized on allocation, so reads are always
-/// defined even for (sema-impossible) use-before-declaration.
-union Sreg {
-    long long i;
-    double d;
-    bool b;
-};
-
-static_assert(sizeof(Sreg) == 8);
+/// Frames are zero-initialized on allocation, so reads are always defined
+/// even for (sema-impossible) use-before-declaration.
+using bc::Sreg;
 
 double round_f(double v) {
     return static_cast<double>(static_cast<float>(v));
@@ -98,6 +89,7 @@ struct Vm::Impl {
     // Per-call arg staging (the dispatch loop is not reentrant).
     std::vector<Sreg> scratch_s;
     std::vector<BufferPtr> scratch_b;
+    std::vector<int> scratch_ids; ///< bind_focus's aliasing probe
 
     Impl(const ast::Module& m, const sema::TypeInfo& t, InterpOptions o)
         : options(std::move(o)),
@@ -165,7 +157,8 @@ struct Vm::Impl {
     /// aliasing detected by buffer identity.
     void bind_focus(const bc::CompiledFunction& fn,
                     const std::vector<BufferPtr>& bufs) {
-        std::vector<int> seen;
+        std::vector<int>& seen = scratch_ids;
+        seen.clear();
         std::size_t bi = 0;
         for (const bc::ParamSpec& p : fn.params) {
             if (!p.is_pointer) continue;
@@ -221,8 +214,8 @@ struct Vm::Impl {
                      const std::vector<Arg>& args) {
         charge(kCallCost);
         flush_charges(); // before the focus snapshot reads the totals
-        ensure(args.size() == fn.params.size(),
-               "internal: call arity mismatch for '" + fn.name + "'");
+        if (args.size() != fn.params.size())
+            throw Error("internal: call arity mismatch for '" + fn.name + "'");
 
         Frame f;
         f.fn = &fn;
@@ -248,31 +241,39 @@ struct Vm::Impl {
             const bc::ParamSpec& p = fn.params[i];
             if (p.is_pointer) {
                 const auto* b = std::get_if<BufferPtr>(&args[i]);
-                ensure(b != nullptr,
-                       "array argument expected for parameter '" + p.name +
-                           "'");
-                ensure((*b)->elem_type() == p.elem,
-                       "buffer element type mismatch for parameter '" +
-                           p.name + "'");
+                if (b == nullptr)
+                    throw Error("array argument expected for parameter '" +
+                                p.name + "'");
+                if ((*b)->elem_type() != p.elem)
+                    throw Error("buffer element type mismatch for parameter '" +
+                                p.name + "'");
                 scratch_b.push_back(*b);
             } else {
                 const auto* v = std::get_if<Value>(&args[i]);
-                ensure(v != nullptr,
-                       "scalar argument expected for parameter '" + p.name +
-                           "'");
+                if (v == nullptr)
+                    throw Error("scalar argument expected for parameter '" +
+                                p.name + "'");
                 scratch_s.push_back(unbox(v->convert_to(p.elem), p.elem));
             }
         }
 
+        push_frame(f);
+        return dispatch();
+    }
+
+    /// Push `f` with a zeroed register window holding the staged params
+    /// (scratch_s/scratch_b) and the function's constant registers.
+    void push_frame(const Frame& f) {
+        const bc::CompiledFunction& fn = *f.fn;
         frames.push_back(f);
         sregs.resize(f.sbase + fn.n_sregs);
         bregs.resize(f.bbase + fn.n_bregs);
-        for (std::size_t k = 0; k < scratch_s.size(); ++k)
-            sregs[f.sbase + k] = scratch_s[k];
-        for (std::size_t k = 0; k < scratch_b.size(); ++k)
-            bregs[f.bbase + k] = scratch_b[k];
-
-        return dispatch();
+        Sreg* S = sregs.data() + f.sbase;
+        std::copy(scratch_s.begin(), scratch_s.end(), S);
+        std::move(scratch_b.begin(), scratch_b.end(),
+                  bregs.begin() + static_cast<std::ptrdiff_t>(f.bbase));
+        Sreg* K = S + (fn.n_sregs - fn.consts.size());
+        for (const bc::Constant& c : fn.consts) *K++ = c.value;
     }
 
     static Sreg unbox(const Value& v, ast::Type t) {
@@ -309,12 +310,6 @@ struct Vm::Impl {
             const bc::Insn in = ip[pc++];
             switch (in.op) {
                 // ---- data movement ----
-                case Op::LoadI:
-                    S[in.a].i = code.int_pool[static_cast<std::size_t>(in.b)];
-                    break;
-                case Op::LoadD:
-                    S[in.a].d = code.real_pool[static_cast<std::size_t>(in.b)];
-                    break;
                 case Op::LoadB: S[in.a].b = in.b != 0; break;
                 case Op::Mov: S[in.a] = S[in.b]; break;
                 case Op::I2D:
@@ -372,7 +367,7 @@ struct Vm::Impl {
                 // ---- double arithmetic ----
                 case Op::AddD:
                     charge(1.0, 1.0);
-                    S[in.a].d = S[in.b].d + S[in.c].d;
+                    S[in.a].d = add_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::SubD:
                     charge(1.0, 1.0);
@@ -380,7 +375,7 @@ struct Vm::Impl {
                     break;
                 case Op::MulD:
                     charge(1.0, 1.0);
-                    S[in.a].d = S[in.b].d * S[in.c].d;
+                    S[in.a].d = mul_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::DivD:
                     charge(4.0, 4.0);
@@ -394,8 +389,8 @@ struct Vm::Impl {
                 case Op::AddF:
                     charge(1.0, 1.0);
                     S[in.a].d = static_cast<double>(
-                        static_cast<float>(S[in.b].d) +
-                        static_cast<float>(S[in.c].d));
+                        add_pinned(static_cast<float>(S[in.b].d),
+                                   static_cast<float>(S[in.c].d)));
                     break;
                 case Op::SubF:
                     charge(1.0, 1.0);
@@ -406,8 +401,8 @@ struct Vm::Impl {
                 case Op::MulF:
                     charge(1.0, 1.0);
                     S[in.a].d = static_cast<double>(
-                        static_cast<float>(S[in.b].d) *
-                        static_cast<float>(S[in.c].d));
+                        mul_pinned(static_cast<float>(S[in.b].d),
+                                   static_cast<float>(S[in.c].d)));
                     break;
                 case Op::DivF:
                     charge(4.0, 4.0);
@@ -440,7 +435,7 @@ struct Vm::Impl {
                     break;
                 case Op::CAddD:
                     charge(1.0, 1.0);
-                    S[in.a].d = S[in.b].d + S[in.c].d;
+                    S[in.a].d = add_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::CSubD:
                     charge(1.0, 1.0);
@@ -448,7 +443,7 @@ struct Vm::Impl {
                     break;
                 case Op::CMulD:
                     charge(1.0, 1.0);
-                    S[in.a].d = S[in.b].d * S[in.c].d;
+                    S[in.a].d = mul_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::CDivD:
                     charge(4.0, 4.0);
@@ -457,7 +452,7 @@ struct Vm::Impl {
                 // Float compound targets compute in double, round once.
                 case Op::CAddF:
                     charge(1.0, 1.0);
-                    S[in.a].d = round_f(S[in.b].d + S[in.c].d);
+                    S[in.a].d = round_f(add_pinned(S[in.b].d, S[in.c].d));
                     break;
                 case Op::CSubF:
                     charge(1.0, 1.0);
@@ -465,7 +460,7 @@ struct Vm::Impl {
                     break;
                 case Op::CMulF:
                     charge(1.0, 1.0);
-                    S[in.a].d = round_f(S[in.b].d * S[in.c].d);
+                    S[in.a].d = round_f(mul_pinned(S[in.b].d, S[in.c].d));
                     break;
                 case Op::CDivF:
                     charge(4.0, 4.0);
@@ -647,21 +642,14 @@ struct Vm::Impl {
                     std::size_t bi = 0;
                     for (const bc::ParamSpec& p : callee.params) {
                         if (!p.is_pointer) continue;
-                        ensure(scratch_b[bi]->elem_type() == p.elem,
-                               "buffer element type mismatch for parameter "
-                               "'" +
-                                   p.name + "'");
+                        if (scratch_b[bi]->elem_type() != p.elem)
+                            throw Error("buffer element type mismatch for "
+                                        "parameter '" +
+                                        p.name + "'");
                         ++bi;
                     }
 
-                    frames.push_back(nf);
-                    sregs.resize(nf.sbase + callee.n_sregs);
-                    bregs.resize(nf.bbase + callee.n_bregs);
-                    for (std::size_t k = 0; k < scratch_s.size(); ++k)
-                        sregs[nf.sbase + k] = scratch_s[k];
-                    for (std::size_t k = 0; k < scratch_b.size(); ++k)
-                        bregs[nf.bbase + k] = scratch_b[k];
-
+                    push_frame(nf);
                     fr = &frames.back();
                     ip = callee.code.data();
                     pc = 0;
@@ -712,8 +700,8 @@ Value Vm::call(const std::string& name, const std::vector<Arg>& args) {
     const bc::CompiledFunction* fn = impl_->code.find(name);
     if (fn == nullptr)
         throw InterpError("entry function '" + name + "' not found");
-    ensure(args.size() == fn->params.size(),
-           "entry call arity mismatch for '" + name + "'");
+    if (args.size() != fn->params.size())
+        throw Error("entry call arity mismatch for '" + name + "'");
 
     const long long steps_before = impl_->steps;
     Value out;

@@ -102,8 +102,10 @@ const BuiltinInfo* find_builtin(std::string_view name) {
 std::span<const BuiltinInfo> all_builtins() { return kBuiltins; }
 
 double eval_builtin(const BuiltinInfo& info, std::span<const double> args) {
-    ensure(static_cast<int>(args.size()) == info.arity,
-           "builtin '" + std::string(info.name) + "' arity mismatch");
+    // Called once per builtin call in a profiled run: compose the message
+    // only on failure.
+    if (static_cast<int>(args.size()) != info.arity)
+        throw Error("builtin '" + std::string(info.name) + "' arity mismatch");
     if (info.is_single) {
         // Strip the trailing 'f' to get the base operation, compute in float.
         std::string_view base = info.name.substr(0, info.name.size() - 1);

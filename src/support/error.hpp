@@ -51,6 +51,13 @@ public:
 
 /// Throw Error with `msg` unless `cond` holds. Used for preconditions whose
 /// violation indicates API misuse rather than a bug in psaflow itself.
+/// A literal message picks the `const char*` overload and costs nothing when
+/// the check passes. A composed message is built before the call even when
+/// the check passes, so on a hot path write `if (!cond) throw Error(...)`.
+inline void ensure(bool cond, const char* msg) {
+    if (!cond) throw Error(msg);
+}
+
 inline void ensure(bool cond, const std::string& msg) {
     if (!cond) throw Error(msg);
 }

@@ -113,9 +113,13 @@ std::uint64_t wire_span_id() {
         mix = (mix ^ (mix >> 27)) * 0x94d049bb133111ebULL;
         return mix ^ (mix >> 31);
     }();
-    static std::atomic<std::uint64_t> next{1};
+    // The salt is the sequence's starting point in a 52-bit space: a
+    // process repeats an id only after 2^52 spans, and two processes
+    // collide only if their ranges overlap.
+    static std::atomic<std::uint64_t> next{0};
+    constexpr std::uint64_t kSeqMask = (1ull << 52) - 1;
     const std::uint64_t seq = next.fetch_add(1);
-    return (1ull << 52) | ((salt & 0xffffffffULL) << 20) | (seq & 0xfffffULL);
+    return (1ull << 52) | ((salt + seq) & kSeqMask);
 }
 
 std::uint64_t current_trace_id() { return tl_trace_id; }

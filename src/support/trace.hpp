@@ -116,12 +116,13 @@ private:
 [[nodiscard]] std::uint64_t current_span_id();
 
 /// A process-unique span id for spans that ride the wire (cross-process
-/// trace propagation): 32 bits of per-process salt above a 20-bit
-/// sequence, with bit 52 set. Never 0, exact in a JSON double (< 2^53),
-/// and unlike the sequential ids ScopedSpan mints — which every process
-/// counts from 1 — two processes can only collide on a 2^-32 salt
-/// coincidence. The serving layer uses these for the synthetic hop spans
-/// it injects into responses (serve/wire_trace.hpp).
+/// trace propagation): a 52-bit sequence starting at a random per-process
+/// salt, with bit 52 set. Never 0, exact in a JSON double (< 2^53), and
+/// distinct for 2^52 consecutive calls. Unlike the sequential ids
+/// ScopedSpan mints — which every process counts from 1 — two processes
+/// collide only if their salted ranges overlap: about (n1 + n2) / 2^52
+/// for n1 and n2 ids minted. The serving layer uses these for the
+/// synthetic hop spans it injects into responses (serve/wire_trace.hpp).
 [[nodiscard]] std::uint64_t wire_span_id();
 
 /// The distributed trace id adopted by the calling thread (0 = none).

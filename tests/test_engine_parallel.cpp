@@ -437,17 +437,25 @@ TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
     // Pins the interpreter runs of a cold jobs=1 compile (cleared profile
     // cache, no disk store). Every run left is a real program change; a
     // higher count means something re-profiles a program it already has,
-    // e.g. a key that sees pragmas again.
+    // e.g. a key that sees pragmas again. The charged steps and cost units
+    // of those runs are pinned too: a lowering or dispatch change that
+    // adds, drops or reweighs a single charge fails here.
+    struct Counts {
+        std::uint64_t runs;
+        std::uint64_t steps;
+        std::uint64_t cost_units;
+    };
     struct Expected {
         const char* app;
-        std::uint64_t informed;
-        std::uint64_t uninformed;
+        Counts informed;
+        Counts uninformed;
     };
-    const Expected table[] = {{"nbody", 5, 5},
-                              {"adpredictor", 5, 7},
-                              {"kmeans", 3, 5},
-                              {"rushlarsen", 3, 3},
-                              {"bezier", 3, 3}};
+    const Expected table[] = {
+        {"nbody", {5, 3461060, 4738031}, {5, 3461060, 4738031}},
+        {"adpredictor", {5, 717331, 1408885}, {7, 1032987, 2024871}},
+        {"kmeans", {3, 5118546, 6387502}, {5, 8955954, 11175864}},
+        {"rushlarsen", {3, 9088356, 20545327}, {3, 9088356, 20545327}},
+        {"bezier", {3, 3641102, 7282246}, {3, 3641102, 7282246}}};
     cas::configure("");
     auto& cache = ProfileCache::global();
     const bool was_enabled = cache.enabled();
@@ -467,8 +475,11 @@ TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
                 options.jobs = 1;
                 (void)compile(apps::application_by_name(row.app), options);
             }
+            const Counts& want = informed ? row.informed : row.uninformed;
             const std::uint64_t runs = registry.counter("interp.runs");
-            EXPECT_EQ(runs, informed ? row.informed : row.uninformed);
+            EXPECT_EQ(runs, want.runs);
+            EXPECT_EQ(registry.counter("interp.steps"), want.steps);
+            EXPECT_EQ(registry.counter("interp.cost_units"), want.cost_units);
 
             // Only real runs carry an interpreter category; the analysis
             // spans that wrap cache lookups do not.

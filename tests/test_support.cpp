@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "support/cli.hpp"
 #include "support/json.hpp"
@@ -412,8 +414,22 @@ TEST(Trace, WireSpanIdsAreSaltedDistinctAndJsonExact) {
     EXPECT_LT(a, std::uint64_t{1} << 53);
     // Marker bit keeps wire ids disjoint from sequential in-process ids.
     EXPECT_NE(a & (std::uint64_t{1} << 52), 0u);
-    // Same process salt, differing only in the sequence bits.
-    EXPECT_EQ(a >> 20, b >> 20);
+    // Same process salt: consecutive calls are consecutive in the 52-bit
+    // sequence.
+    EXPECT_EQ((b - a) & ((std::uint64_t{1} << 52) - 1), 1u);
+}
+
+TEST(Trace, WireSpanIdsDoNotRepeatPastTwentyBitsOfSequence) {
+    // A long-running daemon mints millions of hop spans; ids must stay
+    // distinct well past the 2^20 a narrow sequence field would allow.
+    std::vector<std::uint64_t> ids((std::size_t{1} << 20) + 2);
+    for (auto& id : ids) id = trace::wire_span_id();
+    for (const std::uint64_t id : ids) {
+        ASSERT_LT(id, std::uint64_t{1} << 53);
+        ASSERT_NE(id & (std::uint64_t{1} << 52), 0u);
+    }
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
 }
 
 TEST(Trace, ScopedTraceIdInstallsAndRestores) {

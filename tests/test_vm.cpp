@@ -5,6 +5,7 @@
 // profiles and cancellation behaviour. The five paper applications and the
 // full flow engine are covered end-to-end; the `interp:vm` fuzz oracle
 // (test_fuzz_regression) extends the same check to generated programs.
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -68,9 +69,9 @@ TEST(VmLowering, IntegerDivisionAndModulo) {
 }
 
 TEST(VmLowering, ForLoopWithCompoundAssign) {
-    // LoopEnter/LoopHead/LoopTrip/LoopExit bracket the body; the induction
-    // variable advances through a snapshot register (s3 here) so body
-    // writes to `i` are overwritten exactly like the tree walker.
+    // LoopEnter/LoopHead/LoopTrip/LoopExit bracket the body. The body
+    // cannot write `i`, so the loop variable is its own head snapshot, and
+    // the literal step 1 needs no StepCheck.
     EXPECT_EQ(disasm(R"(int sum_to(int n) {
     int s = 0;
     for (int i = 0; i < n; i++) {
@@ -79,25 +80,22 @@ TEST(VmLowering, ForLoopWithCompoundAssign) {
     return s;
 }
 )"),
-              "func sum_to(n: int) ret=int sregs=5 bregs=0\n"
-              "   0: LoadI s3, 0\n"
-              "   1: Mov s1, s3\n"
-              "   2: ChargeAssign\n"
-              "   3: LoopEnter L0\n"
-              "   4: LoadI s3, 0\n"
-              "   5: Mov s2, s3\n"
-              "   6: Mov s3, s2\n"
-              "   7: LoopHead s3, s0, @15\n"
-              "   8: LoopTrip L0\n"
-              "   9: ChargeAssign\n"
-              "  10: CAddI s1, s1, s2\n"
-              "  11: LoadI s4, 1\n"
-              "  12: StepCheck s4, \"3:5: for-loop step must be positive\"\n"
-              "  13: IncI s2, s3, s4\n"
-              "  14: Jmp @6\n"
-              "  15: LoopExit\n"
-              "  16: Ret s1\n"
-              "  17: Trap \"value is not numeric\"\n");
+              "func sum_to(n: int) ret=int sregs=6 bregs=0\n"
+              "  const int s4 = 0\n"
+              "  const int s5 = 1\n"
+              "   0: Mov s1, s4\n"
+              "   1: ChargeAssign\n"
+              "   2: LoopEnter L0\n"
+              "   3: Mov s2, s4\n"
+              "   4: LoopHead s2, s0, @10\n"
+              "   5: LoopTrip L0\n"
+              "   6: ChargeAssign\n"
+              "   7: CAddI s1, s1, s2\n"
+              "   8: IncI s2, s2, s5\n"
+              "   9: Jmp @4\n"
+              "  10: LoopExit\n"
+              "  11: Ret s1\n"
+              "  12: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, ShortCircuitAndOr) {
@@ -109,19 +107,19 @@ TEST(VmLowering, ShortCircuitAndOr) {
 )"),
               "func gate(p: bool, q: bool, x: double) ret=bool "
               "sregs=8 bregs=0\n"
+              "  const double s7 = 1\n"
               "   0: ChargeCmp\n"
               "   1: LoadB s3, false\n"
-              "   2: JmpF s0, @11\n"
+              "   2: JmpF s0, @10\n"
               "   3: ChargeCmp\n"
-              "   4: LoadD s5, 1\n"
-              "   5: LtD s6, s2, s5\n"
-              "   6: LoadB s4, true\n"
-              "   7: JmpT s6, @10\n"
-              "   8: NotB s7, s1\n"
-              "   9: Mov s4, s7\n"
-              "  10: Mov s3, s4\n"
-              "  11: Ret s3\n"
-              "  12: Trap \"value is not bool\"\n");
+              "   4: LtD s5, s2, s7\n"
+              "   5: LoadB s4, true\n"
+              "   6: JmpT s5, @9\n"
+              "   7: NotB s6, s1\n"
+              "   8: Mov s4, s6\n"
+              "   9: Mov s3, s4\n"
+              "  10: Ret s3\n"
+              "  11: Trap \"value is not bool\"\n");
 }
 
 TEST(VmLowering, WhileAndIfElse) {
@@ -138,36 +136,29 @@ TEST(VmLowering, WhileAndIfElse) {
     return steps;
 }
 )"),
-              "func halve(n: int) ret=int sregs=6 bregs=0\n"
-              "   0: LoadI s2, 0\n"
-              "   1: Mov s1, s2\n"
-              "   2: ChargeAssign\n"
-              "   3: ChargeCmp\n"
-              "   4: LoadI s2, 1\n"
-              "   5: GtI s3, s0, s2\n"
-              "   6: JmpF s3, @27\n"
-              "   7: ChargeCmp\n"
-              "   8: LoadI s2, 2\n"
-              "   9: ModI s3, s0, s2\n"
-              "  10: LoadI s4, 0\n"
-              "  11: EqI s5, s3, s4\n"
-              "  12: JmpF s5, @18\n"
-              "  13: ChargeAssign\n"
-              "  14: LoadI s2, 2\n"
-              "  15: DivI s3, s0, s2\n"
-              "  16: Mov s0, s3\n"
-              "  17: Jmp @22\n"
-              "  18: ChargeAssign\n"
-              "  19: LoadI s2, 1\n"
-              "  20: SubI s3, s0, s2\n"
-              "  21: Mov s0, s3\n"
-              "  22: ChargeAssign\n"
-              "  23: LoadI s2, 1\n"
-              "  24: AddI s3, s1, s2\n"
-              "  25: Mov s1, s3\n"
-              "  26: Jmp @3\n"
-              "  27: Ret s1\n"
-              "  28: Trap \"value is not numeric\"\n");
+              "func halve(n: int) ret=int sregs=7 bregs=0\n"
+              "  const int s4 = 0\n"
+              "  const int s5 = 1\n"
+              "  const int s6 = 2\n"
+              "   0: Mov s1, s4\n"
+              "   1: ChargeAssign\n"
+              "   2: ChargeCmp\n"
+              "   3: GtI s2, s0, s5\n"
+              "   4: JmpF s2, @17\n"
+              "   5: ChargeCmp\n"
+              "   6: ModI s2, s0, s6\n"
+              "   7: EqI s3, s2, s4\n"
+              "   8: JmpF s3, @12\n"
+              "   9: ChargeAssign\n"
+              "  10: DivI s0, s0, s6\n"
+              "  11: Jmp @14\n"
+              "  12: ChargeAssign\n"
+              "  13: SubI s0, s0, s5\n"
+              "  14: ChargeAssign\n"
+              "  15: AddI s1, s1, s5\n"
+              "  16: Jmp @2\n"
+              "  17: Ret s1\n"
+              "  18: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, FloatRoundingAndConversions) {
@@ -181,17 +172,16 @@ TEST(VmLowering, FloatRoundingAndConversions) {
 }
 )"),
               "func mix(a: float, k: int, d: double) ret=float "
-              "sregs=6 bregs=0\n"
-              "   0: LoadD s4, 0.5\n"
-              "   1: MulF s5, s0, s4\n"
-              "   2: Mov s3, s5\n"
-              "   3: ChargeAssign\n"
-              "   4: ChargeAssign\n"
-              "   5: I2D s5, s1\n"
-              "   6: AddD s4, s2, s5\n"
-              "   7: CDivF s3, s3, s4\n"
-              "   8: Ret s3\n"
-              "   9: Trap \"value is not numeric\"\n");
+              "sregs=7 bregs=0\n"
+              "  const double s6 = 0.5\n"
+              "   0: MulF s3, s0, s6\n"
+              "   1: ChargeAssign\n"
+              "   2: ChargeAssign\n"
+              "   3: I2D s5, s1\n"
+              "   4: AddD s4, s2, s5\n"
+              "   5: CDivF s3, s3, s4\n"
+              "   6: Ret s3\n"
+              "   7: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, LocalArraysAndElementOps) {
@@ -206,58 +196,47 @@ TEST(VmLowering, LocalArraysAndElementOps) {
     return acc[0] + acc[1] + acc[2] + acc[3];
 }
 )"),
-              "func tally(n: int, buf: double*) ret=double "
-              "sregs=13 bregs=2\n"
-              "   0: LoadI s2, 4\n"
-              "   1: NewBuf b1, s2, double 'acc'\n"
-              "   2: ChargeAssign\n"
-              "   3: LoopEnter L0\n"
-              "   4: LoadI s2, 0\n"
-              "   5: Mov s1, s2\n"
-              "   6: Mov s2, s1\n"
-              "   7: LoadI s3, 4\n"
-              "   8: LoopHead s2, s3, @17\n"
-              "   9: LoopTrip L0\n"
-              "  10: ChargeAssign\n"
-              "  11: LoadD s3, 0\n"
-              "  12: StoreElem b1[s1], s3\n"
-              "  13: LoadI s3, 1\n"
-              "  14: StepCheck s3, \"3:5: for-loop step must be positive\"\n"
-              "  15: IncI s1, s2, s3\n"
-              "  16: Jmp @6\n"
-              "  17: LoopExit\n"
-              "  18: LoopEnter L1\n"
-              "  19: LoadI s2, 0\n"
-              "  20: Mov s1, s2\n"
-              "  21: Mov s2, s1\n"
-              "  22: LoopHead s2, s0, @36\n"
-              "  23: LoopTrip L1\n"
-              "  24: ChargeAssign\n"
-              "  25: ModI s3, s1, s0\n"
-              "  26: LoadElemD s4, b0[s3]\n"
-              "  27: LoadI s5, 4\n"
-              "  28: ModI s6, s1, s5\n"
-              "  29: LoadElemD s7, b1[s6]\n"
-              "  30: CAddD s7, s7, s4\n"
-              "  31: StoreElem b1[s6], s7\n"
-              "  32: LoadI s3, 1\n"
-              "  33: StepCheck s3, \"6:5: for-loop step must be positive\"\n"
-              "  34: IncI s1, s2, s3\n"
-              "  35: Jmp @21\n"
-              "  36: LoopExit\n"
-              "  37: LoadI s2, 0\n"
-              "  38: LoadElemD s3, b1[s2]\n"
-              "  39: LoadI s4, 1\n"
-              "  40: LoadElemD s5, b1[s4]\n"
-              "  41: AddD s6, s3, s5\n"
-              "  42: LoadI s7, 2\n"
-              "  43: LoadElemD s8, b1[s7]\n"
-              "  44: AddD s9, s6, s8\n"
-              "  45: LoadI s10, 3\n"
-              "  46: LoadElemD s11, b1[s10]\n"
-              "  47: AddD s12, s9, s11\n"
-              "  48: Ret s12\n"
-              "  49: Trap \"value is not numeric\"\n");
+              "func tally(n: int, buf: double*) ret=double sregs=15 bregs=2\n"
+              "  const int s9 = 4\n"
+              "  const int s10 = 0\n"
+              "  const double s11 = 0\n"
+              "  const int s12 = 1\n"
+              "  const int s13 = 2\n"
+              "  const int s14 = 3\n"
+              "   0: NewBuf b1, s9, double 'acc'\n"
+              "   1: ChargeAssign\n"
+              "   2: LoopEnter L0\n"
+              "   3: Mov s1, s10\n"
+              "   4: LoopHead s1, s9, @10\n"
+              "   5: LoopTrip L0\n"
+              "   6: ChargeAssign\n"
+              "   7: StoreElem b1[s1], s11\n"
+              "   8: IncI s1, s1, s12\n"
+              "   9: Jmp @4\n"
+              "  10: LoopExit\n"
+              "  11: LoopEnter L1\n"
+              "  12: Mov s1, s10\n"
+              "  13: LoopHead s1, s0, @24\n"
+              "  14: LoopTrip L1\n"
+              "  15: ChargeAssign\n"
+              "  16: ModI s2, s1, s0\n"
+              "  17: LoadElemD s3, b0[s2]\n"
+              "  18: ModI s4, s1, s9\n"
+              "  19: LoadElemD s5, b1[s4]\n"
+              "  20: CAddD s5, s5, s3\n"
+              "  21: StoreElem b1[s4], s5\n"
+              "  22: IncI s1, s1, s12\n"
+              "  23: Jmp @13\n"
+              "  24: LoopExit\n"
+              "  25: LoadElemD s2, b1[s10]\n"
+              "  26: LoadElemD s3, b1[s12]\n"
+              "  27: AddD s4, s2, s3\n"
+              "  28: LoadElemD s5, b1[s13]\n"
+              "  29: AddD s6, s4, s5\n"
+              "  30: LoadElemD s7, b1[s14]\n"
+              "  31: AddD s8, s6, s7\n"
+              "  32: Ret s8\n"
+              "  33: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, BuiltinAndUserCalls) {
@@ -278,17 +257,88 @@ double run(int n, double* b) {
               "   5: Trap \"value is not numeric\"\n"
               "\n"
               "func run(n: int, b: double*) ret=double sregs=10 bregs=1\n"
-              "   0: LoadI s1, 0\n"
-              "   1: LoadElemD s2, b0[s1]\n"
-              "   2: I2D s3, s0\n"
-              "   3: CallUser s4, norm(s2, s3)\n"
-              "   4: LoadI s5, 1\n"
-              "   5: LoadElemD s6, b0[s5]\n"
-              "   6: LoadD s7, 2\n"
-              "   7: CallBuiltin s8, fmin(s6, s7)\n"
-              "   8: AddD s9, s4, s8\n"
-              "   9: Ret s9\n"
-              "  10: Trap \"value is not numeric\"\n");
+              "  const int s7 = 0\n"
+              "  const int s8 = 1\n"
+              "  const double s9 = 2\n"
+              "   0: LoadElemD s1, b0[s7]\n"
+              "   1: I2D s2, s0\n"
+              "   2: CallUser s3, norm(s1, s2)\n"
+              "   3: LoadElemD s4, b0[s8]\n"
+              "   4: CallBuiltin s5, fmin(s4, s9)\n"
+              "   5: AddD s6, s3, s5\n"
+              "   6: Ret s6\n"
+              "   7: Trap \"value is not numeric\"\n");
+}
+
+TEST(VmLowering, LoopVariableWrittenInBodyKeepsSnapshot) {
+    // The body writes `i`, so the head snapshot (s3) is kept: LoopHead and
+    // IncI read the snapshot, and the body's write is overwritten by the
+    // step update exactly like the tree walker's local `i`.
+    EXPECT_EQ(disasm(R"(int skip(int n) {
+    int hits = 0;
+    for (int i = 0; i < n; i++) {
+        hits += 1;
+        i = i + 1;
+    }
+    return hits;
+}
+)"),
+              "func skip(n: int) ret=int sregs=7 bregs=0\n"
+              "  const int s5 = 0\n"
+              "  const int s6 = 1\n"
+              "   0: Mov s1, s5\n"
+              "   1: ChargeAssign\n"
+              "   2: LoopEnter L0\n"
+              "   3: Mov s2, s5\n"
+              "   4: Mov s3, s2\n"
+              "   5: LoopHead s3, s0, @13\n"
+              "   6: LoopTrip L0\n"
+              "   7: ChargeAssign\n"
+              "   8: CAddI s1, s1, s6\n"
+              "   9: ChargeAssign\n"
+              "  10: AddI s2, s2, s6\n"
+              "  11: IncI s2, s3, s6\n"
+              "  12: Jmp @4\n"
+              "  13: LoopExit\n"
+              "  14: Ret s1\n"
+              "  15: Trap \"value is not numeric\"\n");
+}
+
+TEST(VmLowering, LiteralsUseConstantRegisters) {
+    // Literals live in constant registers after the temps: the loop bound
+    // (s8), the call argument and compound operand (s9: the int literal 2
+    // converts to the double 2 at compile time) and the initialisers. A
+    // non-literal step keeps its StepCheck.
+    EXPECT_EQ(disasm(R"(double scale(double* v, int s) {
+    double acc = 0.0;
+    for (int i = 0; i < 8; i += s) {
+        acc += fmax(v[i], 2.0) * 2;
+    }
+    return acc;
+}
+)"),
+              "func scale(v: double*, s: int) ret=double sregs=10 bregs=1\n"
+              "  const double s6 = 0\n"
+              "  const int s7 = 0\n"
+              "  const int s8 = 8\n"
+              "  const double s9 = 2\n"
+              "   0: Mov s1, s6\n"
+              "   1: ChargeAssign\n"
+              "   2: LoopEnter L0\n"
+              "   3: Mov s2, s7\n"
+              "   4: LoopHead s2, s8, @14\n"
+              "   5: LoopTrip L0\n"
+              "   6: ChargeAssign\n"
+              "   7: LoadElemD s3, b0[s2]\n"
+              "   8: CallBuiltin s4, fmax(s3, s9)\n"
+              "   9: MulD s5, s4, s9\n"
+              "  10: CAddD s1, s1, s5\n"
+              "  11: StepCheck s0, \"3:5: for-loop step must be positive\"\n"
+              "  12: IncI s2, s2, s0\n"
+              "  13: Jmp @4\n"
+              "  14: LoopExit\n"
+              "  15: Ret s1\n"
+              "  16: Trap \"value is not numeric\"\n");
 }
 
 // ----------------------------------------------------------------------
@@ -310,7 +360,7 @@ EngineOutcome run_engine(std::string_view src, const std::string& fn,
     EngineOutcome out;
     try {
         out.result = run_function(*mod, types, fn, args, options).result;
-    } catch (const InterpError& e) {
+    } catch (const Error& e) { // InterpError, or a builtin's domain error
         out.threw = true;
         out.error = e.what();
     }
@@ -477,6 +527,184 @@ TEST(VmDispatch, FloatCompoundRoundsOnceThroughDouble) {
     expect_both_return(src, "f",
                        {Value::of_float(1.1), Value::of_float(3.7)},
                        tree.result);
+}
+
+// ---- lowering paths that skip bookkeeping instructions ----------------
+
+TEST(VmDispatch, LoopVariableWrittenInBodyStillSteppedFromHead) {
+    // Each body writes `i`; the step update must still start from the
+    // value read at the loop head.
+    expect_both_return(R"(int f(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i++) {
+        acc += i;
+        i = i * 3 + 5;
+    }
+    for (int i = 0; i < n; i++) {
+        for (int i = 0; i < 2; i++) {
+            acc += 100;
+        }
+        acc += i;
+    }
+    for (int j = 0; j < n; j += 2) {
+        int j = 1;
+        acc += j;
+    }
+    return acc;
+}
+)",
+                       "f", {Value::of_int(10)},
+                       Value::of_int(45 + (2000 + 20) + 5));
+}
+
+TEST(VmDispatch, LiteralNonPositiveStepsStillThrow) {
+    for (const char* step : {"0", "-1", "-(2)"}) {
+        SCOPED_TRACE(step);
+        expect_both_throw(std::string(R"(int f(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i += )") +
+                              step + R"() {
+        acc += 1;
+    }
+    return acc;
+}
+)",
+                          "f", {Value::of_int(10)},
+                          "3:5: for-loop step must be positive");
+    }
+}
+
+TEST(VmDispatch, NonLiteralStep) {
+    const char* src = R"(int f(int n, int s) {
+    int acc = 0;
+    for (int i = 0; i < n; i += s) {
+        acc += i;
+    }
+    for (int i = 1; i < n; i += n / 4) {
+        acc = acc * 2 + i;
+    }
+    return acc;
+}
+)";
+    expect_both_return(src, "f", {Value::of_int(20), Value::of_int(3)},
+                       [] {
+                           long long acc = 0;
+                           for (long long i = 0; i < 20; i += 3) acc += i;
+                           for (long long i = 1; i < 20; i += 5)
+                               acc = acc * 2 + i;
+                           return Value::of_int(acc);
+                       }());
+    expect_both_throw(src, "f", {Value::of_int(20), Value::of_int(0)},
+                      "3:5: for-loop step must be positive");
+}
+
+TEST(VmDispatch, ShortCircuitResultsAssignedToVariables) {
+    const char* src = R"(int f(int a, int b) {
+    bool p = a > 0 && b > 0;
+    bool q = a > 5 || b > 5;
+    bool r = false;
+    r = p || q;
+    p = p && !q;
+    q = !r || b < a && q;
+    int out = 0;
+    if (p) {
+        out = out + 1;
+    }
+    if (q) {
+        out = out + 2;
+    }
+    if (r) {
+        out = out + 4;
+    }
+    return out;
+}
+)";
+    for (const int a : {-1, 1, 7}) {
+        for (const int b : {-1, 1, 7}) {
+            SCOPED_TRACE(std::to_string(a) + "," + std::to_string(b));
+            bool p = a > 0 && b > 0;
+            bool q = a > 5 || b > 5;
+            const bool r = p || q;
+            p = p && !q;
+            q = !r || (b < a && q);
+            expect_both_return(src, "f", {Value::of_int(a), Value::of_int(b)},
+                               Value::of_int((p ? 1 : 0) + (q ? 2 : 0) +
+                                             (r ? 4 : 0)));
+        }
+    }
+}
+
+TEST(VmDispatch, OneLiteralAsBoundCompoundOperandAndCallArgument) {
+    const char* src = R"(double f(double x) {
+    double acc = 0.0;
+    for (int i = 0; i < 3; i++) {
+        acc += 3;
+        acc = acc * fmax(x, 3);
+        acc -= 3.0;
+    }
+    return acc;
+}
+)";
+    for (const double x : {1.5, 4.25}) {
+        double acc = 0.0;
+        for (int i = 0; i < 3; ++i) {
+            acc += 3;
+            acc = acc * std::fmax(x, 3);
+            acc -= 3.0;
+        }
+        expect_both_return(src, "f", {Value::of_double(x)},
+                           Value::of_double(acc));
+    }
+}
+
+TEST(VmDispatch, BuiltinDomainErrors) {
+    expect_both_throw("double f(double x) { return sqrt(x); }", "f",
+                      {Value::of_double(-1.0)}, "sqrt of negative value");
+    expect_both_throw("float f(float x) { return sqrtf(x); }", "f",
+                      {Value::of_float(-1.0)}, "sqrtf of negative value");
+    expect_both_throw("double f(double x) { return log(x); }", "f",
+                      {Value::of_double(0.0)}, "log of non-positive value");
+    expect_both_throw("float f(float x) { return logf(x); }", "f",
+                      {Value::of_float(0.0)}, "logf of non-positive value");
+    expect_both_throw("double f() { return sqrt(-1.0); }", "f", {},
+                      "sqrt of negative value");
+}
+
+TEST(VmDispatch, PointerParamCallsInsideALoop) {
+    expect_both_return(R"(void axpy(double* y, double* x, double a, int n) {
+    for (int i = 0; i < n; i++) {
+        y[i] += a * x[i];
+    }
+}
+
+double f(int reps) {
+    double x[8];
+    double y[8];
+    for (int i = 0; i < 8; i++) {
+        x[i] = i;
+        y[i] = 1.0;
+    }
+    for (int k = 0; k < reps; k++) {
+        axpy(y, x, 0.5, 8);
+        axpy(x, y, 0.25, 4);
+    }
+    return y[7] + x[3];
+}
+)",
+                       "f", {Value::of_int(5)}, [] {
+                           double x[8];
+                           double y[8];
+                           for (int i = 0; i < 8; ++i) {
+                               x[i] = i;
+                               y[i] = 1.0;
+                           }
+                           for (int k = 0; k < 5; ++k) {
+                               for (int i = 0; i < 8; ++i) y[i] += 0.5 * x[i];
+                               for (int i = 0; i < 4; ++i)
+                                   x[i] += 0.25 * y[i];
+                           }
+                           return Value::of_double(y[7] + x[3]);
+                       }());
 }
 
 // ----------------------------------------------------------------------
