@@ -7,9 +7,10 @@
 #   2. start psaflow-router in front of both and fire 20 concurrent
 #      clients at it — compiles across four apps (retrying on
 #      backpressure) plus stats probes,
-#   3. SIGKILL shard b mid-run: every client must still exit 0 (the
-#      router detects the transport failure and retries the survivor
-#      inside the same request — zero corrupt or lost responses),
+#   3. SIGKILL shard b while the router waits on it: every client must
+#      still exit 0 (the router detects the transport failure and
+#      retries the survivor inside the same request — zero corrupt or
+#      lost responses),
 #   4. require routed designs to be byte-identical to single-shot
 #      psaflowc, require the router to have marked shard b unhealthy and
 #      shard a to have received remote-CAS traffic from shard b,
@@ -128,10 +129,37 @@ for i in 1 2 3 4; do
     pids+=($!)
 done
 
-# Mid-run crash: SIGKILL shard b, no drain, no warning. The router owes
-# the clients intact responses regardless.
-sleep 0.3
-kill -KILL "$PID_B"
+# Mid-run crash: SIGKILL shard b, no drain, no warning, while the router
+# is waiting on it. The router owes the clients intact responses
+# regardless. A compile takes tens of milliseconds, so a kill at a fixed
+# time can land between requests; instead, once the router reports a
+# request in flight to b, freeze b and kill it only if that request is
+# still waiting: it cannot finish, so the kill fails it mid-request.
+router_waits_on_b() {
+    local metrics
+    metrics=$("$CLIENT" --socket "$ROUTER_SOCK" --metrics 2> /dev/null) ||
+        return 1
+    grep -q '^psaflow_router_shard_in_flight{shard="b"} [1-9]' \
+        <<< "$metrics"
+}
+killed=0
+for _ in $(seq 1 500); do
+    if router_waits_on_b; then
+        kill -STOP "$PID_B"
+        sleep 0.05
+        if router_waits_on_b; then
+            kill -KILL "$PID_B"
+            killed=1
+            break
+        fi
+        kill -CONT "$PID_B"
+    fi
+    sleep 0.01
+done
+if [ "$killed" != 1 ]; then
+    echo "FAIL: the router never had a request in flight to shard b" >&2
+    exit 1
+fi
 wait "$PID_B" 2> /dev/null || true
 PID_B=""
 echo "shard b killed mid-run"
@@ -180,6 +208,13 @@ echo "routed designs byte-identical to single-shot psaflowc"
 "$CLIENT" --socket "$ROUTER_SOCK" --metrics > "$WORK/router.metrics"
 grep -q 'psaflow_router_shard_healthy{shard="b"} 0' "$WORK/router.metrics" || {
     echo "FAIL: router still reports shard b healthy" >&2
+    grep psaflow_router_shard "$WORK/router.metrics" >&2 || true
+    exit 1
+}
+# ...because the kill failed a request it had relayed to b.
+grep -q '^psaflow_router_shard_failures_total{shard="b"} [1-9]' \
+    "$WORK/router.metrics" || {
+    echo "FAIL: no relayed request saw shard b fail" >&2
     grep psaflow_router_shard "$WORK/router.metrics" >&2 || true
     exit 1
 }

@@ -206,8 +206,12 @@ Router::ForwardOutcome Router::forward(std::uint64_t key,
         }
         ++outcome.attempts;
         shard->routed.fetch_add(1);
-        if (exchange(shard->config.endpoint, payload,
-                     options_.recv_timeout_ms, outcome.response)) {
+        shard->in_flight.fetch_add(1);
+        const bool answered = exchange(shard->config.endpoint, payload,
+                                       options_.recv_timeout_ms,
+                                       outcome.response);
+        shard->in_flight.fetch_sub(1);
+        if (answered) {
             relayed_.fetch_add(1);
             outcome.shard = shard->config.name;
             return outcome; // verbatim relay: byte-identical to direct
@@ -520,6 +524,7 @@ std::vector<ShardView> Router::shard_views() const {
         view.routed = shard->routed.load();
         view.failures = shard->failures.load();
         view.rerouted_away = shard->rerouted_away.load();
+        view.in_flight = shard->in_flight.load();
         views.push_back(std::move(view));
     }
     return views;
@@ -598,6 +603,9 @@ std::string Router::metrics_text() {
         renderer.counter("psaflow_router_shard_rerouted_total",
                          "Owned requests lost to a failover successor",
                          double(view.rerouted_away), labels);
+        renderer.gauge("psaflow_router_shard_in_flight",
+                       "Requests awaiting this shard's response",
+                       double(view.in_flight), labels);
     }
     return renderer.text();
 }

@@ -76,6 +76,7 @@ struct ShardView {
     std::uint64_t routed = 0;     ///< requests forwarded (incl. retries)
     std::uint64_t failures = 0;   ///< transport failures observed
     std::uint64_t rerouted_away = 0; ///< requests this shard owned but lost
+    std::uint64_t in_flight = 0; ///< requests awaiting its response now
 };
 
 class Router {
@@ -135,6 +136,7 @@ private:
         std::atomic<std::uint64_t> routed{0};
         std::atomic<std::uint64_t> failures{0};
         std::atomic<std::uint64_t> rerouted_away{0};
+        std::atomic<std::uint64_t> in_flight{0};
     };
 
     void serve_connection(net::Fd conn);

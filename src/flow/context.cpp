@@ -1,15 +1,47 @@
 #include "flow/context.hpp"
 
+#include <algorithm>
+
 #include "analysis/hotspot.hpp"
 #include "analysis/profile_cache.hpp"
 #include "ast/clone.hpp"
 #include "ast/printer.hpp"
 #include "codegen/emit_util.hpp"
+#include "meta/query.hpp"
 #include "perf/estimator.hpp"
 #include "support/cas/cas.hpp"
 #include "support/error.hpp"
 
 namespace psaflow::flow {
+
+namespace {
+
+/// `ch` (of module `from`) with each loop id replaced by the id of the
+/// loop at the same pre-order position in `to`'s kernel; nullopt when the
+/// two kernels' loops do not correspond.
+std::optional<analysis::KernelCharacterization>
+remap_loops(const analysis::KernelCharacterization& ch, ast::Module& from,
+            ast::Module& to) {
+    ast::Function* from_fn = from.find_function(ch.kernel);
+    ast::Function* to_fn = to.find_function(ch.kernel);
+    if (from_fn == nullptr || to_fn == nullptr) return std::nullopt;
+    // The clone has the same loops in the same pre-order, under new ids.
+    const std::vector<ast::For*> old_loops = meta::for_loops(*from_fn);
+    const std::vector<ast::For*> new_loops = meta::for_loops(*to_fn);
+    if (old_loops.size() != new_loops.size()) return std::nullopt;
+    analysis::KernelCharacterization out = ch;
+    for (analysis::LoopProfile& lp : out.loops) {
+        const auto it = std::find_if(
+            old_loops.begin(), old_loops.end(),
+            [&](const ast::For* f) { return f->id == lp.loop_id; });
+        if (it == old_loops.end()) return std::nullopt;
+        lp.loop_id = new_loops[static_cast<std::size_t>(
+                                   it - old_loops.begin())]->id;
+    }
+    return out;
+}
+
+} // namespace
 
 FlowContext::FlowContext(std::string app_name, ast::ModulePtr source_module,
                          analysis::Workload workload)
@@ -32,7 +64,8 @@ FlowContext FlowContext::fork() const {
     out.workload_digest_ = workload_digest_;
     out.log_ = log_;
     out.cancel = cancel;
-    // ch_/outer_dep_ are keyed by node ids, which the clone regenerated:
+    if (ch_.has_value()) out.ch_ = remap_loops(*ch_, *module_, *out.module_);
+    // outer_dep_ is keyed by node ids, which the clone regenerated:
     // recomputed lazily on demand.
     return out;
 }

@@ -33,8 +33,9 @@ public:
     FlowContext(FlowContext&&) = default;
     FlowContext& operator=(FlowContext&&) = default;
 
-    /// Deep copy for a branch path: clones the module, re-checks types and
-    /// invalidates node-id-keyed caches.
+    /// Deep copy for a branch path: clones the module and re-checks types.
+    /// The kernel characterisation carries over with its loop ids mapped
+    /// onto the clone; other node-id-keyed caches are dropped.
     [[nodiscard]] FlowContext fork() const;
 
     // ---- state access -------------------------------------------------

@@ -1,6 +1,7 @@
 #include "frontend/parser.hpp"
 
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -62,6 +63,27 @@ private:
     [[noreturn]] void fail(const std::string& msg) const {
         throw ParseError(peek().loc, msg);
     }
+
+    /// Nesting levels (see kMaxNesting) held for as long as it lives: one
+    /// from construction, and one more per deeper().
+    class Nest {
+    public:
+        explicit Nest(Parser& p) : p_(p), entry_(p.depth_) { deeper(); }
+        ~Nest() { p_.depth_ = entry_; }
+        Nest(const Nest&) = delete;
+        Nest& operator=(const Nest&) = delete;
+
+        void deeper() {
+            if (p_.depth_ == kMaxNesting)
+                p_.fail("nesting exceeds " + std::to_string(kMaxNesting) +
+                        " levels");
+            ++p_.depth_;
+        }
+
+    private:
+        Parser& p_;
+        int entry_;
+    };
 
     // ---- declarations ------------------------------------------------------
 
@@ -134,6 +156,7 @@ private:
     }
 
     StmtPtr statement() {
+        const Nest nest(*this);
         // Attach any pragma lines to the statement they precede.
         std::vector<std::string> pragmas;
         while (at(TokKind::Pragma)) pragmas.push_back(advance().text);
@@ -174,6 +197,7 @@ private:
     }
 
     StmtPtr if_statement() {
+        const Nest nest(*this); // an `else if` chain nests without statement()
         auto s = std::make_unique<If>();
         s->loc = peek().loc;
         expect(TokKind::KwIf, "'if'");
@@ -334,10 +358,14 @@ private:
     }
 
     ExprPtr binary_expr(int min_prec) {
+        Nest nest(*this);
         ExprPtr lhs = unary_expr();
         while (true) {
             auto info = binop_at();
             if (!info.has_value() || info->prec < min_prec) return lhs;
+            // A chain is parsed in a loop, but each operator puts the tree
+            // so far one level deeper.
+            nest.deeper();
             const SrcLoc loc = peek().loc;
             advance();
             // Left-associative: parse the right side at prec+1.
@@ -354,6 +382,7 @@ private:
     ExprPtr unary_expr() {
         const SrcLoc loc = peek().loc;
         if (accept(TokKind::Minus)) {
+            const Nest nest(*this);
             auto node = std::make_unique<Unary>();
             node->loc = loc;
             node->op = UnaryOp::Neg;
@@ -361,6 +390,7 @@ private:
             return node;
         }
         if (accept(TokKind::Not)) {
+            const Nest nest(*this);
             auto node = std::make_unique<Unary>();
             node->loc = loc;
             node->op = UnaryOp::Not;
@@ -449,6 +479,7 @@ private:
 
     std::vector<Token> toks_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

@@ -147,6 +147,114 @@ double round_f(double v) {
     return static_cast<double>(static_cast<float>(v));
 }
 
+/// Ops that charge before anything observable (a register write, a throw,
+/// a profile update), so a standalone charge folded into one keeps its
+/// place in the charge order. LoopNext's increment only writes the loop
+/// variable, which nothing reads before its compare; the operand reads of
+/// the element loads and calls are not observable.
+bool receives_pre(Op op) {
+    switch (op) {
+        case Op::IncI: return false; // the one charge-free op in the range
+        case Op::ChargeCmp:
+        case Op::ChargeAssign:
+        case Op::LoopHead:
+        case Op::LoopNext:
+        case Op::LoadElemI:
+        case Op::LoadElemF:
+        case Op::LoadElemD:
+        case Op::CallBuiltin:
+        case Op::CallUser: return true;
+        default: return op >= Op::AddI && op <= Op::NotB; // arith, compares
+    }
+}
+
+/// Charge-free ops that cannot throw or jump: a charge may move past them,
+/// since only registers they write differ and nothing reads those before
+/// the charge is made.
+bool charge_free_data_op(Op op) {
+    switch (op) {
+        case Op::LoadB:
+        case Op::Mov:
+        case Op::I2D:
+        case Op::D2I:
+        case Op::D2F:
+        case Op::I2F:
+        case Op::IncI: return true;
+        default: return false;
+    }
+}
+
+/// The operand of `in` that holds an absolute jump target, if any.
+std::int32_t* jump_target(Insn& in) {
+    switch (in.op) {
+        case Op::Jmp: return &in.a;
+        case Op::JmpF:
+        case Op::JmpT: return &in.b;
+        case Op::LoopHead: return &in.c;
+        default: return nullptr;
+    }
+}
+
+/// A LoopNext at `at` whose body starts at `body`.
+struct BackEdge {
+    std::int32_t at;
+    std::int32_t body;
+};
+
+/// Removes each standalone charge that can fold into a later instruction
+/// (see bytecode.hpp) and remaps every jump target. A fold never reaches
+/// past a jump target, so every path through the receiver came through
+/// the charge; a charge that is itself a target hands the target on to
+/// the next instruction kept.
+void fold_charges(std::vector<Insn>& code,
+                  const std::vector<BackEdge>& back_edges) {
+    const std::size_t n = code.size();
+    std::vector<bool> target(n + 1, false);
+    for (Insn& in : code)
+        if (const std::int32_t* t = jump_target(in))
+            target[static_cast<std::size_t>(*t)] = true;
+    for (const BackEdge& e : back_edges)
+        target[static_cast<std::size_t>(e.body)] = true;
+
+    std::vector<bool> keep(n, true);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (code[i].op != Op::ChargeAssign && code[i].op != Op::ChargeCmp)
+            continue;
+        for (std::size_t j = i + 1; j < n && !target[j]; ++j) {
+            if (receives_pre(code[j].op)) {
+                const int pre = code[j].pre + 1 + code[i].pre;
+                if (pre <= UINT8_MAX) {
+                    code[j].pre = static_cast<std::uint8_t>(pre);
+                    keep[i] = false;
+                }
+                break;
+            }
+            if (!charge_free_data_op(code[j].op)) break;
+        }
+    }
+
+    // new_pc[k]: the position of the first kept instruction at or after k.
+    std::vector<std::int32_t> new_pc(n + 1);
+    std::int32_t kept = 0;
+    for (std::size_t k = 0; k <= n; ++k) {
+        new_pc[k] = kept;
+        if (k < n && keep[k]) ++kept;
+    }
+    for (Insn& in : code)
+        if (std::int32_t* t = jump_target(in))
+            *t = new_pc[static_cast<std::size_t>(*t)];
+    for (const BackEdge& e : back_edges) {
+        Insn& in = code[static_cast<std::size_t>(e.at)];
+        in.back = static_cast<std::uint16_t>(
+            new_pc[static_cast<std::size_t>(e.at)] -
+            new_pc[static_cast<std::size_t>(e.body)]);
+    }
+    std::size_t out = 0;
+    for (std::size_t k = 0; k < n; ++k)
+        if (keep[k]) code[out++] = code[k];
+    code.resize(out);
+}
+
 class FnCompiler {
 public:
     FnCompiler(ModuleCompiler& mc, const Function& fn) : mc_(mc), fn_(fn) {}
@@ -211,6 +319,7 @@ public:
         cf_.n_sregs = static_cast<std::uint32_t>(max_reg_) +
                       static_cast<std::uint32_t>(cf_.consts.size());
         cf_.n_bregs = static_cast<std::uint32_t>(n_bregs);
+        fold_charges(cf_.code, back_edges_);
         return std::move(cf_);
     }
 
@@ -230,6 +339,7 @@ private:
     std::int32_t n_named_ = 0;
     std::int32_t next_reg_ = 0;
     std::int32_t max_reg_ = 0;
+    std::vector<BackEdge> back_edges_;
 
     // ---- emission helpers --------------------------------------------
 
@@ -239,7 +349,7 @@ private:
 
     std::int32_t emit(Op op, std::int32_t a = 0, std::int32_t b = 0,
                       std::int32_t c = 0) {
-        cf_.code.push_back(Insn{op, a, b, c});
+        cf_.code.push_back(Insn{op, 0, 0, a, b, c});
         return here() - 1;
     }
 
@@ -839,9 +949,19 @@ private:
             emit(Op::StepCheck, step.idx,
                  mc_.intern_name(to_string(loop.loc) +
                                  ": for-loop step must be positive"));
-        emit(Op::IncI, var, snap, step.idx);
+        // With no snapshot and no limit code, LoopHead is the loop head
+        // and its operands still hold at the back-edge, so one LoopNext
+        // replaces `IncI; Jmp` and the re-dispatch of LoopHead/LoopTrip.
+        // Folding only shortens the body, so its distance still fits.
+        const std::int32_t body = jexit + 2;
+        if (!snapshot && jexit == head && here() - body <= UINT16_MAX) {
+            back_edges_.push_back(
+                BackEdge{emit(Op::LoopNext, var, limit.idx, step.idx), body});
+        } else {
+            emit(Op::IncI, var, snap, step.idx);
+            emit(Op::Jmp, head);
+        }
         next_reg_ = body_save;
-        emit(Op::Jmp, head);
         cf_.code[static_cast<std::size_t>(jexit)].c = here();
         emit(Op::LoopExit);
         next_reg_ = save;
@@ -928,6 +1048,7 @@ const char* to_string(Op op) {
         case Op::LoopEnter: return "LoopEnter";
         case Op::LoopHead: return "LoopHead";
         case Op::LoopTrip: return "LoopTrip";
+        case Op::LoopNext: return "LoopNext";
         case Op::LoopExit: return "LoopExit";
         case Op::StepCheck: return "StepCheck";
         case Op::NewBuf: return "NewBuf";
@@ -953,7 +1074,7 @@ std::string fmt_real(double v) {
 }
 
 void disasm_insn(std::ostringstream& os, const CompiledModule& m,
-                 const Insn& in) {
+                 const Insn& in, std::int32_t pc) {
     const auto s = [](std::int32_t r) { return "s" + std::to_string(r); };
     const auto b = [](std::int32_t r) { return "b" + std::to_string(r); };
     const auto at = [](std::int32_t pc) { return "@" + std::to_string(pc); };
@@ -989,6 +1110,10 @@ void disasm_insn(std::ostringstream& os, const CompiledModule& m,
             break;
         case Op::LoopHead:
             os << " " << s(in.a) << ", " << s(in.b) << ", " << at(in.c);
+            break;
+        case Op::LoopNext:
+            os << " " << s(in.a) << ", " << s(in.b) << ", " << s(in.c)
+               << ", " << at(pc - in.back);
             break;
         case Op::StepCheck:
             os << " " << s(in.a) << ", \""
@@ -1074,7 +1199,9 @@ std::string disassemble(const CompiledModule& module,
         os << "  ";
         if (pc < 10) os << " ";
         os << pc << ": ";
-        disasm_insn(os, module, fn.code[pc]);
+        const Insn& in = fn.code[pc];
+        disasm_insn(os, module, in, static_cast<std::int32_t>(pc));
+        if (in.pre > 0) os << " pre=" << static_cast<int>(in.pre);
         os << "\n";
     }
     return std::move(os).str();

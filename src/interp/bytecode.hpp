@@ -34,6 +34,15 @@
 //   - A for-loop keeps a head snapshot register (the tree walker's local
 //     `i`) only when its body can write the loop variable: an assignment
 //     to it, or a nested for-loop or declaration of the same name.
+//   - A for-loop with no head snapshot whose limit needs no code closes
+//     with one LoopNext instead of `IncI; Jmp` back to `LoopHead;
+//     LoopTrip`.
+//   - A standalone charge (ChargeAssign, ChargeCmp) folds into the next
+//     instruction that charges before doing anything observable, as that
+//     instruction's Insn::pre count, when only charge-free, non-throwing
+//     data movement lies between them and no jump lands in between. The
+//     VM charges the folded ones first, one step and one cost unit each,
+//     so the sequence of charges is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -122,15 +131,24 @@ enum class Op : std::uint8_t {
     LoopEnter, ///< profiling: ++entries of loop_pool[a], push active loop
     LoopHead,  ///< charge(kCmpCost); if (S[a].i >= S[b].i) pc = c
     LoopTrip,  ///< profiling: ++trips of loop_pool[a]; charge(kLoopIterCost)
+    /// The back-edge of a loop with no head snapshot and a code-free limit:
+    /// S[a].i += S[c].i; charge(kCmpCost); if (S[a].i < S[b].i) { ++trips;
+    /// charge(kLoopIterCost); pc = this pc - back }, else fall through to
+    /// the LoopExit.
+    LoopNext,
     LoopExit,  ///< profiling: pop active loop
     StepCheck, ///< if (S[a].i <= 0) throw InterpError(name_pool[b]); not
                ///< emitted for a positive integer-literal step
     // ---- buffers ----
     NewBuf,    ///< B[a] = fresh Buffer(buf_pool[c], size S[b].i)
-    LoadElemI, ///< note_access(read); S[a].i = (long long)B[b]->load(S[c].i)
-    LoadElemF, ///< note_access(read); S[a].d = round_f(B[b]->load(S[c].i))
-    LoadElemD, ///< note_access(read); S[a].d = B[b]->load(S[c].i)
-    StoreElem, ///< B[a]->store(S[b].i, S[c].d); note_access(write)
+    // An element load charges (kMemCost, element bytes) first, so it takes
+    // folded `pre` charges; then the focus function's read bookkeeping,
+    // then the bounds-checked load. A store bounds-checks and writes before
+    // its charge, like the tree walker, so it never takes a `pre`.
+    LoadElemI, ///< charge; focus read; S[a].i = (long long)B[b]->load(S[c].i)
+    LoadElemF, ///< charge; focus read; S[a].d = round_f(B[b]->load(S[c].i))
+    LoadElemD, ///< charge; focus read; S[a].d = B[b]->load(S[c].i)
+    StoreElem, ///< B[a]->store(S[b].i, S[c].d); charge; focus write
     // ---- calls and termination ----
     CallBuiltin, ///< S[a] = builtin_pool[b](args at arg_pool[c..])
     CallUser,    ///< call functions[b] with args at arg_pool[c..], result -> a
@@ -142,13 +160,21 @@ enum class Op : std::uint8_t {
 [[nodiscard]] const char* to_string(Op op);
 
 /// One instruction. Operand meaning is per-op (see Op); `a` is usually the
-/// destination scalar register, `b`/`c` sources or pool indices.
+/// destination scalar register, `b`/`c` sources or pool indices. `pre` and
+/// `back` live in what would otherwise be padding.
 struct Insn {
     Op op;
+    /// Standalone charges folded into this instruction: it charges `pre`
+    /// steps of one cost unit each before its own charge. Only ops that
+    /// charge before anything observable carry one.
+    std::uint8_t pre = 0;
+    std::uint16_t back = 0; ///< LoopNext: distance back to the loop body
     std::int32_t a = 0;
     std::int32_t b = 0;
     std::int32_t c = 0;
 };
+
+static_assert(sizeof(Insn) == 16);
 
 /// One scalar register. Float values are stored in `d` already rounded to
 /// float precision (the lowering rounds wherever Value::of_float did), so

@@ -41,6 +41,12 @@ int Buffer::next_id() {
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
+void Buffer::throw_out_of_bounds(long long index) const {
+    throw InterpError("buffer '" + name_ + "' index " + std::to_string(index) +
+                      " out of bounds [0, " + std::to_string(data_.size()) +
+                      ")");
+}
+
 struct Interpreter::Impl {
     const Module& module;
     const sema::TypeInfo& types;

@@ -151,10 +151,12 @@ public:
 private:
     void check(long long index) const {
         if (index < 0 || static_cast<std::size_t>(index) >= data_.size())
-            throw InterpError("buffer '" + name_ + "' index " +
-                              std::to_string(index) + " out of bounds [0, " +
-                              std::to_string(data_.size()) + ")");
+            [[unlikely]] throw_out_of_bounds(index);
     }
+
+    /// Out of line, so check() stays small enough to inline into both
+    /// interpreters' element accesses.
+    [[noreturn]] void throw_out_of_bounds(long long index) const;
 
     static int next_id();
 

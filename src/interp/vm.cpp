@@ -13,14 +13,25 @@ namespace psaflow::interp {
 
 namespace {
 
-// The cost-unit weights, duplicated from interpreter.cpp byte for byte: the
-// two engines must charge identical amounts at identical points.
-constexpr double kIntOpCost = 1.0;
-constexpr double kCmpCost = 1.0;
-constexpr double kMemCost = 2.0;
-constexpr double kLoopIterCost = 2.0;
-constexpr double kAssignCost = 1.0;
-constexpr double kCallCost = 8.0;
+// The cost-unit weights of interpreter.cpp: the two engines must charge
+// identical amounts at identical points. Every weight, flop count and byte
+// count is a small integer, so the VM keeps its pending sums in integers
+// and converts once per flush.
+constexpr long long kIntOpCost = 1;
+constexpr long long kCmpCost = 1;
+constexpr long long kMemCost = 2;
+constexpr long long kLoopIterCost = 2;
+constexpr long long kAssignCost = 1;
+constexpr long long kCallCost = 8;
+// A folded standalone charge (Insn::pre) is one step of one cost unit.
+static_assert(kCmpCost == 1 && kAssignCost == 1);
+
+/// The cancellation poll period of both engines, in steps.
+constexpr long long kPollMask = 0x1fff;
+
+[[noreturn, gnu::cold, gnu::noinline]] void throw_max_steps() {
+    throw InterpError("execution exceeded max_steps (runaway loop?)");
+}
 
 /// Frames are zero-initialized on allocation, so reads are always defined
 /// even for (sema-impossible) use-before-declaration.
@@ -77,14 +88,27 @@ struct Vm::Impl {
 
     long long steps = 0;
 
-    // Charges not yet attributed to the active-loop stack. Every cost
-    // weight, flop count and byte count is a small integer, so double
-    // addition is exact here and batching at loop/call boundaries is
-    // bit-identical to the tree walker's per-charge accumulation — while
-    // turning the O(active loops) walk per instruction into O(1).
-    double pend_cost = 0.0;
-    double pend_flops = 0.0;
-    double pend_bytes = 0.0;
+    // Charges not yet attributed to the active-loop stack. They are exact
+    // integers, so batching at loop/call boundaries is bit-identical to
+    // the tree walker's per-charge accumulation — while turning the
+    // O(active loops) walk per instruction into O(1).
+    long long pend_cost = 0;
+    long long pend_flops = 0;
+    long long pend_bytes = 0;
+
+    /// The charge state of a running dispatch(), held in its locals so the
+    /// hot path neither reloads it through `this` after every register
+    /// write nor stores it back. `left` counts the steps that may still be
+    /// taken before the next max_steps check or cancellation poll is due;
+    /// `granted` is its value at the last settle(). The sums are pending
+    /// on top of pend_*.
+    struct Meter {
+        long long left = 0;
+        long long granted = 0;
+        long long cost = 0;
+        long long flops = 0;
+        long long bytes = 0;
+    };
 
     // Per-call arg staging (the dispatch loop is not reentrant).
     std::vector<Sreg> scratch_s;
@@ -98,24 +122,73 @@ struct Vm::Impl {
 
     // ---- bookkeeping (identical to the tree walker's) -----------------
 
-    void charge(double cost, double flops = 0.0, double bytes = 0.0) {
-        if (++steps > options.max_steps)
-            throw InterpError("execution exceeded max_steps (runaway loop?)");
-        if ((steps & 0x1fff) == 0) poll_cancellation();
+    /// One charge exactly as the tree walker makes it.
+    void charge_one(long long cost, long long flops, long long bytes) {
+        if (++steps > options.max_steps) throw_max_steps();
+        if ((steps & kPollMask) == 0) poll_cancellation();
         if (!options.profile) return;
         pend_cost += cost;
         pend_flops += flops;
         pend_bytes += bytes;
     }
 
+    /// `pre` folded standalone charges, then a charge of cost/flops/bytes.
+    /// The hot path is one compare: charge_slowly() replays the charges one
+    /// by one whenever max_steps or a multiple of the poll period is within
+    /// reach, so the error fires at the same step with the same partial
+    /// profile and the poll lands on the same steps as the tree walker's.
+    [[gnu::always_inline]] void charge(Meter& m, int pre, long long cost,
+                                       long long flops = 0,
+                                       long long bytes = 0) {
+        const long long n = 1 + pre;
+        if (n > m.left) [[unlikely]] {
+            settle(m);
+            charge_slowly(pre, cost, flops, bytes);
+            rearm(m);
+            return;
+        }
+        m.left -= n;
+        m.cost += cost + pre;
+        m.flops += flops;
+        m.bytes += bytes;
+    }
+
+    [[gnu::cold, gnu::noinline]] void charge_slowly(int pre, long long cost,
+                                                    long long flops,
+                                                    long long bytes) {
+        for (int k = 0; k < pre; ++k) charge_one(1, 0, 0);
+        charge_one(cost, flops, bytes);
+    }
+
+    /// Write the meter's state back to `steps` and pend_*. Idempotent: a
+    /// second settle adds nothing, so a throw after one is safe.
+    [[gnu::always_inline]] void settle(Meter& m) {
+        steps += m.granted - m.left;
+        m.granted = m.left;
+        if (options.profile) {
+            pend_cost += m.cost;
+            pend_flops += m.flops;
+            pend_bytes += m.bytes;
+        }
+        m.cost = 0;
+        m.flops = 0;
+        m.bytes = 0;
+    }
+
+    /// Grant the steps up to max_steps or the next poll, whichever is
+    /// first. Only after settle().
+    [[gnu::always_inline]] void rearm(Meter& m) const {
+        m.left = m.granted = std::min(options.max_steps, steps | kPollMask) -
+                             steps;
+    }
+
     /// Fold the pending charges into the profile totals and every active
     /// loop. Must run before anything that reads the totals (focus
     /// snapshots) or changes what "active" means — a loop_stack push/pop or
     /// a frames push/pop (self_cost attribution keys on the frame depth the
-    /// charges happened at).
+    /// charges happened at). Inside dispatch(), settle() the meter first.
     void flush_charges() {
-        if (pend_cost == 0.0 && pend_flops == 0.0 && pend_bytes == 0.0)
-            return;
+        if (pend_cost == 0 && pend_flops == 0 && pend_bytes == 0) return;
         prof.total_cost += pend_cost;
         prof.total_flops += pend_flops;
         prof.total_mem_bytes += pend_bytes;
@@ -126,14 +199,15 @@ struct Vm::Impl {
             al.stats->mem_bytes += pend_bytes;
             if (al.frame == depth) al.stats->self_cost += pend_cost;
         }
-        pend_cost = 0.0;
-        pend_flops = 0.0;
-        pend_bytes = 0.0;
+        pend_cost = 0;
+        pend_flops = 0;
+        pend_bytes = 0;
     }
 
-    void note_access(const BufferPtr& buf, long long index, bool write) {
-        charge(kMemCost, 0.0, buf->elem_bytes());
-        if (!options.profile || focus_depth != 1) return;
+    /// The focus function's access-range bookkeeping for an element access
+    /// it made (after the access's charge).
+    void note_focus_access(const BufferPtr& buf, long long index,
+                           bool write) {
         const int id = buf->id();
         for (const auto& [bid, slot] : focus_buffer_index) {
             if (bid != id) continue;
@@ -212,7 +286,7 @@ struct Vm::Impl {
 
     Value call_entry(const bc::CompiledFunction& fn,
                      const std::vector<Arg>& args) {
-        charge(kCallCost);
+        charge_one(kCallCost, 0, 0);
         flush_charges(); // before the focus snapshot reads the totals
         if (args.size() != fn.params.size())
             throw Error("internal: call arity mismatch for '" + fn.name + "'");
@@ -298,16 +372,42 @@ struct Vm::Impl {
 
     // ---- the dispatch loop ---------------------------------------------
 
+    /// Runs until the entry frame returns, with the charge state in the
+    /// local meter `m`. run() settles it before a flush, a focus snapshot
+    /// and a return; a throw out of run() settles it here.
     Value dispatch() {
+        Meter m;
+        rearm(m);
+        try {
+            return run(m);
+        } catch (...) {
+            settle(m);
+            throw;
+        }
+    }
+
+    /// dispatch()'s loop, inlined there so the meter stays in registers.
+    [[gnu::always_inline]] Value run(Meter& m) {
         using bc::Op;
+        const bool profile = options.profile;
         const Frame* fr = &frames.back();
-        const bc::Insn* ip = fr->fn->code.data();
-        std::int32_t pc = 0;
+        const bc::Insn* base = fr->fn->code.data(); // jump targets index it
+        const bc::Insn* ip = base;
         Sreg* S = sregs.data() + fr->sbase;
         BufferPtr* B = bregs.data() + fr->bbase;
 
+        // An element access: its charge, then the focus bookkeeping.
+        const auto access = [&](int pre, const BufferPtr& buf, long long idx,
+                                bool write) __attribute__((always_inline)) {
+            charge(m, pre, kMemCost, 0, buf->elem_bytes());
+            if (profile && focus_depth == 1)
+                note_focus_access(buf, idx, write);
+        };
+
         for (;;) {
-            const bc::Insn in = ip[pc++];
+            // Handlers that move ip `continue`; the others fall through to
+            // the `++ip` below the switch.
+            const bc::Insn& in = *ip;
             switch (in.op) {
                 // ---- data movement ----
                 case Op::LoadB: S[in.a].b = in.b != 0; break;
@@ -324,204 +424,207 @@ struct Vm::Impl {
                     S[in.a].d = round_f(static_cast<double>(S[in.b].i));
                     break;
                 // ---- control ----
-                case Op::Jmp: pc = in.a; break;
+                case Op::Jmp: ip = base + in.a; continue;
                 case Op::JmpF:
-                    if (!S[in.a].b) pc = in.b;
-                    break;
+                    if (S[in.a].b) break;
+                    ip = base + in.b;
+                    continue;
                 case Op::JmpT:
-                    if (S[in.a].b) pc = in.b;
-                    break;
+                    if (!S[in.a].b) break;
+                    ip = base + in.b;
+                    continue;
                 // ---- standalone charges ----
-                case Op::ChargeCmp: charge(kCmpCost); break;
-                case Op::ChargeAssign: charge(kAssignCost); break;
+                case Op::ChargeCmp: charge(m, in.pre, kCmpCost); break;
+                case Op::ChargeAssign: charge(m, in.pre, kAssignCost); break;
                 // ---- int arithmetic ----
                 case Op::AddI:
-                    charge(kIntOpCost);
+                    charge(m, in.pre, kIntOpCost);
                     S[in.a].i = S[in.b].i + S[in.c].i;
                     break;
                 case Op::SubI:
-                    charge(kIntOpCost);
+                    charge(m, in.pre, kIntOpCost);
                     S[in.a].i = S[in.b].i - S[in.c].i;
                     break;
                 case Op::MulI:
-                    charge(kIntOpCost);
+                    charge(m, in.pre, kIntOpCost);
                     S[in.a].i = S[in.b].i * S[in.c].i;
                     break;
                 case Op::DivI:
-                    charge(kIntOpCost);
+                    charge(m, in.pre, kIntOpCost);
                     if (S[in.c].i == 0)
                         throw InterpError("integer division by zero");
                     S[in.a].i = S[in.b].i / S[in.c].i;
                     break;
                 case Op::ModI:
-                    charge(kIntOpCost);
+                    charge(m, in.pre, kIntOpCost);
                     if (S[in.c].i == 0)
                         throw InterpError("integer modulo by zero");
                     S[in.a].i = S[in.b].i % S[in.c].i;
                     break;
                 case Op::NegI:
-                    charge(1.0);
+                    charge(m, in.pre, 1);
                     S[in.a].i = -S[in.b].i;
                     break;
                 case Op::IncI: S[in.a].i = S[in.b].i + S[in.c].i; break;
                 // ---- double arithmetic ----
                 case Op::AddD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = add_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::SubD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = S[in.b].d - S[in.c].d;
                     break;
                 case Op::MulD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = mul_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::DivD:
-                    charge(4.0, 4.0);
+                    charge(m, in.pre, 4, 4);
                     S[in.a].d = S[in.b].d / S[in.c].d;
                     break;
                 case Op::NegD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = -S[in.b].d;
                     break;
                 // ---- float arithmetic (compute in float) ----
                 case Op::AddF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = static_cast<double>(
                         add_pinned(static_cast<float>(S[in.b].d),
                                    static_cast<float>(S[in.c].d)));
                     break;
                 case Op::SubF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = static_cast<double>(
                         static_cast<float>(S[in.b].d) -
                         static_cast<float>(S[in.c].d));
                     break;
                 case Op::MulF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = static_cast<double>(
                         mul_pinned(static_cast<float>(S[in.b].d),
                                    static_cast<float>(S[in.c].d)));
                     break;
                 case Op::DivF:
-                    charge(4.0, 4.0);
+                    charge(m, in.pre, 4, 4);
                     S[in.a].d = static_cast<double>(
                         static_cast<float>(S[in.b].d) /
                         static_cast<float>(S[in.c].d));
                     break;
                 case Op::NegF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = round_f(-S[in.b].d);
                     break;
                 // ---- compound-assign arithmetic (`combined`) ----
                 case Op::CAddI:
-                    charge(1.0);
+                    charge(m, in.pre, 1);
                     S[in.a].i = S[in.b].i + S[in.c].i;
                     break;
                 case Op::CSubI:
-                    charge(1.0);
+                    charge(m, in.pre, 1);
                     S[in.a].i = S[in.b].i - S[in.c].i;
                     break;
                 case Op::CMulI:
-                    charge(1.0);
+                    charge(m, in.pre, 1);
                     S[in.a].i = S[in.b].i * S[in.c].i;
                     break;
                 case Op::CDivI:
-                    charge(4.0);
+                    charge(m, in.pre, 4);
                     if (S[in.c].i == 0)
                         throw InterpError("integer division by zero");
                     S[in.a].i = S[in.b].i / S[in.c].i;
                     break;
                 case Op::CAddD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = add_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::CSubD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = S[in.b].d - S[in.c].d;
                     break;
                 case Op::CMulD:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = mul_pinned(S[in.b].d, S[in.c].d);
                     break;
                 case Op::CDivD:
-                    charge(4.0, 4.0);
+                    charge(m, in.pre, 4, 4);
                     S[in.a].d = S[in.b].d / S[in.c].d;
                     break;
                 // Float compound targets compute in double, round once.
                 case Op::CAddF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = round_f(add_pinned(S[in.b].d, S[in.c].d));
                     break;
                 case Op::CSubF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = round_f(S[in.b].d - S[in.c].d);
                     break;
                 case Op::CMulF:
-                    charge(1.0, 1.0);
+                    charge(m, in.pre, 1, 1);
                     S[in.a].d = round_f(mul_pinned(S[in.b].d, S[in.c].d));
                     break;
                 case Op::CDivF:
-                    charge(4.0, 4.0);
+                    charge(m, in.pre, 4, 4);
                     S[in.a].d = round_f(S[in.b].d / S[in.c].d);
                     break;
                 // ---- comparisons ----
                 case Op::LtI:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].i < S[in.c].i;
                     break;
                 case Op::LeI:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].i <= S[in.c].i;
                     break;
                 case Op::GtI:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].i > S[in.c].i;
                     break;
                 case Op::GeI:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].i >= S[in.c].i;
                     break;
                 case Op::EqI:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].i == S[in.c].i;
                     break;
                 case Op::NeI:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].i != S[in.c].i;
                     break;
                 case Op::LtD:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].d < S[in.c].d;
                     break;
                 case Op::LeD:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].d <= S[in.c].d;
                     break;
                 case Op::GtD:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].d > S[in.c].d;
                     break;
                 case Op::GeD:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].d >= S[in.c].d;
                     break;
                 case Op::EqD:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].d == S[in.c].d;
                     break;
                 case Op::NeD:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = S[in.b].d != S[in.c].d;
                     break;
                 case Op::NotB:
-                    charge(kCmpCost);
+                    charge(m, in.pre, kCmpCost);
                     S[in.a].b = !S[in.b].b;
                     break;
                 // ---- loops ----
                 case Op::LoopEnter:
-                    if (options.profile) {
+                    if (profile) {
+                        settle(m);
                         flush_charges();
                         LoopStats*& st =
                             loop_cache[static_cast<std::size_t>(in.a)];
@@ -535,15 +638,25 @@ struct Vm::Impl {
                     }
                     break;
                 case Op::LoopHead:
-                    charge(kCmpCost);
-                    if (S[in.a].i >= S[in.b].i) pc = in.c;
-                    break;
+                    charge(m, in.pre, kCmpCost);
+                    if (S[in.a].i < S[in.b].i) break;
+                    ip = base + in.c;
+                    continue;
                 case Op::LoopTrip:
-                    if (options.profile) ++loop_stack.back().stats->trips;
-                    charge(kLoopIterCost);
+                    if (profile) ++loop_stack.back().stats->trips;
+                    charge(m, 0, kLoopIterCost);
                     break;
+                case Op::LoopNext:
+                    S[in.a].i += S[in.c].i;
+                    charge(m, in.pre, kCmpCost);
+                    if (S[in.a].i >= S[in.b].i) break; // on to LoopExit
+                    if (profile) ++loop_stack.back().stats->trips;
+                    charge(m, 0, kLoopIterCost);
+                    ip -= in.back;
+                    continue;
                 case Op::LoopExit:
-                    if (options.profile) {
+                    if (profile) {
+                        settle(m);
                         flush_charges();
                         loop_stack.pop_back();
                     }
@@ -567,28 +680,30 @@ struct Vm::Impl {
                 }
                 case Op::LoadElemI: {
                     const long long idx = S[in.c].i;
-                    note_access(B[in.b], idx, /*write=*/false);
+                    access(in.pre, B[in.b], idx, /*write=*/false);
                     S[in.a].i = static_cast<long long>(B[in.b]->load(idx));
                     break;
                 }
                 case Op::LoadElemF: {
                     const long long idx = S[in.c].i;
-                    note_access(B[in.b], idx, /*write=*/false);
+                    access(in.pre, B[in.b], idx, /*write=*/false);
                     // of_float rounds; raw() writers may store unrounded.
                     S[in.a].d = round_f(B[in.b]->load(idx));
                     break;
                 }
                 case Op::LoadElemD: {
                     const long long idx = S[in.c].i;
-                    note_access(B[in.b], idx, /*write=*/false);
+                    access(in.pre, B[in.b], idx, /*write=*/false);
                     S[in.a].d = B[in.b]->load(idx);
                     break;
                 }
                 case Op::StoreElem: {
                     const long long idx = S[in.b].i;
-                    B[in.a]->store(idx, S[in.c].d); // throws before the
-                    note_access(B[in.a], idx, true); // write charge, like
-                    break;                           // the tree walker
+                    // Throws before the write's charge, like the tree
+                    // walker, so no charge folds into a store.
+                    B[in.a]->store(idx, S[in.c].d);
+                    access(0, B[in.a], idx, /*write=*/true);
+                    break;
                 }
                 // ---- calls ----
                 case Op::CallBuiltin: {
@@ -600,9 +715,8 @@ struct Vm::Impl {
                             S[code.arg_pool[static_cast<std::size_t>(
                                   in.c + k)]]
                                 .d;
-                    charge(b->flop_cost, b->flop_cost);
-                    if (options.profile)
-                        prof.total_call_flops += b->flop_cost;
+                    charge(m, in.pre, b->flop_cost, b->flop_cost);
+                    if (profile) prof.total_call_flops += b->flop_cost;
                     const double out = sema::eval_builtin(
                         *b, std::span<const double>(
                                 argv, static_cast<std::size_t>(b->arity)));
@@ -613,7 +727,9 @@ struct Vm::Impl {
                 case Op::CallUser: {
                     const bc::CompiledFunction& callee =
                         code.functions[static_cast<std::size_t>(in.b)];
-                    charge(kCallCost); // attributed at the caller's depth
+                    // Attributed at the caller's depth.
+                    charge(m, in.pre, kCallCost);
+                    settle(m);
                     flush_charges();
 
                     const std::int32_t* argv =
@@ -629,12 +745,12 @@ struct Vm::Impl {
 
                     Frame nf;
                     nf.fn = &callee;
-                    nf.ret_pc = pc;
+                    nf.ret_pc = static_cast<std::int32_t>(ip - base) + 1;
                     nf.ret_dst = in.a;
                     nf.sbase = sregs.size();
                     nf.bbase = bregs.size();
                     nf.loop_mark = loop_stack.size();
-                    if (options.profile && callee.is_focus)
+                    if (profile && callee.is_focus)
                         focus_enter(callee, nf, scratch_b);
 
                     // The tree walker re-validates buffer elem types on
@@ -651,17 +767,17 @@ struct Vm::Impl {
 
                     push_frame(nf);
                     fr = &frames.back();
-                    ip = callee.code.data();
-                    pc = 0;
+                    base = ip = callee.code.data();
                     S = sregs.data() + fr->sbase;
                     B = bregs.data() + fr->bbase;
-                    break;
+                    continue;
                 }
                 case Op::Ret:
                 case Op::RetVoid: {
+                    settle(m);
                     flush_charges();
                     const Frame f = *fr;
-                    if (options.profile && f.fn->is_focus) focus_exit(f);
+                    if (profile && f.fn->is_focus) focus_exit(f);
                     Sreg rv{};
                     if (in.op == Op::Ret) rv = S[in.a];
                     // A return from inside loops unwinds every ActiveLoop
@@ -675,17 +791,18 @@ struct Vm::Impl {
                         return in.op == Op::Ret ? box(f.fn->ret, rv)
                                                 : Value::void_value();
                     fr = &frames.back();
-                    ip = fr->fn->code.data();
-                    pc = f.ret_pc;
+                    base = fr->fn->code.data();
+                    ip = base + f.ret_pc;
                     S = sregs.data() + fr->sbase;
                     B = bregs.data() + fr->bbase;
                     if (f.ret_dst >= 0) S[f.ret_dst] = rv;
-                    break;
+                    continue;
                 }
                 case Op::Trap:
                     throw InterpError(
                         code.name_pool[static_cast<std::size_t>(in.a)]);
             }
+            ++ip;
         }
     }
 };

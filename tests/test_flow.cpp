@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/characterize.hpp"
 #include "flow/engine.hpp"
 #include "flow/session.hpp"
 #include "flow/standard_flow.hpp"
@@ -151,6 +152,62 @@ TEST(Context, ForkIsolatesModuleState) {
     // The fork carries the spec and reference time.
     EXPECT_EQ(forked.spec.kernel_name, ctx.spec.kernel_name);
     EXPECT_DOUBLE_EQ(forked.reference_seconds(), ctx.reference_seconds());
+}
+
+void expect_same_law(const analysis::ScaledQuantity& a,
+                     const analysis::ScaledQuantity& b) {
+    EXPECT_EQ(a.base, b.base);
+    EXPECT_EQ(a.exponent, b.exponent);
+}
+
+TEST(Context, ForkKeepsCharacterizationWithLoopIdsOfTheClone) {
+    auto ctx = make_ctx(kGpuish, gpuish_workload());
+    identify_hotspot_loops()->run(ctx);
+    hotspot_loop_extraction()->run(ctx);
+    const analysis::KernelCharacterization& before = ctx.characterization();
+    ASSERT_EQ(before.loops.size(), 2u);
+
+    FlowContext forked = ctx.fork();
+    const analysis::KernelCharacterization kept = forked.characterization();
+    const analysis::KernelCharacterization fresh =
+        analysis::characterize_kernel(forked.module(), forked.types(),
+                                      forked.spec.kernel_name,
+                                      forked.workload());
+
+    const std::vector<ast::For*> loops = meta::for_loops(forked.kernel());
+    ASSERT_EQ(kept.loops.size(), fresh.loops.size());
+    for (std::size_t i = 0; i < kept.loops.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(kept.loops[i].loop_id, loops[i]->id);
+        EXPECT_NE(kept.loops[i].loop_id, before.loops[i].loop_id);
+        EXPECT_EQ(kept.loops[i].loop_id, fresh.loops[i].loop_id);
+        EXPECT_EQ(kept.loops[i].entries, fresh.loops[i].entries);
+        expect_same_law(kept.loops[i].trips_per_entry,
+                        fresh.loops[i].trips_per_entry);
+        expect_same_law(kept.loops[i].trips_total,
+                        fresh.loops[i].trips_total);
+        expect_same_law(kept.loops[i].flops, fresh.loops[i].flops);
+    }
+    EXPECT_EQ(kept.kernel, fresh.kernel);
+    expect_same_law(kept.flops, fresh.flops);
+    expect_same_law(kept.call_flops, fresh.call_flops);
+    expect_same_law(kept.mem_bytes, fresh.mem_bytes);
+    expect_same_law(kept.footprint, fresh.footprint);
+    expect_same_law(kept.bytes_in, fresh.bytes_in);
+    expect_same_law(kept.bytes_out, fresh.bytes_out);
+    expect_same_law(kept.cpu_cost, fresh.cpu_cost);
+    EXPECT_EQ(kept.args_alias, fresh.args_alias);
+    EXPECT_EQ(kept.kernel_calls, fresh.kernel_calls);
+    ASSERT_EQ(kept.buffers.size(), fresh.buffers.size());
+    for (std::size_t i = 0; i < kept.buffers.size(); ++i) {
+        SCOPED_TRACE(kept.buffers[i].name);
+        EXPECT_EQ(kept.buffers[i].name, fresh.buffers[i].name);
+        EXPECT_EQ(kept.buffers[i].elem_bytes, fresh.buffers[i].elem_bytes);
+        expect_same_law(kept.buffers[i].bytes_in, fresh.buffers[i].bytes_in);
+        expect_same_law(kept.buffers[i].bytes_out,
+                        fresh.buffers[i].bytes_out);
+        expect_same_law(kept.buffers[i].accessed, fresh.buffers[i].accessed);
+    }
 }
 
 TEST(Context, KernelAccessorsRequireExtraction) {

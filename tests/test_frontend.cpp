@@ -249,5 +249,96 @@ TEST(Parser, WhileLoop) {
     ASSERT_NE(w, nullptr);
 }
 
+// Hostile nesting: the parser itself would overflow its stack at 200k
+// levels, and every later pass recurses over the tree, so nesting past the
+// cap is a located parse error instead.
+
+std::string repeated(std::string_view piece, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += piece;
+    return out;
+}
+
+/// Parses `src` expecting the nesting cap's error; returns its location.
+SrcLoc nesting_error(const std::string& src) {
+    try {
+        (void)parse(src);
+    } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting exceeds"),
+                  std::string::npos)
+            << e.what();
+        return e.where();
+    }
+    ADD_FAILURE() << "no parse error";
+    return {};
+}
+
+TEST(Parser, NestedParenthesesUpToTheCapParse) {
+    const std::string src = "int f(int a) { return " + repeated("(", 100) +
+                            "a" + repeated(")", 100) + "; }";
+    auto mod = parse(src);
+    auto* r = dyn_cast<Return>(mod->functions[0]->body->stmts[0].get());
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->value->kind(), NodeKind::Ident);
+}
+
+TEST(Parser, LongChainsBelowTheCapParse) {
+    // Each operator of a chain counts as a level, so a long but valid sum
+    // must stay well inside the cap.
+    const int terms = 400;
+    auto mod = parse("int f(int a) { return a" + repeated(" + a", terms - 1) +
+                     "; }");
+    auto* r = dyn_cast<Return>(mod->functions[0]->body->stmts[0].get());
+    ASSERT_NE(r, nullptr);
+    int depth = 0;
+    for (const auto* b = dyn_cast<Binary>(r->value.get()); b != nullptr;
+         b = dyn_cast<Binary>(b->lhs.get()))
+        ++depth;
+    EXPECT_EQ(depth, terms - 1);
+}
+
+TEST(Parser, NestedParenthesesPastTheCapAreALocatedError) {
+    const int n = 200000;
+    const std::string src = "int f(int a) {\n  return " + repeated("(", n) +
+                            "a" + repeated(")", n) + ";\n}\n";
+    const SrcLoc at = nesting_error(src);
+    EXPECT_EQ(at.line, 2u);
+    // The first '(' is column 10; the error is at the one past the cap.
+    EXPECT_GT(at.col, 10u);
+    EXPECT_LT(at.col, 10u + kMaxNesting);
+    // Unary operators nest the same way, and so does each operator of a
+    // chain, which builds a tree as deep as it is long.
+    (void)nesting_error("int f(int a) { return " + repeated("- ", n) +
+                        "a; }");
+    (void)nesting_error("int f(int a) { return a" + repeated(" + a", n) +
+                        "; }");
+}
+
+TEST(Parser, NestedBlocksUpToTheCapParse) {
+    auto mod = parse("void f() " + repeated("{ ", 100) + repeated("} ", 100));
+    const Block* b = mod->functions[0]->body.get();
+    int depth = 1;
+    while (!b->stmts.empty()) {
+        b = dyn_cast<Block>(b->stmts[0].get());
+        ASSERT_NE(b, nullptr);
+        ++depth;
+    }
+    EXPECT_EQ(depth, 100);
+}
+
+TEST(Parser, NestedBlocksPastTheCapAreALocatedError) {
+    const int n = 200000;
+    const SrcLoc at =
+        nesting_error("void f()\n" + repeated("{", n) + repeated("}", n));
+    EXPECT_EQ(at.line, 2u);
+    // The body's '{' is column 1; each nested one is a statement.
+    EXPECT_EQ(at.col, 2u + kMaxNesting);
+    // So do nested ifs and long else-if chains.
+    (void)nesting_error("void f(int a) { " + repeated("if (a) ", n) +
+                        "a = 1; }");
+    (void)nesting_error("void f(int a) { if (a) a = 1;" +
+                        repeated(" else if (a) a = 1;", n) + " }");
+}
+
 } // namespace
 } // namespace psaflow

@@ -6,6 +6,7 @@
 // full flow engine are covered end-to-end; the `interp:vm` fuzz oracle
 // (test_fuzz_regression) extends the same check to generated programs.
 #include <cmath>
+#include <functional>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -40,6 +41,7 @@ std::string disasm(std::string_view src) {
 // Lowering snapshots, one per opcode class. These pin the exact register
 // assignment, charge placement and operand encoding; an intentional
 // lowering change updates them alongside a fresh differential sweep.
+// `pre=N` marks N standalone charges folded into an instruction.
 // ----------------------------------------------------------------------
 
 TEST(VmLowering, ArithmeticAndReturn) {
@@ -71,7 +73,9 @@ TEST(VmLowering, IntegerDivisionAndModulo) {
 TEST(VmLowering, ForLoopWithCompoundAssign) {
     // LoopEnter/LoopHead/LoopTrip/LoopExit bracket the body. The body
     // cannot write `i`, so the loop variable is its own head snapshot, and
-    // the literal step 1 needs no StepCheck.
+    // the literal step 1 needs no StepCheck. With no snapshot and a limit
+    // that needs no code, one LoopNext closes the loop; the assignment's
+    // charge folds into its CAddI.
     EXPECT_EQ(disasm(R"(int sum_to(int n) {
     int s = 0;
     for (int i = 0; i < n; i++) {
@@ -87,15 +91,13 @@ TEST(VmLowering, ForLoopWithCompoundAssign) {
               "   1: ChargeAssign\n"
               "   2: LoopEnter L0\n"
               "   3: Mov s2, s4\n"
-              "   4: LoopHead s2, s0, @10\n"
+              "   4: LoopHead s2, s0, @8\n"
               "   5: LoopTrip L0\n"
-              "   6: ChargeAssign\n"
-              "   7: CAddI s1, s1, s2\n"
-              "   8: IncI s2, s2, s5\n"
-              "   9: Jmp @4\n"
-              "  10: LoopExit\n"
-              "  11: Ret s1\n"
-              "  12: Trap \"value is not numeric\"\n");
+              "   6: CAddI s1, s1, s2 pre=1\n"
+              "   7: LoopNext s2, s0, s5, @6\n"
+              "   8: LoopExit\n"
+              "   9: Ret s1\n"
+              "  10: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, ShortCircuitAndOr) {
@@ -110,16 +112,15 @@ TEST(VmLowering, ShortCircuitAndOr) {
               "  const double s7 = 1\n"
               "   0: ChargeCmp\n"
               "   1: LoadB s3, false\n"
-              "   2: JmpF s0, @10\n"
-              "   3: ChargeCmp\n"
-              "   4: LtD s5, s2, s7\n"
-              "   5: LoadB s4, true\n"
-              "   6: JmpT s5, @9\n"
-              "   7: NotB s6, s1\n"
-              "   8: Mov s4, s6\n"
-              "   9: Mov s3, s4\n"
-              "  10: Ret s3\n"
-              "  11: Trap \"value is not bool\"\n");
+              "   2: JmpF s0, @9\n"
+              "   3: LtD s5, s2, s7 pre=1\n"
+              "   4: LoadB s4, true\n"
+              "   5: JmpT s5, @8\n"
+              "   6: NotB s6, s1\n"
+              "   7: Mov s4, s6\n"
+              "   8: Mov s3, s4\n"
+              "   9: Ret s3\n"
+              "  10: Trap \"value is not bool\"\n");
 }
 
 TEST(VmLowering, WhileAndIfElse) {
@@ -142,23 +143,18 @@ TEST(VmLowering, WhileAndIfElse) {
               "  const int s6 = 2\n"
               "   0: Mov s1, s4\n"
               "   1: ChargeAssign\n"
-              "   2: ChargeCmp\n"
-              "   3: GtI s2, s0, s5\n"
-              "   4: JmpF s2, @17\n"
-              "   5: ChargeCmp\n"
-              "   6: ModI s2, s0, s6\n"
-              "   7: EqI s3, s2, s4\n"
-              "   8: JmpF s3, @12\n"
-              "   9: ChargeAssign\n"
-              "  10: DivI s0, s0, s6\n"
-              "  11: Jmp @14\n"
-              "  12: ChargeAssign\n"
-              "  13: SubI s0, s0, s5\n"
-              "  14: ChargeAssign\n"
-              "  15: AddI s1, s1, s5\n"
-              "  16: Jmp @2\n"
-              "  17: Ret s1\n"
-              "  18: Trap \"value is not numeric\"\n");
+              "   2: GtI s2, s0, s5 pre=1\n"
+              "   3: JmpF s2, @12\n"
+              "   4: ModI s2, s0, s6 pre=1\n"
+              "   5: EqI s3, s2, s4\n"
+              "   6: JmpF s3, @9\n"
+              "   7: DivI s0, s0, s6 pre=1\n"
+              "   8: Jmp @10\n"
+              "   9: SubI s0, s0, s5 pre=1\n"
+              "  10: AddI s1, s1, s5 pre=1\n"
+              "  11: Jmp @2\n"
+              "  12: Ret s1\n"
+              "  13: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, FloatRoundingAndConversions) {
@@ -175,13 +171,11 @@ TEST(VmLowering, FloatRoundingAndConversions) {
               "sregs=7 bregs=0\n"
               "  const double s6 = 0.5\n"
               "   0: MulF s3, s0, s6\n"
-              "   1: ChargeAssign\n"
-              "   2: ChargeAssign\n"
-              "   3: I2D s5, s1\n"
-              "   4: AddD s4, s2, s5\n"
-              "   5: CDivF s3, s3, s4\n"
-              "   6: Ret s3\n"
-              "   7: Trap \"value is not numeric\"\n");
+              "   1: I2D s5, s1\n"
+              "   2: AddD s4, s2, s5 pre=2\n"
+              "   3: CDivF s3, s3, s4\n"
+              "   4: Ret s3\n"
+              "   5: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, LocalArraysAndElementOps) {
@@ -207,36 +201,33 @@ TEST(VmLowering, LocalArraysAndElementOps) {
               "   1: ChargeAssign\n"
               "   2: LoopEnter L0\n"
               "   3: Mov s1, s10\n"
-              "   4: LoopHead s1, s9, @10\n"
+              "   4: LoopHead s1, s9, @9\n"
               "   5: LoopTrip L0\n"
               "   6: ChargeAssign\n"
               "   7: StoreElem b1[s1], s11\n"
-              "   8: IncI s1, s1, s12\n"
-              "   9: Jmp @4\n"
-              "  10: LoopExit\n"
-              "  11: LoopEnter L1\n"
-              "  12: Mov s1, s10\n"
-              "  13: LoopHead s1, s0, @24\n"
-              "  14: LoopTrip L1\n"
-              "  15: ChargeAssign\n"
-              "  16: ModI s2, s1, s0\n"
-              "  17: LoadElemD s3, b0[s2]\n"
-              "  18: ModI s4, s1, s9\n"
-              "  19: LoadElemD s5, b1[s4]\n"
-              "  20: CAddD s5, s5, s3\n"
-              "  21: StoreElem b1[s4], s5\n"
-              "  22: IncI s1, s1, s12\n"
-              "  23: Jmp @13\n"
-              "  24: LoopExit\n"
-              "  25: LoadElemD s2, b1[s10]\n"
-              "  26: LoadElemD s3, b1[s12]\n"
-              "  27: AddD s4, s2, s3\n"
-              "  28: LoadElemD s5, b1[s13]\n"
-              "  29: AddD s6, s4, s5\n"
-              "  30: LoadElemD s7, b1[s14]\n"
-              "  31: AddD s8, s6, s7\n"
-              "  32: Ret s8\n"
-              "  33: Trap \"value is not numeric\"\n");
+              "   8: LoopNext s1, s9, s12, @6\n"
+              "   9: LoopExit\n"
+              "  10: LoopEnter L1\n"
+              "  11: Mov s1, s10\n"
+              "  12: LoopHead s1, s0, @21\n"
+              "  13: LoopTrip L1\n"
+              "  14: ModI s2, s1, s0 pre=1\n"
+              "  15: LoadElemD s3, b0[s2]\n"
+              "  16: ModI s4, s1, s9\n"
+              "  17: LoadElemD s5, b1[s4]\n"
+              "  18: CAddD s5, s5, s3\n"
+              "  19: StoreElem b1[s4], s5\n"
+              "  20: LoopNext s1, s0, s12, @14\n"
+              "  21: LoopExit\n"
+              "  22: LoadElemD s2, b1[s10]\n"
+              "  23: LoadElemD s3, b1[s12]\n"
+              "  24: AddD s4, s2, s3\n"
+              "  25: LoadElemD s5, b1[s13]\n"
+              "  26: AddD s6, s4, s5\n"
+              "  27: LoadElemD s7, b1[s14]\n"
+              "  28: AddD s8, s6, s7\n"
+              "  29: Ret s8\n"
+              "  30: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, BuiltinAndUserCalls) {
@@ -291,17 +282,15 @@ TEST(VmLowering, LoopVariableWrittenInBodyKeepsSnapshot) {
               "   2: LoopEnter L0\n"
               "   3: Mov s2, s5\n"
               "   4: Mov s3, s2\n"
-              "   5: LoopHead s3, s0, @13\n"
+              "   5: LoopHead s3, s0, @11\n"
               "   6: LoopTrip L0\n"
-              "   7: ChargeAssign\n"
-              "   8: CAddI s1, s1, s6\n"
-              "   9: ChargeAssign\n"
-              "  10: AddI s2, s2, s6\n"
-              "  11: IncI s2, s3, s6\n"
-              "  12: Jmp @4\n"
-              "  13: LoopExit\n"
-              "  14: Ret s1\n"
-              "  15: Trap \"value is not numeric\"\n");
+              "   7: CAddI s1, s1, s6 pre=1\n"
+              "   8: AddI s2, s2, s6 pre=1\n"
+              "   9: IncI s2, s3, s6\n"
+              "  10: Jmp @4\n"
+              "  11: LoopExit\n"
+              "  12: Ret s1\n"
+              "  13: Trap \"value is not numeric\"\n");
 }
 
 TEST(VmLowering, LiteralsUseConstantRegisters) {
@@ -326,19 +315,136 @@ TEST(VmLowering, LiteralsUseConstantRegisters) {
               "   1: ChargeAssign\n"
               "   2: LoopEnter L0\n"
               "   3: Mov s2, s7\n"
-              "   4: LoopHead s2, s8, @14\n"
+              "   4: LoopHead s2, s8, @12\n"
               "   5: LoopTrip L0\n"
-              "   6: ChargeAssign\n"
-              "   7: LoadElemD s3, b0[s2]\n"
-              "   8: CallBuiltin s4, fmax(s3, s9)\n"
-              "   9: MulD s5, s4, s9\n"
-              "  10: CAddD s1, s1, s5\n"
-              "  11: StepCheck s0, \"3:5: for-loop step must be positive\"\n"
-              "  12: IncI s2, s2, s0\n"
-              "  13: Jmp @4\n"
-              "  14: LoopExit\n"
-              "  15: Ret s1\n"
-              "  16: Trap \"value is not numeric\"\n");
+              "   6: LoadElemD s3, b0[s2] pre=1\n"
+              "   7: CallBuiltin s4, fmax(s3, s9)\n"
+              "   8: MulD s5, s4, s9\n"
+              "   9: CAddD s1, s1, s5\n"
+              "  10: StepCheck s0, \"3:5: for-loop step must be positive\"\n"
+              "  11: LoopNext s2, s8, s0, @6\n"
+              "  12: LoopExit\n"
+              "  13: Ret s1\n"
+              "  14: Trap \"value is not numeric\"\n");
+}
+
+TEST(VmLowering, FoldsStopAtJumpTargets) {
+    // A then-block ending in a declaration: its ChargeAssign (4) stays
+    // standalone, since the path that skips the block lands on the next
+    // statement. That statement's own charge folds into its AddI (5),
+    // which the JmpF now targets.
+    EXPECT_EQ(disasm(R"(int f(int a) {
+    int r = 0;
+    if (a > 0) {
+        int t = a;
+    }
+    r = r + a;
+    return r;
+}
+)"),
+              "func f(a: int) ret=int sregs=5 bregs=0\n"
+              "  const int s4 = 0\n"
+              "   0: Mov s1, s4\n"
+              "   1: GtI s3, s0, s4 pre=2\n"
+              "   2: JmpF s3, @5\n"
+              "   3: Mov s2, s0\n"
+              "   4: ChargeAssign\n"
+              "   5: AddI s1, s1, s0 pre=1\n"
+              "   6: Ret s1\n"
+              "   7: Trap \"value is not numeric\"\n");
+    // An `&&` merge: the ChargeCmp (0) cannot pass the JmpF, which lands
+    // on the Mov that merges both paths (4). The declaration's charge
+    // after that Mov and the next statement's fold into its AddI (5).
+    EXPECT_EQ(disasm(R"(int g(bool p, bool q, int n) {
+    bool x = p && q;
+    n = n + 1;
+    return n;
+}
+)"),
+              "func g(p: bool, q: bool, n: int) ret=int sregs=6 bregs=0\n"
+              "  const int s5 = 1\n"
+              "   0: ChargeCmp\n"
+              "   1: LoadB s4, false\n"
+              "   2: JmpF s0, @4\n"
+              "   3: Mov s4, s1\n"
+              "   4: Mov s3, s4\n"
+              "   5: AddI s2, s2, s5 pre=2\n"
+              "   6: Ret s2\n"
+              "   7: Trap \"value is not numeric\"\n");
+    // A while head: the declaration's ChargeAssign (1) stays before the
+    // loop, and the head's ChargeCmp folds into LtI (2), which the
+    // back-edge now targets.
+    EXPECT_EQ(disasm(R"(int h(int n) {
+    int s = 0;
+    while (s < n) {
+        s = s + 2;
+    }
+    return s;
+}
+)"),
+              "func h(n: int) ret=int sregs=5 bregs=0\n"
+              "  const int s3 = 0\n"
+              "  const int s4 = 2\n"
+              "   0: Mov s1, s3\n"
+              "   1: ChargeAssign\n"
+              "   2: LtI s2, s1, s0 pre=1\n"
+              "   3: JmpF s2, @6\n"
+              "   4: AddI s1, s1, s4 pre=1\n"
+              "   5: Jmp @2\n"
+              "   6: Ret s1\n"
+              "   7: Trap \"value is not numeric\"\n");
+}
+
+TEST(VmLowering, LoopNextOnlyWithoutSnapshotOrLimitCode) {
+    // Loop 0 (limit `n`, body cannot write `i`) closes with LoopNext.
+    // Loop 1's limit `n - 1` is code at the head, and loop 2's body writes
+    // its variable (head snapshot): both keep IncI; Jmp back to the head.
+    EXPECT_EQ(disasm(R"(int loops(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i++) {
+        s += i;
+    }
+    for (int j = 0; j < n - 1; j++) {
+        s += j;
+    }
+    for (int k = 0; k < n; k++) {
+        k = k + 1;
+    }
+    return s;
+}
+)"),
+              "func loops(n: int) ret=int sregs=9 bregs=0\n"
+              "  const int s7 = 0\n"
+              "  const int s8 = 1\n"
+              "   0: Mov s1, s7\n"
+              "   1: ChargeAssign\n"
+              "   2: LoopEnter L0\n"
+              "   3: Mov s2, s7\n"
+              "   4: LoopHead s2, s0, @8\n"
+              "   5: LoopTrip L0\n"
+              "   6: CAddI s1, s1, s2 pre=1\n"
+              "   7: LoopNext s2, s0, s8, @6\n"
+              "   8: LoopExit\n"
+              "   9: LoopEnter L1\n"
+              "  10: Mov s3, s7\n"
+              "  11: SubI s5, s0, s8\n"
+              "  12: LoopHead s3, s5, @17\n"
+              "  13: LoopTrip L1\n"
+              "  14: CAddI s1, s1, s3 pre=1\n"
+              "  15: IncI s3, s3, s8\n"
+              "  16: Jmp @11\n"
+              "  17: LoopExit\n"
+              "  18: LoopEnter L2\n"
+              "  19: Mov s4, s7\n"
+              "  20: Mov s5, s4\n"
+              "  21: LoopHead s5, s0, @26\n"
+              "  22: LoopTrip L2\n"
+              "  23: AddI s4, s4, s8 pre=1\n"
+              "  24: IncI s4, s5, s8\n"
+              "  25: Jmp @20\n"
+              "  26: LoopExit\n"
+              "  27: Ret s1\n"
+              "  28: Trap \"value is not numeric\"\n");
 }
 
 // ----------------------------------------------------------------------
@@ -754,6 +860,259 @@ TEST(VmCancellation, UncancelledTokenRunsToCompletion) {
                            options)
                   .result.as_int(),
               4999950000LL);
+}
+
+// ----------------------------------------------------------------------
+// Step-exact charging: folded charges, LoopNext and the VM's batched
+// charge state must stop a run at the same step as the tree walker, with
+// the same partial profile, for every max_steps limit and at every poll.
+// ----------------------------------------------------------------------
+
+/// What a run leaves behind: its error (empty when it completed) and its
+/// serialized, possibly partial, profile.
+struct LimitedRun {
+    std::string error;
+    std::string profile;
+};
+
+template <typename EngineT> // Interpreter or Vm
+LimitedRun run_limited(ast::Module& mod, const sema::TypeInfo& types,
+                       const std::string& fn, const std::vector<Arg>& args,
+                       InterpOptions options) {
+    std::vector<ast::Node::Id> loop_order;
+    for (const auto* loop : meta::for_loops(mod))
+        loop_order.push_back(loop->id);
+    options.profile = true;
+    EngineT engine(mod, types, options);
+    LimitedRun out;
+    try {
+        (void)engine.call(fn, args);
+    } catch (const Error& e) {
+        out.error = e.what();
+    }
+    out.profile =
+        analysis::serialize_profile_payload(engine.profile(), loop_order);
+    return out;
+}
+
+const std::string kMaxStepsError =
+    "execution exceeded max_steps (runaway loop?)";
+
+/// How a run ended once max_steps no longer cut it short.
+struct SweepEnd {
+    long long steps = -1; ///< the smallest limit it got that far under
+    std::string error;    ///< empty when it returned
+};
+
+/// For every max_steps limit from 1 up to the first one under which `fn`
+/// runs to its end (it returns, or fails with an error of its own), both
+/// engines stop with the same error and partial profile.
+SweepEnd sweep_max_steps(std::string_view src, const std::string& fn,
+                         const std::function<std::vector<Arg>()>& args,
+                         const std::string& focus = {}) {
+    auto [mod, types] = parse_and_check(std::string(src));
+    for (long long limit = 1; limit <= 100000; ++limit) {
+        InterpOptions options;
+        options.max_steps = limit;
+        options.focus_function = focus;
+        const LimitedRun tree =
+            run_limited<Interpreter>(*mod, types, fn, args(), options);
+        const LimitedRun vm = run_limited<Vm>(*mod, types, fn, args(), options);
+        EXPECT_EQ(tree.error, vm.error) << "max_steps " << limit;
+        EXPECT_EQ(tree.profile, vm.profile) << "max_steps " << limit;
+        if (tree.error != vm.error || tree.profile != vm.profile) return {};
+        if (tree.error != kMaxStepsError) return {limit, tree.error};
+    }
+    ADD_FAILURE() << "no limit up to 100000 let '" << fn << "' complete";
+    return {};
+}
+
+TEST(VmCharging, MaxStepsSweepStopsAtTheSameStepWithTheSameProfile) {
+    const char* src = R"(double kernel(double* v, int n) {
+    double acc = 0.0;
+    int last = 0;
+    for (int i = 0; i < n; i++) {
+        int k = i;
+        acc += sqrt(v[i] + 1.0) * 2.0;
+        if (acc > 4.0 && k > 1) {
+            acc = acc - 1.5;
+        }
+        last = k;
+    }
+    return acc + last;
+}
+
+double sweep(double* v, int n) {
+    double total = 0.0;
+    int j = 3;
+    for (int r = 0; r < 2; r++) {
+        total = total + kernel(v, n);
+        v[r] = total;
+    }
+    while (j > 0) {
+        j = j - 1;
+    }
+    return total;
+}
+)";
+    // The program exercises what this sweep is about, including a charge
+    // folded into a LoopNext (`last = k`).
+    const std::string listing = disasm(src);
+    for (const char* feature : {" pre=", "CallUser ", "CallBuiltin "})
+        EXPECT_NE(listing.find(feature), std::string::npos) << feature;
+    const auto loop_next = listing.find("LoopNext ");
+    ASSERT_NE(loop_next, std::string::npos) << listing;
+    EXPECT_NE(listing.substr(loop_next, listing.find('\n', loop_next) -
+                                            loop_next)
+                  .find(" pre=1"),
+              std::string::npos)
+        << listing;
+
+    const auto args = [] {
+        auto buf = std::make_shared<Buffer>(ast::Type::Double, 6, "v");
+        for (int i = 0; i < 6; ++i) buf->store(i, 0.5 * i);
+        return std::vector<Arg>{buf, Value::of_int(6)};
+    };
+    const SweepEnd end = sweep_max_steps(src, "sweep", args, "kernel");
+    EXPECT_EQ(end.error, "");
+    EXPECT_GT(end.steps, 200);
+}
+
+TEST(VmCharging, MaxStepsSweepAcrossJumpTargets) {
+    // The three programs of VmLowering.FoldsStopAtJumpTargets, on both
+    // sides of each branch.
+    const char* if_decl = R"(int f(int a) {
+    int r = 0;
+    if (a > 0) {
+        int t = a;
+    }
+    r = r + a;
+    return r;
+}
+)";
+    const char* and_merge = R"(int g(bool p, bool q, int n) {
+    bool x = p && q;
+    n = n + 1;
+    return n;
+}
+)";
+    const char* while_head = R"(int h(int n) {
+    int s = 0;
+    while (s < n) {
+        s = s + 2;
+    }
+    return s;
+}
+)";
+    for (const int a : {0, 1}) {
+        SCOPED_TRACE(a);
+        EXPECT_GT(sweep_max_steps(if_decl, "f",
+                                  [&] {
+                                      return std::vector<Arg>{
+                                          Value::of_int(a)};
+                                  })
+                      .steps,
+                  0);
+        EXPECT_GT(sweep_max_steps(and_merge, "g",
+                                  [&] {
+                                      return std::vector<Arg>{
+                                          Value::of_bool(a == 1),
+                                          Value::of_bool(true),
+                                          Value::of_int(3)};
+                                  })
+                      .steps,
+                  0);
+        EXPECT_GT(sweep_max_steps(while_head, "h",
+                                  [&] {
+                                      return std::vector<Arg>{
+                                          Value::of_int(5 * a)};
+                                  })
+                      .steps,
+                  0);
+    }
+}
+
+TEST(VmCharging, FaultsAfterFoldedChargesKeepThoseCharges) {
+    // Each fault comes right after folded charges: in its receiver (the
+    // DivI, the element load, the builtin) or just after a store, which
+    // charges after its bounds check and so takes no folds. Up to the
+    // fault, and at every limit before it, the engines agree.
+    struct Case {
+        const char* src;
+        std::vector<Arg> args;
+        const char* error;
+    };
+    const Case cases[] = {
+        {R"(int f(int a) {
+    int t = a;
+    int q = 0;
+    q = t / a;
+    return q;
+}
+)",
+         {Value::of_int(0)}, "integer division by zero"},
+        {R"(double f(int i) {
+    double b[4];
+    double s = 0.0;
+    s = b[i];
+    return s;
+}
+)",
+         {Value::of_int(9)}, "buffer 'b' index 9 out of bounds [0, 4)"},
+        {R"(double f(int i) {
+    double b[4];
+    double x = 1.0;
+    b[i] = x;
+    return b[0];
+}
+)",
+         {Value::of_int(-1)}, "buffer 'b' index -1 out of bounds [0, 4)"},
+        {R"(double f(double x) {
+    double y = x;
+    y = sqrt(x);
+    return y;
+}
+)",
+         {Value::of_double(-1.0)}, "sqrt of negative value"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.src);
+        const SweepEnd end =
+            sweep_max_steps(c.src, "f", [&] { return c.args; });
+        EXPECT_EQ(end.error, c.error);
+    }
+}
+
+TEST(VmCharging, CancellationPollsLandOnTheTreeWalkersSteps) {
+    // Each iteration charges 1 + 2 folded steps in one AddI (the two
+    // assignments' charges), so the VM's counter crosses most multiples
+    // of the poll period instead of landing on them. A cancelled token
+    // must still stop both engines at the same poll, with the same
+    // partial profile.
+    const char* src = R"(int spin(int n) {
+    int acc = 0;
+    int t = 0;
+    for (int i = 0; i < n; i++) {
+        t = i;
+        acc = acc + t;
+    }
+    return acc;
+}
+)";
+    EXPECT_NE(disasm(src).find("AddI s1, s1, s2 pre=2"), std::string::npos)
+        << disasm(src);
+    auto [mod, types] = parse_and_check(src);
+    const std::vector<Arg> args{Value::of_int(1000000)};
+    CancelToken token;
+    token.cancel();
+    CancelScope scope(&token);
+    const LimitedRun tree = run_limited<Interpreter>(*mod, types, "spin",
+                                                     args, InterpOptions{});
+    const LimitedRun vm =
+        run_limited<Vm>(*mod, types, "spin", args, InterpOptions{});
+    EXPECT_EQ(tree.error, "request cancelled");
+    EXPECT_EQ(tree.error, vm.error);
+    EXPECT_EQ(tree.profile, vm.profile);
 }
 
 // ----------------------------------------------------------------------
