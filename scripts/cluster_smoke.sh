@@ -22,46 +22,16 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 PSAFLOWD=${1:-build/tools/psaflowd}
 ROUTER=${2:-build/tools/psaflow-router}
 CLIENT=${3:-build/tools/psaflow-client}
 PSAFLOWC=${4:-build/tools/psaflowc}
 
-for bin in "$PSAFLOWD" "$ROUTER" "$CLIENT" "$PSAFLOWC"; do
-    if [ ! -x "$bin" ]; then
-        echo "binary not found at '$bin' (build it first, or pass the" \
-             "path as an argument)" >&2
-        exit 1
-    fi
-done
+require_bins "$PSAFLOWD" "$ROUTER" "$CLIENT" "$PSAFLOWC"
 
-WORK=$(mktemp -d "${TMPDIR:-/tmp}/psaflow-cluster-smoke.XXXXXX")
+smoke_workdir cluster-smoke
 ROUTER_SOCK="$WORK/router.sock"
-PID_A="" PID_B="" PID_ROUTER=""
-cleanup() {
-    for pid in "$PID_ROUTER" "$PID_A" "$PID_B"; do
-        [ -n "$pid" ] && kill -KILL "$pid" 2> /dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-# Scrape "tcp port N" from a daemon/router banner, waiting for startup.
-scrape_port() {
-    local stdout_file=$1 port=""
-    for _ in $(seq 1 100); do
-        port=$(sed -n 's/.*tcp port \([0-9][0-9]*\).*/\1/p' \
-            "$stdout_file" 2> /dev/null | head -n 1)
-        [ -n "$port" ] && break
-        sleep 0.05
-    done
-    if [ -z "$port" ]; then
-        echo "FAIL: no tcp port in $stdout_file" >&2
-        cat "$stdout_file" >&2
-        exit 1
-    fi
-    echo "$port"
-}
 
 echo "== cluster smoke via $ROUTER =="
 
@@ -84,14 +54,7 @@ PORT_B=$(scrape_port "$WORK/shard-b.stdout")
     --health-interval-ms 100 \
     > "$WORK/router.stdout" 2>&1 &
 PID_ROUTER=$!
-
-for _ in $(seq 1 100); do
-    if "$CLIENT" --socket "$ROUTER_SOCK" --ping > /dev/null 2>&1; then
-        break
-    fi
-    sleep 0.05
-done
-"$CLIENT" --socket "$ROUTER_SOCK" --ping > /dev/null
+wait_ready "$CLIENT" "$ROUTER_SOCK"
 echo "fleet up: shard a tcp:$PORT_A, shard b tcp:$PORT_B, router on" \
      "$ROUTER_SOCK"
 
@@ -161,7 +124,6 @@ if [ "$killed" != 1 ]; then
     exit 1
 fi
 wait "$PID_B" 2> /dev/null || true
-PID_B=""
 echo "shard b killed mid-run"
 
 wait "${pids[@]}" || true
@@ -242,29 +204,13 @@ echo "router ejected the killed shard; shard a served $total remote-CAS" \
 
 # Graceful drain: SIGTERM router then shard a; both exit 0, no orphan
 # socket file.
-kill -TERM "$PID_ROUTER"
-drain_status=0
-wait "$PID_ROUTER" || drain_status=$?
-PID_ROUTER=""
-if [ "$drain_status" != 0 ]; then
-    echo "FAIL: router exited $drain_status after SIGTERM" >&2
-    cat "$WORK/router.stdout" >&2
-    exit 1
-fi
+stop_cleanly "$PID_ROUTER" router "$WORK/router.stdout"
 if [ -e "$ROUTER_SOCK" ]; then
     echo "FAIL: router socket file left behind after drain" >&2
     exit 1
 fi
 
-kill -TERM "$PID_A"
-drain_status=0
-wait "$PID_A" || drain_status=$?
-PID_A=""
-if [ "$drain_status" != 0 ]; then
-    echo "FAIL: shard a exited $drain_status after SIGTERM" >&2
-    cat "$WORK/shard-a.stdout" >&2
-    exit 1
-fi
+stop_cleanly "$PID_A" "shard a" "$WORK/shard-a.stdout"
 grep -q "drained" "$WORK/shard-a.stdout" || {
     echo "FAIL: shard a did not report a drain" >&2
     cat "$WORK/shard-a.stdout" >&2

@@ -15,39 +15,22 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 PSAFLOWD=${1:-build/tools/psaflowd}
 CLIENT=${2:-build/tools/psaflow-client}
 PSAFLOWC=${3:-build/tools/psaflowc}
 
-for bin in "$PSAFLOWD" "$CLIENT" "$PSAFLOWC"; do
-    if [ ! -x "$bin" ]; then
-        echo "binary not found at '$bin' (build it first, or pass the" \
-             "path as an argument)" >&2
-        exit 1
-    fi
-done
+require_bins "$PSAFLOWD" "$CLIENT" "$PSAFLOWC"
 
-WORK=$(mktemp -d "${TMPDIR:-/tmp}/psaflow-daemon-smoke.XXXXXX")
+smoke_workdir daemon-smoke
 SOCK="$WORK/psaflowd.sock"
-DAEMON_PID=""
-cleanup() {
-    [ -n "$DAEMON_PID" ] && kill -KILL "$DAEMON_PID" 2> /dev/null || true
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 echo "== daemon smoke via $PSAFLOWD =="
 "$PSAFLOWD" --socket "$SOCK" --workers 4 --queue-depth 8 \
     --out "$WORK/served" --cache-dir "$WORK/cache" \
     > "$WORK/daemon.stdout" 2>&1 &
 DAEMON_PID=$!
-
-# Readiness: ping until the socket answers.
-for _ in $(seq 1 100); do
-    if "$CLIENT" --socket "$SOCK" --ping > /dev/null 2>&1; then break; fi
-    sleep 0.05
-done
-"$CLIENT" --socket "$SOCK" --ping > /dev/null
+wait_ready "$CLIENT" "$SOCK"
 
 # 20 concurrent clients: 16 compiles (4 apps x 4), 3 stats, 1 doomed by a
 # 1 ms deadline on the slowest app against a cold cache. Compiles retry on
@@ -130,15 +113,7 @@ done
 echo "daemon designs byte-identical to single-shot psaflowc"
 
 # Graceful drain: SIGTERM, daemon exits 0, socket file removed.
-kill -TERM "$DAEMON_PID"
-drain_status=0
-wait "$DAEMON_PID" || drain_status=$?
-DAEMON_PID=""
-if [ "$drain_status" != 0 ]; then
-    echo "FAIL: daemon exited $drain_status after SIGTERM" >&2
-    cat "$WORK/daemon.stdout" >&2
-    exit 1
-fi
+stop_cleanly "$DAEMON_PID" daemon "$WORK/daemon.stdout"
 if [ -e "$SOCK" ]; then
     echo "FAIL: socket file left behind after drain" >&2
     exit 1

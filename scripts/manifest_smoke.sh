@@ -19,31 +19,20 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 PSAFLOWC=${1:-build/tools/psaflowc}
 PSAFLOWD=${2:-build/tools/psaflowd}
 CLIENT=${3:-build/tools/psaflow-client}
 FUZZ=${4:-build/tools/psaflow-fuzz}
 
-for bin in "$PSAFLOWC" "$PSAFLOWD" "$CLIENT" "$FUZZ"; do
-    if [ ! -x "$bin" ]; then
-        echo "binary not found at '$bin' (build it first, or pass the" \
-             "path as an argument)" >&2
-        exit 1
-    fi
-done
+require_bins "$PSAFLOWC" "$PSAFLOWD" "$CLIENT" "$FUZZ"
 PSAFLOWC=$(readlink -f "$PSAFLOWC")
 PSAFLOWD=$(readlink -f "$PSAFLOWD")
 CLIENT=$(readlink -f "$CLIENT")
 FUZZ=$(readlink -f "$FUZZ")
 
-WORK=$(mktemp -d "${TMPDIR:-/tmp}/psaflow-manifest-smoke.XXXXXX")
+smoke_workdir manifest-smoke
 SOCK="$WORK/psaflowd.sock"
-DAEMON_PID=""
-cleanup() {
-    [ -n "$DAEMON_PID" ] && kill -KILL "$DAEMON_PID" 2> /dev/null || true
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
 
 echo "== manifest smoke via $PSAFLOWC =="
 
@@ -109,11 +98,7 @@ echo "invalid manifest rejected with exit 2 and a located diagnostic"
 "$PSAFLOWD" --socket "$SOCK" --workers 2 --out "$WORK/served" \
     > "$WORK/daemon.stdout" 2>&1 &
 DAEMON_PID=$!
-for _ in $(seq 1 100); do
-    if "$CLIENT" --socket "$SOCK" --ping > /dev/null 2>&1; then break; fi
-    sleep 0.05
-done
-"$CLIENT" --socket "$SOCK" --ping > /dev/null
+wait_ready "$CLIENT" "$SOCK"
 "$CLIENT" --socket "$SOCK" --app nbody --flow "$WORK/std.json" \
     --out via-flow > /dev/null
 for file in "$WORK/builtin/nbody-1/designs"/*; do
@@ -124,13 +109,7 @@ for file in "$WORK/builtin/nbody-1/designs"/*; do
         exit 1
     }
 done
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || {
-    echo "FAIL: daemon exited non-zero after SIGTERM" >&2
-    cat "$WORK/daemon.stdout" >&2
-    exit 1
-}
-DAEMON_PID=""
+stop_cleanly "$DAEMON_PID" daemon "$WORK/daemon.stdout"
 echo "daemon served the in-request flow byte-identically"
 
 # 5. Quick differential sweep of the manifest fuzzer.

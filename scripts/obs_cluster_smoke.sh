@@ -29,46 +29,17 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 PSAFLOWD=${1:-build/tools/psaflowd}
 ROUTER=${2:-build/tools/psaflow-router}
 CLIENT=${3:-build/tools/psaflow-client}
 PSAFLOWC=${4:-build/tools/psaflowc}
 OBSCHECK=${5:-build/tools/psaflow-obscheck}
 
-for bin in "$PSAFLOWD" "$ROUTER" "$CLIENT" "$PSAFLOWC" "$OBSCHECK"; do
-    if [ ! -x "$bin" ]; then
-        echo "binary not found at '$bin' (build it first, or pass the" \
-             "path as an argument)" >&2
-        exit 1
-    fi
-done
+require_bins "$PSAFLOWD" "$ROUTER" "$CLIENT" "$PSAFLOWC" "$OBSCHECK"
 
-WORK=$(mktemp -d "${TMPDIR:-/tmp}/psaflow-obs-cluster.XXXXXX")
+smoke_workdir obs-cluster
 ROUTER_SOCK="$WORK/router.sock"
-PID_HOME="" PID_1="" PID_2="" PID_ROUTER=""
-cleanup() {
-    for pid in "$PID_ROUTER" "$PID_1" "$PID_2" "$PID_HOME"; do
-        [ -n "$pid" ] && kill -KILL "$pid" 2> /dev/null || true
-    done
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
-
-scrape_port() {
-    local stdout_file=$1 port=""
-    for _ in $(seq 1 100); do
-        port=$(sed -n 's/.*tcp port \([0-9][0-9]*\).*/\1/p' \
-            "$stdout_file" 2> /dev/null | head -n 1)
-        [ -n "$port" ] && break
-        sleep 0.05
-    done
-    if [ -z "$port" ]; then
-        echo "FAIL: no tcp port in $stdout_file" >&2
-        cat "$stdout_file" >&2
-        exit 1
-    fi
-    echo "$port"
-}
 
 echo "== obs cluster smoke via $ROUTER =="
 
@@ -96,13 +67,7 @@ PORT_2=$(scrape_port "$WORK/s2.stdout")
     --shard "s1=127.0.0.1:$PORT_1" --shard "s2=127.0.0.1:$PORT_2" \
     > "$WORK/router.stdout" 2>&1 &
 PID_ROUTER=$!
-for _ in $(seq 1 100); do
-    if "$CLIENT" --socket "$ROUTER_SOCK" --ping > /dev/null 2>&1; then
-        break
-    fi
-    sleep 0.05
-done
-"$CLIENT" --socket "$ROUTER_SOCK" --ping > /dev/null
+wait_ready "$CLIENT" "$ROUTER_SOCK"
 echo "fleet up: home tcp:$PORT_HOME, s1 tcp:$PORT_1, s2 tcp:$PORT_2," \
      "router on $ROUTER_SOCK"
 
@@ -219,15 +184,7 @@ echo "flight recorder: $breaches SLO breach(es) captured on s1," \
 
 # ---- 6. clean shutdown -----------------------------------------------------
 for pid_var in PID_ROUTER PID_1 PID_2 PID_HOME; do
-    pid=${!pid_var}
-    kill -TERM "$pid"
-    status=0
-    wait "$pid" || status=$?
-    eval "$pid_var=''"
-    if [ "$status" != 0 ]; then
-        echo "FAIL: $pid_var exited $status after SIGTERM" >&2
-        exit 1
-    fi
+    stop_cleanly "${!pid_var}" "$pid_var"
 done
 
 echo "obs cluster smoke passed: rooted cross-process trace, byte-" \

@@ -19,26 +19,15 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 PSAFLOWC=${1:-build/tools/psaflowc}
 OBSCHECK=${2:-build/tools/psaflow-obscheck}
 PSAFLOWD=${3:-build/tools/psaflowd}
 CLIENT=${4:-build/tools/psaflow-client}
 
-for bin in "$PSAFLOWC" "$OBSCHECK" "$PSAFLOWD" "$CLIENT"; do
-    if [ ! -x "$bin" ]; then
-        echo "binary not found at '$bin' (build it first, or pass the" \
-             "path as an argument)" >&2
-        exit 1
-    fi
-done
+require_bins "$PSAFLOWC" "$OBSCHECK" "$PSAFLOWD" "$CLIENT"
 
-WORK=$(mktemp -d "${TMPDIR:-/tmp}/psaflow-obs-smoke.XXXXXX")
-DAEMON_PID=""
-cleanup() {
-    [ -n "$DAEMON_PID" ] && kill -KILL "$DAEMON_PID" 2> /dev/null || true
-    rm -rf "$WORK"
-}
-trap cleanup EXIT
+smoke_workdir obs-smoke
 
 APP=nbody
 echo "== obs smoke: $APP via $PSAFLOWC =="
@@ -87,10 +76,7 @@ SOCK="$WORK/psaflowd.sock"
 "$PSAFLOWD" --socket "$SOCK" --workers 2 --out "$WORK/served" \
     --cache-dir "$WORK/cache" > "$WORK/daemon.stdout" 2>&1 &
 DAEMON_PID=$!
-for _ in $(seq 1 100); do
-    if "$CLIENT" --socket "$SOCK" --ping > /dev/null 2>&1; then break; fi
-    sleep 0.05
-done
+wait_ready "$CLIENT" "$SOCK"
 "$CLIENT" --socket "$SOCK" --app adpredictor --out req > /dev/null
 
 "$CLIENT" --socket "$SOCK" --metrics > "$WORK/scrape.prom"
@@ -118,15 +104,7 @@ grep -q 'daemon listening' "$WORK/logs.txt" || {
 }
 echo "daemon served Prometheus metrics and the log ring over the socket"
 
-kill -TERM "$DAEMON_PID"
-drain_status=0
-wait "$DAEMON_PID" || drain_status=$?
-DAEMON_PID=""
-if [ "$drain_status" != 0 ]; then
-    echo "FAIL: daemon exited $drain_status after SIGTERM" >&2
-    cat "$WORK/daemon.stdout" >&2
-    exit 1
-fi
+stop_cleanly "$DAEMON_PID" daemon "$WORK/daemon.stdout"
 
 echo "obs smoke passed: rooted span trees, valid explain reports," \
      "zero-cost-off byte-identity and a live metrics scrape"

@@ -56,7 +56,7 @@ KernelCharacterization characterize_kernel(Module& module,
            "characterize_kernel: no function '" + kernel + "' in module");
 
     // Both runs go through the profile cache: a real interpreter run shows
-    // up as a nested engine-tagged "run_function:" span, a hit does not.
+    // up as a nested "run_function:" span (interp:vm), a hit does not.
     trace::ScopedSpan span("characterize:" + kernel, "analysis");
 
     auto profile_at = [&](double scale) {

@@ -15,7 +15,7 @@ HotspotReport detect_hotspots(Module& module, const sema::TypeInfo& types,
                               const Workload& workload) {
     interp::InterpOptions opt;
     opt.profile = true;
-    // A real interpreter run (cache miss) nests its own engine-tagged
+    // A real interpreter run (cache miss) nests its own "interp:vm"
     // "run_function:" span under this one; a hit does not.
     trace::ScopedSpan span("detect_hotspots:" + workload.entry, "analysis");
     const interp::ExecutionProfile profile = ProfileCache::global().run(

@@ -29,16 +29,13 @@ void hash_double(std::uint64_t& h, double v) {
 }
 
 /// The interpreter run behind a miss (or a disabled cache), in its own
-/// engine-tagged span so a trace tells a real run from a cache hit.
+/// "interp:vm" span so a trace tells a real run from a cache hit.
 interp::RunResult profiled_run(const ast::Module& module,
                                const sema::TypeInfo& types,
                                const std::string& entry,
                                const std::vector<interp::Arg>& args,
                                const interp::InterpOptions& options) {
-    trace::ScopedSpan span(
-        "run_function:" + entry,
-        interp::engine_category(
-            options.engine.value_or(interp::default_engine())));
+    trace::ScopedSpan span("run_function:" + entry, "interp:vm");
     auto result = interp::run_function(module, types, entry, args, options);
     span.set_work_units(result.profile.total_cost);
     return result;

@@ -27,8 +27,8 @@
 // text guarantees the same loop structure and order).
 //
 // A miss (or a disabled cache) runs the interpreter inside its own
-// "run_function:<entry>" span, tagged with interp::engine_category, so in a
-// trace only real runs carry an "interp:*" category.
+// "run_function:<entry>" span in category "interp:vm", so in a trace only
+// real runs carry an "interp:*" category.
 //
 // When the process-wide content-addressed store (support/cas) is
 // configured — via --cache-dir or PSAFLOW_CACHE_DIR — profiles also

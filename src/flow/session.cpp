@@ -3,9 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "interp/interpreter.hpp"
 #include "support/cas/cas.hpp"
-#include "support/error.hpp"
 #include "support/trace.hpp"
 
 namespace psaflow::flow {
@@ -14,13 +12,6 @@ FlowSession::FlowSession(SessionOptions options)
     : options_(std::move(options)) {
     if (!options_.cache_dir.empty())
         cas::configure(options_.cache_dir, options_.cache_max_bytes);
-    if (!options_.interp.empty()) {
-        const auto engine = interp::parse_engine(options_.interp);
-        ensure(engine.has_value(),
-               "SessionOptions.interp must be 'tree' or 'vm', got '" +
-                   options_.interp + "'");
-        interp::set_default_engine(*engine);
-    }
     if (!options_.flow_manifest.empty())
         manifest_.emplace(load_manifest(options_.flow_manifest));
 }

@@ -30,11 +30,10 @@ namespace psaflow::flow {
 //                                                                concurrency
 //   cache store : SessionOptions.cache_dir > PSAFLOW_CACHE_DIR > disabled
 //                 (cap: cache_max_bytes > PSAFLOW_CACHE_MAX_MB > built-in)
-//   interpreter : SessionOptions.interp    > PSAFLOW_INTERP    > "vm"
 //
-// A non-empty option (re)configures the process-wide state eagerly in the
-// FlowSession constructor, so later sessions in the same process inherit
-// it unless they override it themselves.
+// A non-empty cache_dir (re)configures the process-wide store eagerly in
+// the FlowSession constructor, so later sessions in the same process
+// inherit it unless they override it themselves.
 struct SessionOptions {
     /// Worker threads for independent branch paths; 0 picks the process
     /// default (PSAFLOW_JOBS or hardware concurrency). Any setting yields
@@ -49,12 +48,6 @@ struct SessionOptions {
     /// Size cap for the store in bytes; 0 keeps the PSAFLOW_CACHE_MAX_MB /
     /// built-in default. Only consulted when `cache_dir` is set.
     std::uint64_t cache_max_bytes = 0;
-
-    /// Interpreter engine for the dynamic analyses: "tree" or "vm". Empty
-    /// keeps the process-wide default (PSAFLOW_INTERP, else vm). Either
-    /// engine yields a byte-identical FlowResult — and the same profile
-    /// cache keys, so switching engines never cold-starts a warm store.
-    std::string interp;
 
     /// Flow manifest naming the session's default flow: text starting with
     /// '{' is an inline JSON document, anything else a file path (see

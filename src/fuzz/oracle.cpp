@@ -242,7 +242,7 @@ EngineCapture capture_engine_run(const ast::Module& module,
     auto args = workload.make_args(1.0);
     interp::InterpOptions io;
     io.focus_function = focus;
-    io.engine = engine; // explicit: never let the process default decide
+    io.engine = engine;
     try {
         // Direct run_function — deliberately not the ProfileCache, which
         // would serve one engine's profile to the other and mask bugs.

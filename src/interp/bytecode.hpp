@@ -2,8 +2,8 @@
 //
 // The tree walker in interpreter.cpp pays virtual dispatch, a per-variable
 // hash lookup and a Value box for every node it touches; on a cold compile
-// that constant factor dominates the whole flow (BENCH_5: 26-79x cold vs
-// warm). This compiler lowers a checked HLC module once into a compact
+// that constant factor dominated the whole flow (26-79x cold vs warm before
+// the VM). This compiler lowers a checked HLC module once into a compact
 // register-based instruction stream whose dispatch loop (vm.hpp) performs
 // the *same sequence of charges in the same order* as the tree walker —
 // profiling hooks (loop trip counters, work estimates, memory footprints,

@@ -1,7 +1,6 @@
 #include "interp/interpreter.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "interp/vm.hpp"
@@ -608,60 +607,14 @@ Value Interpreter::call(const std::string& name, const std::vector<Arg>& args) {
 
 const ExecutionProfile& Interpreter::profile() const { return impl_->prof; }
 
-// ---- engine selection ------------------------------------------------
-
-const char* to_string(Engine engine) {
-    return engine == Engine::Tree ? "tree" : "vm";
-}
-
-std::optional<Engine> parse_engine(std::string_view name) {
-    if (name == "tree") return Engine::Tree;
-    if (name == "vm") return Engine::Vm;
-    return std::nullopt;
-}
-
-const char* engine_category(Engine engine) {
-    return engine == Engine::Tree ? "interp:tree" : "interp:vm";
-}
-
-namespace {
-
-// -1 = unresolved; otherwise an Engine value. One process-wide slot: the
-// env var is read once, and --interp overrides it before any run.
-std::atomic<int> g_default_engine{-1};
-
-Engine engine_from_env() {
-    if (const char* env = std::getenv("PSAFLOW_INTERP")) {
-        if (const auto parsed = parse_engine(env)) return *parsed;
-    }
-    return Engine::Vm;
-}
-
-} // namespace
-
-Engine default_engine() {
-    int v = g_default_engine.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = static_cast<int>(engine_from_env());
-        g_default_engine.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<Engine>(v);
-}
-
-void set_default_engine(Engine engine) {
-    g_default_engine.store(static_cast<int>(engine),
-                           std::memory_order_relaxed);
-}
-
 RunResult run_function(const ast::Module& module, const sema::TypeInfo& types,
                        const std::string& fn, const std::vector<Arg>& args,
                        InterpOptions options) {
     options.profile = true;
-    const Engine engine = options.engine.value_or(default_engine());
 
     // Both branches run the identical charge sequence; which one executed
-    // is observable only through speed and the engine-tagged trace spans.
-    if (engine == Engine::Vm) {
+    // is observable only through speed.
+    if (options.engine == Engine::Vm) {
         Vm machine(module, types, options);
         Value result = machine.call(fn, args);
         trace::Registry::current().count("interp.runs", 1);

@@ -7,9 +7,7 @@
 // timers do not have.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -25,36 +23,21 @@ using Arg = std::variant<Value, BufferPtr>;
 
 /// Which execution engine runs HLC code. Both are observationally
 /// identical (bit-equal results, profiles and error strings — enforced by
-/// tests/test_vm.cpp and the `interp:vm` fuzz oracle); the bytecode VM is
-/// simply faster on cold paths, so it is the default.
+/// tests/test_vm.cpp and the `interp:vm` fuzz oracle). The bytecode VM is
+/// the production engine; the tree walker is the reference it is tested
+/// against.
 enum class Engine {
     Tree, ///< AST-walking Interpreter (the reference implementation)
     Vm,   ///< bytecode compiler + register VM (vm.hpp)
 };
 
-[[nodiscard]] const char* to_string(Engine engine);
-
-/// Parse "tree" / "vm"; nullopt for anything else.
-[[nodiscard]] std::optional<Engine> parse_engine(std::string_view name);
-
-/// Trace-span category for runs under `engine`: "interp:tree" or
-/// "interp:vm", so BENCH and --explain can attribute cold time.
-[[nodiscard]] const char* engine_category(Engine engine);
-
-/// Process-wide default engine. Resolved once from the PSAFLOW_INTERP
-/// environment variable ("tree" or "vm"; unset or unrecognized means Vm);
-/// set_default_engine (the tools' --interp flag) overrides it.
-[[nodiscard]] Engine default_engine();
-void set_default_engine(Engine engine);
-
 struct InterpOptions {
     bool profile = false;            ///< collect ExecutionProfile
     std::string focus_function;      ///< function whose calls are summarised
     long long max_steps = 500'000'000; ///< abort runaway programs
-    /// Engine override for this run; nullopt uses default_engine().
-    /// NOTE: the profile cache key deliberately excludes this — both
-    /// engines produce identical profiles, so warm hits stay shared.
-    std::optional<Engine> engine;
+    /// Engine for this run. NOTE: the profile cache key deliberately
+    /// excludes this — both engines produce identical profiles.
+    Engine engine = Engine::Vm;
 };
 
 class Interpreter {

@@ -4,8 +4,9 @@
 // shape, same call/profile interface, same cooperative cancellation (the
 // dispatch loop polls the ambient CancelToken on exactly the tree walker's
 // step cadence) and — by construction of the lowering in bytecode.hpp —
-// bit-identical results, profiles and error strings. Engine selection
-// lives in interpreter.hpp (`Engine`, `--interp`, PSAFLOW_INTERP).
+// bit-identical results, profiles and error strings. It is the production
+// engine; `InterpOptions::engine` (interpreter.hpp) selects the tree
+// walker only where tests compare the two.
 #pragma once
 
 #include <memory>

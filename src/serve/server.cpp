@@ -311,7 +311,6 @@ void Daemon::serve_connection(net::Fd conn) {
 void Daemon::worker_loop(std::size_t worker_index) {
     flow::SessionOptions session_options;
     session_options.jobs = options_.session_jobs;
-    session_options.interp = options_.interp;
     flow::FlowSession session(session_options);
     while (true) {
         auto popped = queue_.pop(worker_index);
@@ -359,10 +358,9 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
 
     if (job.request.type == RequestType::Sleep) {
         // Anchored at execution start, not receipt: the sleep models
-        // *service time* (a worker held for the full duration), so
-        // loadgen's io-bound mode measures worker occupancy even when the
-        // queue is saturated. Deadlines still count queue time — the
-        // token was armed at receipt.
+        // *service time* (a worker held for the full duration), so it
+        // occupies a worker even when the queue is saturated. Deadlines
+        // still count queue time — the token was armed at receipt.
         const auto until = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(job.request.sleep_ms);
         bool cancelled = false;

@@ -56,7 +56,6 @@ struct DaemonOptions {
     long long recv_timeout_ms = 5000;   ///< cap on mid-frame peer stalls
     std::string out_root = "designs";   ///< root for relative/absent "out"
     int session_jobs = 1;               ///< engine jobs per worker session
-    std::string interp;                 ///< "tree"|"vm" ("" = env/default)
     std::string cache_dir;              ///< CAS root ("" = env/default)
     std::uint64_t cache_max_bytes = 0;
     bool enable_test_endpoints = false; ///< allow the "sleep" request type

@@ -444,7 +444,9 @@ std::uint64_t env_max_bytes() {
     if (const char* env = std::getenv("PSAFLOW_CACHE_MAX_MB")) {
         char* end = nullptr;
         const unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && mb > 0) return mb << 20;
+        if (end != env && *end == '\0' && mb > 0 &&
+            mb <= static_cast<unsigned long long>(kMaxCacheMb))
+            return mb << 20;
     }
     return CasStore::kDefaultMaxBytes;
 }

@@ -220,10 +220,15 @@ private:
     CasStats stats_;
 };
 
+/// Largest accepted size cap in MiB (--cache-max-mb, PSAFLOW_CACHE_MAX_MB):
+/// the largest count whose byte total still fits in 64 bits.
+inline constexpr long long kMaxCacheMb = (1LL << 44) - 1;
+
 /// The process-wide store, or nullptr when disk caching is disabled. On
 /// first use, initialises itself from the PSAFLOW_CACHE_DIR (root) and
-/// PSAFLOW_CACHE_MAX_MB (size cap) environment variables; without
-/// PSAFLOW_CACHE_DIR the store stays disabled until `configure()`.
+/// PSAFLOW_CACHE_MAX_MB (size cap; a value outside 1..kMaxCacheMb keeps
+/// the built-in cap) environment variables; without PSAFLOW_CACHE_DIR the
+/// store stays disabled until `configure()`.
 [[nodiscard]] CasStore* store();
 
 /// (Re)configure the process-wide store: empty `dir` disables disk

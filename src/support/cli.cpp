@@ -4,6 +4,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "support/cas/cas.hpp"
 #include "support/string_util.hpp"
 
 namespace psaflow::cli {
@@ -150,31 +151,6 @@ std::string OptionParser::usage() const {
     return std::move(os).str();
 }
 
-void OptionParser::choice(const std::string& name,
-                          const std::string& value_name,
-                          const std::string& help, std::string* out,
-                          std::vector<std::string> allowed) {
-    Option opt;
-    opt.name = name;
-    opt.value_name = value_name;
-    opt.help = help;
-    opt.apply = [name, out, allowed = std::move(allowed)](
-                    const char* raw) -> std::optional<std::string> {
-        if (std::find(allowed.begin(), allowed.end(), raw) ==
-            allowed.end()) {
-            std::string joined;
-            for (const std::string& a : allowed) {
-                if (!joined.empty()) joined += "|";
-                joined += a;
-            }
-            return name + " must be one of: " + joined;
-        }
-        *out = raw;
-        return std::nullopt;
-    };
-    options_.push_back(std::move(opt));
-}
-
 void add_flow_flags(OptionParser& parser, FlowFlags& flags) {
     parser.integer("--jobs", "<n>",
                    "worker threads for branch paths (0 = PSAFLOW_JOBS / "
@@ -189,11 +165,7 @@ void add_flow_flags(OptionParser& parser, FlowFlags& flags) {
     parser.integer("--cache-max-mb", "<mb>",
                    "disk cache size cap in MiB (0 = PSAFLOW_CACHE_MAX_MB / "
                    "256)",
-                   &flags.cache_max_mb, /*min=*/0);
-    parser.choice("--interp", "<engine>",
-                  "interpreter engine: tree|vm (default: PSAFLOW_INTERP, "
-                  "else vm)",
-                  &flags.interp, {"tree", "vm"});
+                   &flags.cache_max_mb, /*min=*/0, cas::kMaxCacheMb);
 }
 
 } // namespace psaflow::cli

@@ -53,12 +53,6 @@ public:
     void multi(const std::string& name, const std::string& value_name,
                const std::string& help, std::vector<std::string>* out);
 
-    /// Enumerated string option; values outside `allowed` report
-    /// "--name must be one of: a|b".
-    void choice(const std::string& name, const std::string& value_name,
-                const std::string& help, std::string* out,
-                std::vector<std::string> allowed);
-
     /// Parse the whole argv. On any error (or --help), prints to stderr
     /// and returns false; the caller is expected to exit with status 2.
     [[nodiscard]] bool parse(int argc, char** argv);
@@ -85,14 +79,13 @@ private:
 
 /// The flow-running flags every driver shares. `add_flow_flags` registers
 /// them with identical names, validation and help text in each tool, so
-/// `--jobs/--trace-out/--cache-dir/--cache-max-mb/--interp` mean the same
-/// thing everywhere.
+/// `--jobs/--trace-out/--cache-dir/--cache-max-mb` mean the same thing
+/// everywhere.
 struct FlowFlags {
     long long jobs = 0;        ///< 0 = PSAFLOW_JOBS / hardware concurrency
     std::string trace_out;     ///< trace registry JSON dump path
     std::string cache_dir;     ///< disk cache root ("" = PSAFLOW_CACHE_DIR)
     long long cache_max_mb = 0; ///< disk cache size cap (0 = env / default)
-    std::string interp;        ///< "tree"|"vm" ("" = PSAFLOW_INTERP / vm)
 };
 
 void add_flow_flags(OptionParser& parser, FlowFlags& flags);

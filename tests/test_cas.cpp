@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -364,6 +365,24 @@ TEST(CasStore, ConfigureGlobalStore) {
 
     cas::configure(""); // disable again so later tests see no disk cache
     EXPECT_EQ(cas::store(), nullptr);
+}
+
+TEST(CasStore, EnvCapAboveBoundKeepsDefault) {
+    // 2^44 + 1 MiB overflows 64 bits as bytes; the cap must not wrap to
+    // 1 MiB but fall back to the default like any other invalid value.
+    TempRoot root("env-cap");
+    ::setenv("PSAFLOW_CACHE_MAX_MB", "17592186044417", 1);
+    cas::configure(root.path.string());
+    ASSERT_NE(cas::store(), nullptr);
+    EXPECT_EQ(cas::store()->max_bytes(), cas::CasStore::kDefaultMaxBytes);
+
+    ::setenv("PSAFLOW_CACHE_MAX_MB", "17592186044415", 1); // the bound
+    cas::configure(root.path.string());
+    EXPECT_EQ(cas::store()->max_bytes(),
+              static_cast<std::uint64_t>(cas::kMaxCacheMb) << 20);
+
+    ::unsetenv("PSAFLOW_CACHE_MAX_MB");
+    cas::configure("");
 }
 
 // -------------------------------------------------- profile payload codec --

@@ -59,6 +59,15 @@ TEST(Cli, NegativeJobsValue) {
     EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
 }
 
+TEST(Cli, CacheMaxMbAboveBound) {
+    // 2^44 + 1 MiB would wrap to a 1 MiB cap once shifted into bytes.
+    const CliResult r = run_cli("--app kmeans --cache-max-mb 17592186044417");
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("--cache-max-mb must be <= 17592186044415"),
+              std::string::npos)
+        << r.output;
+}
+
 TEST(Cli, MalformedBudgetValue) {
     expect_usage_error("--app nbody --budget nope");
 }

@@ -12,9 +12,6 @@
 // that hotspot extraction accepts, and every spec parameter is fixed below.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "apps/apps.hpp"
@@ -27,45 +24,18 @@
 #include "platform/devices.hpp"
 #include "sema/type_check.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 #include "transform/extract.hpp"
 
 namespace {
 
 using namespace psaflow;
 
-std::string golden_path(const std::string& app, const std::string& emitter) {
-    return std::string(PSAFLOW_GOLDEN_DIR) + "/" + app + "-" + emitter +
-           ".golden";
-}
-
-std::string read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-bool update_mode() {
-    const char* env = std::getenv("PSAFLOW_UPDATE_GOLDEN");
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
-}
-
 void check_golden(const std::string& app, const std::string& emitter,
                   const std::string& got) {
-    const std::string path = golden_path(app, emitter);
-    if (update_mode()) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << got;
-        return;
-    }
-    const std::string want = read_file(path);
-    ASSERT_FALSE(want.empty())
-        << path << " missing; regenerate with PSAFLOW_UPDATE_GOLDEN=1";
-    EXPECT_EQ(want, got)
-        << emitter << " output changed for " << app
-        << "; if intended, refresh with PSAFLOW_UPDATE_GOLDEN=1 and review "
-           "the diff";
+    psaflow::testing::expect_golden(
+        std::string(PSAFLOW_GOLDEN_DIR) + "/" + app + "-" + emitter + ".golden",
+        got);
 }
 
 /// Parse the app and extract its first extractable loop into `<app>_hot`.

@@ -32,6 +32,10 @@ namespace {
 using namespace psaflow::interp;
 using psaflow::testing::parse_and_check;
 
+const char* to_string(Engine engine) {
+    return engine == Engine::Tree ? "tree" : "vm";
+}
+
 std::string disasm(std::string_view src) {
     auto [mod, types] = parse_and_check(std::string(src));
     return bc::disassemble(bc::compile(*mod, types));
@@ -1196,10 +1200,18 @@ TEST(VmApps, ProfilesMatchTreeWalkerOnAllFiveApps) {
 }
 
 // ----------------------------------------------------------------------
-// Flow-level byte-identity: the full design flow run under each engine
-// (and at jobs=1 vs jobs=3) produces identical designs, logs and
-// predictions. This is the end-to-end form of the acceptance criterion;
-// the per-interpreter checks above localise any failure.
+// Flow-level byte-identity: the full design flow (designs, logs and
+// predictions) for two apps in both modes, at jobs=1 and jobs=3, must equal
+// snapshots recorded under the tree walker (the flow has no engine switch,
+// so the snapshot is the tree-walker side of the comparison). This is the
+// end-to-end form of the engine-agreement criterion; the per-run checks
+// above localise any failure. After a deliberate flow change, refresh with
+//
+//   PSAFLOW_UPDATE_GOLDEN=1 ./build/tests/test_vm --gtest_filter='VmFlow.*'
+//   git diff tests/golden/   # review the flow diff, then commit it
+//
+// A refresh records the VM's output, so land it only with the run-level
+// tree-vs-VM checks above passing.
 // ----------------------------------------------------------------------
 
 std::string flow_summary(const flow::FlowResult& result) {
@@ -1217,34 +1229,35 @@ std::string flow_summary(const flow::FlowResult& result) {
     return os.str();
 }
 
-TEST(VmFlow, DesignsAreByteIdenticalAcrossEnginesAndJobs) {
-    const Engine restore = default_engine();
-    std::vector<std::string> summaries;
-    for (const Engine engine : {Engine::Tree, Engine::Vm}) {
-        set_default_engine(engine);
+// Runs `app`'s flow in both modes through the VM at jobs=1 and jobs=3 and
+// checks each against its tree-walker snapshot.
+void expect_flow_matches_tree_walker(const apps::Application& app) {
+    for (const flow::Mode mode :
+         {flow::Mode::Informed, flow::Mode::Uninformed}) {
+        const std::string name =
+            "flow-" + app.name + "-" +
+            (mode == flow::Mode::Informed ? "informed" : "uninformed");
+        std::vector<std::string> summaries;
         for (const int jobs : {1, 3}) {
             RunOptions options;
+            options.mode = mode;
             options.jobs = jobs;
-            summaries.push_back(
-                flow_summary(psaflow::compile(apps::kmeans(), options)));
+            summaries.push_back(flow_summary(psaflow::compile(app, options)));
         }
+        EXPECT_FALSE(summaries[0].empty()) << name;
+        EXPECT_EQ(summaries[0], summaries[1]) << name << " at jobs=3";
+        psaflow::testing::expect_golden(
+            std::string(PSAFLOW_GOLDEN_DIR) + "/" + name + ".golden",
+            summaries[0]);
     }
-    set_default_engine(restore);
-    ASSERT_EQ(summaries.size(), 4u);
-    EXPECT_FALSE(summaries[0].empty());
-    for (std::size_t i = 1; i < summaries.size(); ++i)
-        EXPECT_EQ(summaries[0], summaries[i]) << "variant " << i;
+}
+
+TEST(VmFlow, DesignsAreByteIdenticalAcrossEnginesAndJobs) {
+    expect_flow_matches_tree_walker(apps::kmeans());
 }
 
 TEST(VmFlow, SecondAppAgreesAcrossEngines) {
-    const Engine restore = default_engine();
-    set_default_engine(Engine::Tree);
-    const auto tree = flow_summary(psaflow::compile(apps::bezier(), {}));
-    set_default_engine(Engine::Vm);
-    const auto vm = flow_summary(psaflow::compile(apps::bezier(), {}));
-    set_default_engine(restore);
-    EXPECT_FALSE(tree.empty());
-    EXPECT_EQ(tree, vm);
+    expect_flow_matches_tree_walker(apps::bezier());
 }
 
 } // namespace

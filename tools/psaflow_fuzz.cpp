@@ -26,7 +26,6 @@
 #include "fuzz/manifest_fuzz.hpp"
 #include "fuzz/oracle.hpp"
 #include "fuzz/shrink.hpp"
-#include "interp/interpreter.hpp"
 #include "support/cli.hpp"
 
 using namespace psaflow;
@@ -53,7 +52,6 @@ int main(int argc, char** argv) {
     bool check_cache = false;
     bool check_vm = false;
     bool check_manifest = false;
-    std::string interp_engine;
     std::string cache_dir;
     bool no_transforms = false;
     bool no_codegen = false;
@@ -96,10 +94,6 @@ int main(int argc, char** argv) {
                 "manifest mode: random valid flow manifests checked "
                 "against programmatic flows",
                 &check_manifest);
-    parser.choice("--interp", "<engine>",
-                  "engine for the single-engine oracles: tree|vm "
-                  "(default: PSAFLOW_INTERP, else vm)",
-                  &interp_engine, {"tree", "vm"});
     parser.str("--cache-dir", "<dir>",
                "store root for --check-cache (default: fresh temp dir)",
                &cache_dir);
@@ -110,8 +104,6 @@ int main(int argc, char** argv) {
     parser.flag("--no-roundtrip", "skip the round-trip oracle",
                 &no_roundtrip);
     if (!parser.parse(argc, argv)) return 2;
-    if (!interp_engine.empty())
-        interp::set_default_engine(*interp::parse_engine(interp_engine));
 
     fuzz::OracleOptions oracle_options;
     oracle_options.problem_size = static_cast<int>(problem_size);

@@ -133,29 +133,25 @@ bool load_manifest(const std::string& path,
     return true;
 }
 
-int run_batch(const std::string& manifest_path, const cli::FlowFlags& flags,
-              std::string out_dir, bool out_dir_given) {
+/// `session_options` holds the CLI flags, which override the manifest's
+/// session settings.
+int run_batch(const std::string& manifest_path,
+              flow::SessionOptions session_options, std::string out_dir,
+              bool out_dir_given) {
     serve::ManifestDefaults defaults;
     if (out_dir_given) defaults.out_root = out_dir;
     std::vector<serve::CompileRequest> requests;
     if (!load_manifest(manifest_path, defaults, requests)) return 2;
-    // CLI flags override the manifest's session settings.
-    long long jobs = defaults.jobs;
-    std::string cache_dir = defaults.cache_dir;
-    if (flags.jobs > 0) jobs = flags.jobs;
-    if (!flags.cache_dir.empty()) cache_dir = flags.cache_dir;
+    if (session_options.jobs == 0)
+        session_options.jobs = static_cast<int>(defaults.jobs);
+    if (session_options.cache_dir.empty())
+        session_options.cache_dir = defaults.cache_dir;
     if (requests.empty()) {
         std::cerr << "batch manifest '" << manifest_path
                   << "': no requests\n";
         return 2;
     }
 
-    flow::SessionOptions session_options;
-    session_options.jobs = static_cast<int>(jobs);
-    session_options.cache_dir = cache_dir;
-    session_options.cache_max_bytes =
-        static_cast<std::uint64_t>(flags.cache_max_mb) << 20;
-    session_options.interp = flags.interp;
     flow::FlowSession session(session_options);
 
     std::cout << "running " << requests.size()
@@ -215,7 +211,7 @@ int main(int argc, char** argv) {
          "      [--deadline-ms <n>] [--jobs <n>] [--trace-out <file.json>]\n"
          "      [--trace-format json|chrome] [--metrics-out <file>]\n"
          "      [--explain <file.json>] [--explain-md <file.md>]\n"
-         "      [--cache-dir <dir>] [--cache-max-mb <n>] [--interp tree|vm]\n"
+         "      [--cache-dir <dir>] [--cache-max-mb <n>]\n"
          "      [--flow <manifest.json>]",
          "--batch <manifest.json> [--out <dir>] [--jobs <n>] "
          "[--cache-dir <dir>]",
@@ -256,6 +252,11 @@ int main(int argc, char** argv) {
     cli::add_flow_flags(parser, flow_flags);
 
     if (!parser.parse(argc, argv)) return 2;
+    flow::SessionOptions session_options;
+    session_options.jobs = static_cast<int>(flow_flags.jobs);
+    session_options.cache_dir = flow_flags.cache_dir;
+    session_options.cache_max_bytes =
+        static_cast<std::uint64_t>(flow_flags.cache_max_mb) << 20;
     if (trace_format != "json" && trace_format != "chrome") {
         std::cerr << "--trace-format must be 'json' or 'chrome'\n";
         return 2;
@@ -299,10 +300,9 @@ int main(int argc, char** argv) {
     }
 
     if (cache_clear) {
-        if (!flow_flags.cache_dir.empty())
-            cas::configure(flow_flags.cache_dir,
-                           static_cast<std::uint64_t>(flow_flags.cache_max_mb)
-                               << 20);
+        if (!session_options.cache_dir.empty())
+            cas::configure(session_options.cache_dir,
+                           session_options.cache_max_bytes);
         if (cas::CasStore* store = cas::store()) {
             store->clear();
             std::cout << "cleared cache at " << store->root().string()
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
 
     int status = 0;
     if (!batch_manifest.empty()) {
-        status = run_batch(batch_manifest, flow_flags, out_dir,
+        status = run_batch(batch_manifest, session_options, out_dir,
                            /*out_dir_given=*/out_dir != "designs");
         if (status == 2) {
             std::cerr << parser.usage();
@@ -370,12 +370,6 @@ int main(int argc, char** argv) {
             req.flow_json = json::dump(*doc);
         }
 
-        flow::SessionOptions session_options;
-        session_options.jobs = static_cast<int>(flow_flags.jobs);
-        session_options.cache_dir = flow_flags.cache_dir;
-        session_options.cache_max_bytes =
-            static_cast<std::uint64_t>(flow_flags.cache_max_mb) << 20;
-        session_options.interp = flow_flags.interp;
         flow::FlowSession session(session_options);
 
         std::cout << "running the " << mode << " PSA-flow on '" << app_name

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
          "      [--cas-upstream <endpoint>] [--workers <n>] "
          "[--queue-depth <n>]\n"
          "      [--deadline-ms <n>] [--recv-timeout-ms <n>] [--out <dir>]\n"
-         "      [--jobs <n>] [--interp tree|vm] [--cache-dir <dir>]\n"
-         "      [--cache-max-mb <n>] [--slo-ms <n>]"});
+         "      [--jobs <n>] [--cache-dir <dir>] [--cache-max-mb <n>]\n"
+         "      [--slo-ms <n>]"});
     parser.str("--socket", "<path>", "Unix-domain socket to listen on",
                &options.socket_path);
     parser.str("--listen", "<host:port>",
@@ -91,16 +91,12 @@ int main(int argc, char** argv) {
     parser.integer("--jobs", "<n>",
                    "engine jobs per worker session (default 1)",
                    &session_jobs, /*min=*/1);
-    parser.choice("--interp", "<engine>",
-                  "interpreter engine: tree|vm (default: PSAFLOW_INTERP, "
-                  "else vm)",
-                  &options.interp, {"tree", "vm"});
     parser.str("--cache-dir", "<dir>",
                "persistent cache root (default PSAFLOW_CACHE_DIR)",
                &options.cache_dir);
     parser.integer("--cache-max-mb", "<n>",
                    "persistent cache size cap (0 = env / default)",
-                   &cache_max_mb, /*min=*/0);
+                   &cache_max_mb, /*min=*/0, cas::kMaxCacheMb);
     parser.integer("--slo-ms", "<n>",
                    "latency SLO for the flight recorder; slower requests "
                    "log a breach (0 = PSAFLOW_SLO_MS / off)",
