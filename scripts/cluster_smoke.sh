@@ -12,7 +12,9 @@
 #      retries the survivor inside the same request — zero corrupt or
 #      lost responses),
 #   4. require routed designs to be byte-identical to single-shot
-#      psaflowc, require the router to have marked shard b unhealthy and
+#      psaflowc, require the router to have marked shard b unhealthy,
+#      to export a compile-spill counter for each shard (a frozen shard b
+#      sits at its load bound, so new compiles it owns spill to a), and
 #      shard a to have received remote-CAS traffic from shard b,
 #   5. SIGTERM the router and the surviving shard and require clean
 #      drains: exit status 0, no orphan socket files.
@@ -184,6 +186,20 @@ grep -q 'psaflow_router_shard_healthy{shard="a"} 1' "$WORK/router.metrics" || {
     echo "FAIL: router lost shard a" >&2
     exit 1
 }
+# Bounded-load routing exports one spill counter per shard.
+spills=""
+for shard in a b; do
+    series="psaflow_router_shard_spills_total{shard=\"$shard\"}"
+    value=$(sed -n "s/^$series \([0-9]*\)$/\1/p" "$WORK/router.metrics")
+    if [ -z "$value" ]; then
+        echo "FAIL: no psaflow_router_shard_spills_total series for" \
+             "shard $shard" >&2
+        grep psaflow_router_shard "$WORK/router.metrics" >&2 || true
+        exit 1
+    fi
+    spills="$spills $shard=$value"
+done
+echo "compile spills past a shard's load bound:$spills"
 
 # ...and shard a must have served remote-CAS traffic for shard b (b's
 # --cas-upstream makes its disk tier a read-through over the wire).

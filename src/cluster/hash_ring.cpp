@@ -1,6 +1,7 @@
 #include "cluster/hash_ring.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace psaflow::cluster {
 
@@ -67,6 +68,25 @@ HashRing::pick_if(std::uint64_t key,
         if (seen.size() == shards_.size()) break;
     }
     return std::nullopt;
+}
+
+std::optional<HashRing::BoundedPick>
+HashRing::pick_bounded(std::uint64_t key,
+                       const std::map<std::string, std::uint64_t>& loads,
+                       double c) const {
+    const auto owner = pick_if(
+        key, [&](const std::string& shard) { return loads.contains(shard); });
+    if (!owner.has_value()) return std::nullopt;
+    std::uint64_t total = 0;
+    for (const auto& entry : loads) total += entry.second;
+    const double bound =
+        std::ceil(c * double(total + 1) / double(loads.size()));
+    const auto shard = pick_if(key, [&](const std::string& candidate) {
+        const auto it = loads.find(candidate);
+        return it != loads.end() && double(it->second) < bound;
+    });
+    // Only c < 1 can leave every shard at its bound; the owner takes it.
+    return BoundedPick{shard.value_or(*owner), *owner};
 }
 
 std::vector<std::string> HashRing::owners(std::uint64_t key,

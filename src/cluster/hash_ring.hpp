@@ -13,6 +13,12 @@
 //     ring and the same health view, sends a key to the same fallback
 //     shard — no coordination needed.
 //
+//   * Bounded loads: `pick_bounded` treats the owner as a preference, not
+//     a mandate. It walks the same clockwise order but skips shards at
+//     their load bound (Mirrokni, Thorup and Zadimoghaddam, "Consistent
+//     Hashing with Bounded Loads", SODA 2018), so one hot key range
+//     cannot queue a fleet's work on one shard.
+//
 // The ring itself is immutable-under-routing: the router builds it once
 // from the static shard list and models drain/failure with the predicate,
 // so a drained shard's keys come straight back to it on rejoin.
@@ -20,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,6 +56,26 @@ public:
     [[nodiscard]] std::optional<std::string>
     pick_if(std::uint64_t key,
             const std::function<bool(const std::string&)>& usable) const;
+
+    /// A bounded-load pick: the shard to use and the key's owner among the
+    /// usable shards. They differ when the owner was at its bound.
+    struct BoundedPick {
+        std::string shard;
+        std::string owner;
+        [[nodiscard]] bool spilled() const { return shard != owner; }
+    };
+
+    /// Consistent hashing with bounded loads. `loads` maps every usable
+    /// shard to its in-flight count; shards missing from it are unusable.
+    /// With T the summed load and n the usable count, the pick is the
+    /// first shard clockwise from `key` whose load is below ⌈c·(T+1)/n⌉,
+    /// so the owner keeps its key whenever it is under the bound. For
+    /// c >= 1 some usable shard is always under it. nullopt when no shard
+    /// is usable.
+    [[nodiscard]] std::optional<BoundedPick>
+    pick_bounded(std::uint64_t key,
+                 const std::map<std::string, std::uint64_t>& loads,
+                 double c) const;
 
     /// Up to `count` distinct shards clockwise from `key`, ring order —
     /// the owner followed by its failover candidates.

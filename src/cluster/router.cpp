@@ -22,6 +22,13 @@ namespace psaflow::cluster {
 
 namespace {
 
+/// The c of the bounded-load rule (HashRing::pick_bounded): a compile
+/// leaves its owner once the owner has ⌈c·(T+1)/n⌉ requests in flight.
+/// c = 1 beat c = 1.25 on every perfbench fleet_mixed metric (throughput,
+/// tail latency and peak RSS; EXPERIMENTS.md). Not an option: it is a
+/// property of the routing rule, not of a deployment.
+constexpr double kLoadBound = 1.0;
+
 std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -71,9 +78,7 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
 Router::~Router() {
     notify_shutdown();
     if (health_thread_.joinable()) health_thread_.join();
-    std::lock_guard lock(readers_mu_);
-    for (std::thread& reader : readers_)
-        if (reader.joinable()) reader.join();
+    readers_.join_all();
 }
 
 std::optional<std::string> Router::start() {
@@ -134,8 +139,7 @@ void Router::run() {
         if (!is_listener) break; // shutdown wake (or poll failure)
         net::Fd conn = net::accept_connection(ready);
         if (!conn.valid()) continue;
-        std::lock_guard lock(readers_mu_);
-        readers_.emplace_back([this, fd = std::move(conn)]() mutable {
+        readers_.spawn([this, fd = std::move(conn)]() mutable {
             serve_connection(std::move(fd));
         });
     }
@@ -147,12 +151,7 @@ void Router::run() {
     if (!options_.socket_path.empty())
         std::filesystem::remove(options_.socket_path, ec);
     if (health_thread_.joinable()) health_thread_.join();
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard lock(readers_mu_);
-        readers.swap(readers_);
-    }
-    for (std::thread& reader : readers) reader.join();
+    readers_.join_all();
     obs::info("cluster.router", "router drained",
               {{"relayed", std::to_string(relayed_.load())}});
 }
@@ -183,22 +182,45 @@ std::optional<std::string> Router::route_key(std::uint64_t key) {
                          [this](const std::string& s) { return usable(s); });
 }
 
-Router::ForwardOutcome Router::forward(std::uint64_t key,
+Router::Reservation Router::reserve(std::uint64_t key, bool bounded) {
+    Reservation picked;
+    if (!bounded) {
+        const auto owner = route_key(key);
+        if (owner.has_value()) picked.owner = find_shard(*owner);
+        picked.shard = picked.owner;
+    } else {
+        std::lock_guard lock(reserve_mu_);
+        std::map<std::string, std::uint64_t> loads; // usable shards only
+        for (const auto& shard : shards_)
+            if (shard->healthy.load() && !shard->draining.load())
+                loads.emplace(shard->config.name, shard->in_flight.load());
+        const auto choice = ring_.pick_bounded(key, loads, kLoadBound);
+        if (choice.has_value()) {
+            picked.shard = find_shard(choice->shard);
+            picked.owner = find_shard(choice->owner);
+            if (choice->spilled()) picked.owner->spills.fetch_add(1);
+        }
+    }
+    if (picked.shard != nullptr) picked.shard->in_flight.fetch_add(1);
+    return picked;
+}
+
+Router::ForwardOutcome Router::forward(std::uint64_t key, bool bounded,
                                        const std::string& payload,
                                        SplitMix64& rng) {
-    // Candidate shards in ring order: the owner, then its deterministic
+    // Candidate shards in ring order: the owner (or, for a compile at the
+    // owner's load bound, the next shard under it), then deterministic
     // failover successors. The attempt budget spans candidates — a dead
-    // owner costs one attempt, its successor gets the next.
+    // shard costs one attempt, the re-pick among the rest gets the next.
     const int budget =
         options_.retry.max_attempts < 1 ? 1 : options_.retry.max_attempts;
     ForwardOutcome outcome;
     Shard* owner = nullptr;
     for (int attempt = 0; attempt < budget; ++attempt) {
-        const auto picked = route_key(key);
-        if (!picked.has_value()) break; // nothing usable right now
-        Shard* shard = find_shard(*picked);
-        if (shard == nullptr) break;
-        if (owner == nullptr) owner = shard;
+        const Reservation picked = reserve(key, bounded);
+        Shard* shard = picked.shard;
+        if (shard == nullptr) break; // nothing usable right now
+        if (owner == nullptr) owner = picked.owner;
         if (attempt > 0) {
             retries_.fetch_add(1);
             const long long delay = options_.retry.delay_ms(attempt - 1, rng);
@@ -206,7 +228,6 @@ Router::ForwardOutcome Router::forward(std::uint64_t key,
         }
         ++outcome.attempts;
         shard->routed.fetch_add(1);
-        shard->in_flight.fetch_add(1);
         const bool answered = exchange(shard->config.endpoint, payload,
                                        options_.recv_timeout_ms,
                                        outcome.response);
@@ -253,7 +274,8 @@ std::string Router::relay(const serve::WireRequest& request,
         wire = json::dump(rewritten);
     }
 
-    const ForwardOutcome outcome = forward(key, wire, rng);
+    const ForwardOutcome outcome = forward(
+        key, request.type == serve::RequestType::Compile, wire, rng);
     const std::uint64_t elapsed_us = us_since(received);
     const auto response_doc = json::parse(outcome.response, nullptr);
 
@@ -525,6 +547,7 @@ std::vector<ShardView> Router::shard_views() const {
         view.failures = shard->failures.load();
         view.rerouted_away = shard->rerouted_away.load();
         view.in_flight = shard->in_flight.load();
+        view.spills = shard->spills.load();
         views.push_back(std::move(view));
     }
     return views;
@@ -557,6 +580,7 @@ json::Value Router::stats_json() {
         entry.set("failures", json::Value::number(double(view.failures)));
         entry.set("rerouted_away",
                   json::Value::number(double(view.rerouted_away)));
+        entry.set("spills", json::Value::number(double(view.spills)));
         shards.push(std::move(entry));
     }
     stats.set("shards", std::move(shards));
@@ -606,6 +630,10 @@ std::string Router::metrics_text() {
         renderer.gauge("psaflow_router_shard_in_flight",
                        "Requests awaiting this shard's response",
                        double(view.in_flight), labels);
+        renderer.counter("psaflow_router_shard_spills_total",
+                         "Owned compiles sent on because it was at its "
+                         "load bound",
+                         double(view.spills), labels);
     }
     return renderer.text();
 }

@@ -7,7 +7,10 @@
 //
 //   * compile   → routed by affinity_digest (the module-content key every
 //                 warm cache keys off), so repeat compiles of one module
-//                 land on the shard that already holds its artifacts.
+//                 land on the shard that already holds its artifacts —
+//                 unless that shard is at its load bound: the key then
+//                 spills to the next ring shard under ⌈c·(T+1)/n⌉ in-flight
+//                 requests (HashRing::pick_bounded, c = 1).
 //   * cas_get/  → routed by the cas key, giving each artifact a home
 //     cas_put     shard; shards pointed at the router with --cas-upstream
 //                 get a shared cluster artifact tier for free.
@@ -43,6 +46,7 @@
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
 #include "support/net.hpp"
+#include "support/reader_threads.hpp"
 
 namespace psaflow::cluster {
 
@@ -77,6 +81,7 @@ struct ShardView {
     std::uint64_t failures = 0;   ///< transport failures observed
     std::uint64_t rerouted_away = 0; ///< requests this shard owned but lost
     std::uint64_t in_flight = 0; ///< requests awaiting its response now
+    std::uint64_t spills = 0; ///< owned compiles sent elsewhere at its bound
 };
 
 class Router {
@@ -127,6 +132,12 @@ public:
     /// exposed for tests and the drain admin path.
     [[nodiscard]] std::optional<std::string> route_key(std::uint64_t key);
 
+    /// Connection reader threads not yet joined (live ones, plus those
+    /// finished since the last accept).
+    [[nodiscard]] std::size_t reader_threads() const {
+        return readers_.retained();
+    }
+
 private:
     struct Shard {
         ShardConfig config;
@@ -137,6 +148,7 @@ private:
         std::atomic<std::uint64_t> failures{0};
         std::atomic<std::uint64_t> rerouted_away{0};
         std::atomic<std::uint64_t> in_flight{0};
+        std::atomic<std::uint64_t> spills{0};
     };
 
     void serve_connection(net::Fd conn);
@@ -149,10 +161,22 @@ private:
         int attempts = 0;     ///< shards tried (retries = attempts - 1)
     };
     /// Forward `payload` to the shards owning `key` (ring order, with
-    /// backoff between attempts).
-    [[nodiscard]] ForwardOutcome forward(std::uint64_t key,
+    /// backoff between attempts). A `bounded` request (a compile) may
+    /// spill past an owner at its load bound.
+    [[nodiscard]] ForwardOutcome forward(std::uint64_t key, bool bounded,
                                          const std::string& payload,
                                          SplitMix64& rng);
+    /// One attempt's shard, its in_flight already counted, and the key's
+    /// owner among the usable shards. shard == nullptr: none is usable.
+    struct Reservation {
+        Shard* shard = nullptr;
+        Shard* owner = nullptr;
+    };
+    /// Pick the attempt's shard and count it in flight. Unbounded: the
+    /// owner. Bounded: HashRing::pick_bounded over the in-flight counts,
+    /// picked and counted under one lock so two concurrent compiles
+    /// cannot both take a shard's last slot.
+    [[nodiscard]] Reservation reserve(std::uint64_t key, bool bounded);
     /// Relay one routed request: rewrite the trace context when traced,
     /// forward, wrap the returned spans, and drop a flight record.
     [[nodiscard]] std::string relay(const serve::WireRequest& request,
@@ -182,8 +206,8 @@ private:
     net::Fd wake_read_;
     net::Fd wake_write_;
     std::thread health_thread_;
-    std::vector<std::thread> readers_;
-    std::mutex readers_mu_;
+    std::mutex reserve_mu_; ///< serialises bounded picks (reserve())
+    ReaderThreads readers_;
     std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> request_seq_{0};
     std::atomic<std::uint64_t> requests_{0};

@@ -1,4 +1,4 @@
-// Bounded admission queues.
+// LaneQueue, the daemon's bounded admission queue.
 //
 // The daemon's backpressure point: connection threads `try_push` incoming
 // compile jobs and, when the queue is full, the daemon answers with an
@@ -8,17 +8,14 @@
 // waiter; a closed queue still drains items already admitted, so graceful
 // shutdown finishes accepted work before the workers exit.
 //
-// Two shapes share those semantics:
-//   * BoundedQueue — the original single-lane MPMC deque.
-//   * LaneQueue — the daemon's current admission queue: K priority lanes
-//     (lane 0 drains strictly before lane 1, so interactive requests
-//     overtake batch backfill), and per-worker sub-queues inside each lane
-//     keyed by the request's affinity digest, so repeat requests for the
-//     same module land on the worker whose warm FlowSession already
-//     profiled it. An idle worker whose own sub-queues are empty *steals*
-//     the oldest job from the longest sibling sub-queue of the highest
-//     non-empty lane — affinity is a hint, head-of-line blocking is not
-//     allowed to grow the queue-wait tail.
+// It has K priority lanes (lane 0 drains strictly before lane 1, so
+// interactive requests overtake batch backfill), and per-worker sub-queues
+// inside each lane keyed by the request's affinity digest, so repeat
+// requests for the same module land on the worker whose warm FlowSession
+// already profiled it. An idle worker whose own sub-queues are empty
+// *steals* the oldest job from the longest sibling sub-queue of the
+// highest non-empty lane — affinity is a hint, head-of-line blocking is
+// not allowed to grow the queue-wait tail.
 #pragma once
 
 #include <condition_variable>
@@ -31,63 +28,6 @@
 #include <vector>
 
 namespace psaflow::serve {
-
-template <typename T>
-class BoundedQueue {
-public:
-    explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
-
-    /// Admit `item` if there is room and the queue is open. Never blocks:
-    /// a full queue is the caller's signal to reject with backpressure.
-    [[nodiscard]] bool try_push(T item) {
-        {
-            std::lock_guard lock(mu_);
-            if (closed_ || items_.size() >= capacity_) return false;
-            items_.push_back(std::move(item));
-        }
-        ready_.notify_one();
-        return true;
-    }
-
-    /// Block until an item is available (returning it) or the queue is
-    /// closed *and* drained (returning nullopt — the worker's exit signal).
-    [[nodiscard]] std::optional<T> pop() {
-        std::unique_lock lock(mu_);
-        ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-        if (items_.empty()) return std::nullopt;
-        T item = std::move(items_.front());
-        items_.pop_front();
-        return item;
-    }
-
-    /// Stop admitting; wake all poppers. Items already queued still drain.
-    void close() {
-        {
-            std::lock_guard lock(mu_);
-            closed_ = true;
-        }
-        ready_.notify_all();
-    }
-
-    [[nodiscard]] std::size_t depth() const {
-        std::lock_guard lock(mu_);
-        return items_.size();
-    }
-
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-    [[nodiscard]] bool closed() const {
-        std::lock_guard lock(mu_);
-        return closed_;
-    }
-
-private:
-    const std::size_t capacity_;
-    mutable std::mutex mu_;
-    std::condition_variable ready_;
-    std::deque<T> items_;
-    bool closed_ = false;
-};
 
 /// Priority lanes + per-worker affinity sub-queues + work stealing. See
 /// the header comment for the draining discipline. One shared capacity

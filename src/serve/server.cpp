@@ -79,9 +79,7 @@ Daemon::~Daemon() {
     queue_.close();
     for (std::thread& worker : workers_)
         if (worker.joinable()) worker.join();
-    std::lock_guard lock(readers_mu_);
-    for (std::thread& reader : readers_)
-        if (reader.joinable()) reader.join();
+    readers_.join_all();
 }
 
 std::optional<std::string> Daemon::start() {
@@ -148,11 +146,9 @@ void Daemon::run() {
             std::lock_guard lock(stats_mu_);
             ++counters_.connections;
         }
-        std::lock_guard lock(readers_mu_);
-        readers_.emplace_back(
-            [this, fd = std::move(conn)]() mutable {
-                serve_connection(std::move(fd));
-            });
+        readers_.spawn([this, fd = std::move(conn)]() mutable {
+            serve_connection(std::move(fd));
+        });
     }
 
     // Drain: stop accepting, finish everything admitted, then leave no
@@ -166,12 +162,7 @@ void Daemon::run() {
     queue_.close();
     for (std::thread& worker : workers_) worker.join();
     workers_.clear();
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard lock(readers_mu_);
-        readers.swap(readers_);
-    }
-    for (std::thread& reader : readers) reader.join();
+    readers_.join_all();
     obs::info("serve", "daemon drained",
               {{"completed", std::to_string(counters().completed)}});
 }

@@ -4,13 +4,15 @@
 //   * `run()` (the caller's thread) polls {listen socket, self-pipe};
 //     SIGTERM handlers call `notify_shutdown()` (async-signal-safe) to
 //     write the pipe.
-//   * One reader thread per connection. It answers `ping`/`stats` inline
-//     (so the metrics plane stays responsive while every worker is busy)
-//     and admits `compile`/`sleep` jobs into a BoundedQueue; a full or
-//     closed queue yields an `overloaded` response with a retry hint
-//     derived from the observed p50 latency. The reader then blocks on
-//     the job's future — requests on one connection are served in order,
-//     concurrency comes from concurrent connections.
+//   * One reader thread per live connection (support/reader_threads.hpp:
+//     a finished reader is joined when the next connection arrives). It
+//     answers `ping`/`stats` inline (so the metrics plane stays responsive
+//     while every worker is busy) and admits `compile`/`sleep` jobs into
+//     the LaneQueue; a full or closed queue yields an `overloaded`
+//     response with a retry hint derived from the observed p50 latency.
+//     The reader then blocks on the job's future — requests on one
+//     connection are served in order, concurrency comes from concurrent
+//     connections.
 //   * `workers` worker threads each own a warm FlowSession (engine jobs
 //     default 1: request-level parallelism, not per-request fan-out) and
 //     drain the queue. Each job's deadline token was armed at *receipt*,
@@ -42,6 +44,7 @@
 #include "support/cancel.hpp"
 #include "support/histogram.hpp"
 #include "support/net.hpp"
+#include "support/reader_threads.hpp"
 
 namespace psaflow::serve {
 
@@ -120,6 +123,12 @@ public:
         return queue_.steals();
     }
 
+    /// Connection reader threads not yet joined (live ones, plus those
+    /// finished since the last accept).
+    [[nodiscard]] std::size_t reader_threads() const {
+        return readers_.retained();
+    }
+
 private:
     struct Job {
         WireRequest request;
@@ -144,8 +153,7 @@ private:
     net::Fd wake_write_;
     LaneQueue<std::shared_ptr<Job>> queue_;
     std::vector<std::thread> workers_;
-    std::vector<std::thread> readers_;
-    std::mutex readers_mu_;
+    ReaderThreads readers_;
     std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> request_seq_{0};
     std::atomic<std::size_t> in_flight_{0};

@@ -1,7 +1,9 @@
-// Cluster-layer tests: consistent-hash ring stability and failover,
-// backoff jitter, shard specs, and an in-process two-shard fleet behind a
-// live Router — byte-identity of routed versus direct designs, drain and
-// rejoin, transport-failure failover, and the remote-CAS wire round trip.
+// Cluster-layer tests: consistent-hash ring stability, failover and
+// bounded-load picks, backoff jitter, shard specs, and an in-process
+// two-shard fleet behind a live Router — byte-identity of routed versus
+// direct designs, drain and rejoin, transport-failure failover, compile
+// spills and CAS home routing under load, reader-thread reaping, and the
+// remote-CAS wire round trip.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -123,6 +126,116 @@ TEST(HashRing, InsertionOrderDoesNotChangeTheRing) {
     for (int i = 0; i < 1024; ++i) {
         const std::uint64_t key = rng.next_u64();
         EXPECT_EQ(*forward.pick(key), *backward.pick(key));
+    }
+}
+
+// ------------------------------------------------------ bounded-load pick ----
+
+/// A three-shard ring and one key's owner order on it.
+struct BoundedRing {
+    cluster::HashRing ring;
+    std::uint64_t key = 0x5eed5eed5eed5eedULL;
+    std::vector<std::string> order; ///< owner, successor, last
+    BoundedRing() {
+        for (const char* name : {"a", "b", "c"}) ring.add(name);
+        order = ring.owners(key, 3);
+    }
+};
+
+TEST(HashRing, BoundedPickKeepsAnOwnerUnderItsBound) {
+    BoundedRing r;
+    ASSERT_EQ(r.order.size(), 3u);
+    // An idle fleet, and an evenly loaded one (bound ⌈4/3⌉ = 2 > 1),
+    // route exactly as plain consistent hashing does.
+    for (const std::uint64_t load : {0u, 1u}) {
+        const std::map<std::string, std::uint64_t> loads = {
+            {"a", load}, {"b", load}, {"c", load}};
+        const auto pick = r.ring.pick_bounded(r.key, loads, 1.0);
+        ASSERT_TRUE(pick.has_value());
+        EXPECT_EQ(pick->shard, r.order[0]);
+        EXPECT_EQ(pick->owner, r.order[0]);
+        EXPECT_FALSE(pick->spilled());
+    }
+}
+
+TEST(HashRing, BoundedPickSpillsAnOwnerAtItsBoundToItsSuccessor) {
+    BoundedRing r;
+    // T = 2 over n = 3: bound ⌈3/3⌉ = 1, and the owner has 2.
+    std::map<std::string, std::uint64_t> loads = {
+        {r.order[0], 2}, {r.order[1], 0}, {r.order[2], 0}};
+    auto pick = r.ring.pick_bounded(r.key, loads, 1.0);
+    ASSERT_TRUE(pick.has_value());
+    EXPECT_EQ(pick->shard, r.order[1]);
+    EXPECT_EQ(pick->owner, r.order[0]);
+    EXPECT_TRUE(pick->spilled());
+
+    // Successor at the bound too (T = 4, bound 2): the walk goes on.
+    loads[r.order[1]] = 2;
+    pick = r.ring.pick_bounded(r.key, loads, 1.0);
+    ASSERT_TRUE(pick.has_value());
+    EXPECT_EQ(pick->shard, r.order[2]);
+    EXPECT_EQ(pick->owner, r.order[0]);
+}
+
+TEST(HashRing, BoundedPickNeverChoosesAnUnusableShard) {
+    cluster::HashRing ring;
+    for (const char* name : {"a", "b", "c"}) ring.add(name);
+    // "a" is drained or unhealthy: absent from the loads, so never chosen
+    // however idle it would be and however loaded the others are.
+    SplitMix64 rng(5);
+    for (int i = 0; i < 512; ++i) {
+        const std::uint64_t key = rng.next_u64();
+        const std::map<std::string, std::uint64_t> loads = {
+            {"b", rng.next_u64() % 8}, {"c", rng.next_u64() % 8}};
+        const auto pick = ring.pick_bounded(key, loads, 1.0);
+        ASSERT_TRUE(pick.has_value());
+        EXPECT_NE(pick->shard, "a");
+        EXPECT_NE(pick->owner, "a");
+        EXPECT_EQ(pick->owner, *ring.pick_if(key, [](const std::string& s) {
+            return s != "a";
+        }));
+    }
+    EXPECT_FALSE(ring.pick_bounded(1, {}, 1.0).has_value());
+}
+
+TEST(HashRing, BoundedPickSendsEverythingToASingleUsableShard) {
+    cluster::HashRing ring;
+    for (const char* name : {"a", "b", "c"}) ring.add(name);
+    SplitMix64 rng(9);
+    for (int i = 0; i < 256; ++i) {
+        const auto pick = ring.pick_bounded(
+            rng.next_u64(), {{"b", std::uint64_t(i)}}, 1.0);
+        ASSERT_TRUE(pick.has_value());
+        EXPECT_EQ(pick->shard, "b");
+        EXPECT_FALSE(pick->spilled());
+    }
+}
+
+TEST(HashRing, BoundedPickIsDeterministicAndHoldsTheBound) {
+    cluster::HashRing forward;
+    for (const char* name : {"a", "b", "c", "d"}) forward.add(name);
+    cluster::HashRing backward;
+    for (const char* name : {"d", "c", "b", "a"}) backward.add(name);
+
+    SplitMix64 rng(31);
+    for (int i = 0; i < 1024; ++i) {
+        const std::uint64_t key = rng.next_u64();
+        std::map<std::string, std::uint64_t> loads;
+        std::uint64_t total = 0;
+        for (const char* name : {"a", "b", "c", "d"}) {
+            loads[name] = rng.next_u64() % 6;
+            total += loads[name];
+        }
+        // Same ring, key and loads: the same choice, on every router.
+        const auto pick = forward.pick_bounded(key, loads, 1.0);
+        const auto again = backward.pick_bounded(key, loads, 1.0);
+        ASSERT_TRUE(pick.has_value() && again.has_value());
+        EXPECT_EQ(pick->shard, again->shard);
+        EXPECT_EQ(pick->owner, again->owner);
+        EXPECT_EQ(pick->owner, *forward.pick(key));
+        // And the choice is under ⌈(T+1)/n⌉.
+        const std::uint64_t bound = (total + 1 + 3) / 4;
+        EXPECT_LT(loads[pick->shard], bound);
     }
 }
 
@@ -473,6 +586,134 @@ TEST(Router, AnswersStatsAndMetricsItself) {
               std::string::npos);
     EXPECT_NE(body->string_value.find("psaflow_router_shard_healthy"),
               std::string::npos);
+}
+
+TEST(Router, ConcurrentColdCompilesOfOneAppSpillToTheOtherShard) {
+    ClusterFixture fleet("spill");
+    fleet.start();
+
+    // Six cold compiles of one module at once: the owner takes them while
+    // it is under ⌈(T+1)/2⌉ in flight, the rest spill to the other shard.
+    const std::string app = "kmeans";
+    const std::string owner = owner_of(*fleet.router, app);
+    constexpr int kClients = 6;
+    std::latch go(kClients);
+    std::vector<std::thread> clients;
+    std::vector<json::Value> responses(kClients);
+    for (int i = 0; i < kClients; ++i)
+        clients.emplace_back([&, i] {
+            go.arrive_and_wait();
+            responses[i] = round_trip(
+                fleet.router_socket,
+                compile_json(app, fleet.dir.path / ("spill-" +
+                                                    std::to_string(i))));
+        });
+    for (std::thread& client : clients) client.join();
+
+    std::uint64_t spills = 0;
+    for (const cluster::ShardView& view : fleet.router->shard_views()) {
+        EXPECT_GE(view.routed, 1u) << view.name << " served none";
+        spills += view.spills;
+        if (view.name != owner) {
+            EXPECT_EQ(view.spills, 0u);
+        }
+    }
+    EXPECT_GE(spills, 1u);
+    const json::Value stats =
+        round_trip(fleet.router_socket, R"({"type":"stats"})");
+    for (const json::Value& shard : stats.find("shards")->elements)
+        EXPECT_NE(shard.find("spills"), nullptr);
+
+    // Whichever shard served it, every design matches the owner's.
+    serve::Daemon& direct = owner == "a" ? *fleet.shard_a : *fleet.shard_b;
+    const fs::path direct_out = fleet.dir.path / "direct";
+    const auto direct_view = serve::parse_response(round_trip(
+        direct.options().socket_path, compile_json(app, direct_out)));
+    ASSERT_TRUE(direct_view.has_value() && direct_view->ok);
+    const std::vector<fs::path> files = files_under(direct_out);
+    ASSERT_FALSE(files.empty());
+    for (int i = 0; i < kClients; ++i) {
+        SCOPED_TRACE(i);
+        const auto view = serve::parse_response(responses[i]);
+        ASSERT_TRUE(view.has_value() && view->ok) << json::dump(responses[i]);
+        const fs::path out = fleet.dir.path / ("spill-" + std::to_string(i));
+        ASSERT_EQ(files_under(out), files);
+        for (const fs::path& file : files)
+            EXPECT_EQ(slurp(out / file), slurp(direct_out / file)) << file;
+    }
+}
+
+TEST(Router, CasRequestsKeepTheirHomeShardUnderLoad) {
+    ClusterFixture fleet("cas-home");
+    fleet.start();
+
+    // Load the fleet unevenly: three sleeps in flight split 3:0 or 2:1.
+    constexpr int kSleeps = 3;
+    std::vector<std::thread> sleepers;
+    for (int i = 0; i < kSleeps; ++i)
+        sleepers.emplace_back([&] {
+            round_trip(fleet.router_socket, R"({"type":"sleep","ms":1500})");
+        });
+    std::map<std::string, std::uint64_t> loads;
+    for (int poll = 0; poll < 500; ++poll) {
+        loads.clear();
+        std::uint64_t total = 0;
+        for (const cluster::ShardView& view : fleet.router->shard_views()) {
+            loads[view.name] = view.in_flight;
+            total += view.in_flight;
+        }
+        if (total == kSleeps) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(loads["a"] + loads["b"], std::uint64_t(kSleeps));
+    const std::string home = loads["a"] > loads["b"] ? "a" : "b";
+    const std::string other = home == "a" ? "b" : "a";
+
+    // A key homed on the loaded shard, which a compile would spill: the
+    // router's ring is rebuilt here from the same names and vnodes.
+    cluster::HashRing ring;
+    ring.add("a");
+    ring.add("b");
+    SplitMix64 rng(3);
+    std::uint64_t key = rng.next_u64();
+    while (*ring.pick(key) != home) key = rng.next_u64();
+    ASSERT_EQ(*fleet.router->route_key(key), home);
+    ASSERT_TRUE(ring.pick_bounded(key, loads, 1.0)->spilled());
+
+    serve::Daemon& home_shard = home == "a" ? *fleet.shard_a : *fleet.shard_b;
+    serve::Daemon& other_shard = home == "a" ? *fleet.shard_b : *fleet.shard_a;
+    const serve::DaemonCounters home_before = home_shard.counters();
+    const serve::DaemonCounters other_before = other_shard.counters();
+
+    std::string error;
+    auto endpoint = net::parse_endpoint("unix:" + fleet.router_socket, &error);
+    ASSERT_TRUE(endpoint.has_value()) << error;
+    cluster::RemoteCasClient client(std::move(*endpoint));
+    EXPECT_TRUE(client.publish(key, "artifact"));
+    EXPECT_EQ(client.fetch(key).value_or(""), "artifact");
+
+    EXPECT_EQ(home_shard.counters().cas_puts, home_before.cas_puts + 1);
+    EXPECT_EQ(home_shard.counters().cas_gets, home_before.cas_gets + 1);
+    EXPECT_EQ(other_shard.counters().cas_puts, other_before.cas_puts);
+    EXPECT_EQ(other_shard.counters().cas_gets, other_before.cas_gets);
+    for (const cluster::ShardView& view : fleet.router->shard_views())
+        EXPECT_EQ(view.spills, 0u) << view.name;
+    for (std::thread& sleeper : sleepers) sleeper.join();
+}
+
+TEST(Router, ReaderThreadsOfClosedConnectionsAreJoined) {
+    ClusterFixture fleet("readers");
+    fleet.start();
+
+    // Each finished connection's reader is joined when a later connection
+    // arrives, so sequential clients never pile up threads.
+    constexpr int kConnections = 64;
+    for (int i = 0; i < kConnections; ++i) {
+        round_trip(fleet.router_socket, R"({"type":"ping"})");
+        round_trip(fleet.shard_a->options().socket_path, R"({"type":"ping"})");
+    }
+    EXPECT_LE(fleet.router->reader_threads(), 16u);
+    EXPECT_LE(fleet.shard_a->reader_threads(), 16u);
 }
 
 // -------------------------------------------------------------- remote CAS ----

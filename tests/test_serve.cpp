@@ -319,45 +319,6 @@ TEST(Histogram, FromPartsOfNothingIsEmpty) {
     EXPECT_EQ(rebuilt.percentile(50), 0u);
 }
 
-// ------------------------------------------------------------------ queue ----
-
-TEST(BoundedQueue, RejectsWhenFullAndRecoversAfterPop) {
-    serve::BoundedQueue<int> queue(2);
-    EXPECT_TRUE(queue.try_push(1));
-    EXPECT_TRUE(queue.try_push(2));
-    EXPECT_FALSE(queue.try_push(3)); // full: the backpressure signal
-    EXPECT_EQ(queue.depth(), 2u);
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_TRUE(queue.try_push(3));
-}
-
-TEST(BoundedQueue, CloseDrainsAdmittedItemsThenSignalsExit) {
-    serve::BoundedQueue<int> queue(4);
-    EXPECT_TRUE(queue.try_push(1));
-    EXPECT_TRUE(queue.try_push(2));
-    queue.close();
-    EXPECT_FALSE(queue.try_push(3)); // no admissions after close
-    EXPECT_EQ(queue.pop().value(), 1);
-    EXPECT_EQ(queue.pop().value(), 2);
-    EXPECT_FALSE(queue.pop().has_value()); // closed and drained
-}
-
-TEST(BoundedQueue, CloseWakesBlockedPoppers) {
-    serve::BoundedQueue<int> queue(1);
-    std::atomic<int> woke{0};
-    std::vector<std::thread> poppers;
-    for (int i = 0; i < 4; ++i)
-        poppers.emplace_back([&] {
-            while (queue.pop().has_value()) {
-            }
-            woke.fetch_add(1);
-        });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    queue.close();
-    for (std::thread& t : poppers) t.join();
-    EXPECT_EQ(woke.load(), 4);
-}
-
 // -------------------------------------------------------------- lane queue ----
 
 TEST(LaneQueue, InteractiveLaneDrainsBeforeBatch) {
@@ -404,6 +365,43 @@ TEST(LaneQueue, IdleWorkerStealsFromLongestSibling) {
     ASSERT_TRUE(own.has_value());
     EXPECT_EQ(own->item, 2);
     EXPECT_FALSE(own->stolen);
+}
+
+TEST(LaneQueue, RejectsWhenFullAndRecoversAfterPop) {
+    serve::LaneQueue<int> queue(/*capacity=*/2, /*lanes=*/1, /*workers=*/1);
+    EXPECT_TRUE(queue.try_push(1, 0, 0));
+    EXPECT_TRUE(queue.try_push(2, 0, 0));
+    EXPECT_FALSE(queue.try_push(3, 0, 0)); // full: the backpressure signal
+    EXPECT_EQ(queue.depth(), 2u);
+    EXPECT_EQ(queue.pop(0)->item, 1);
+    EXPECT_TRUE(queue.try_push(3, 0, 0));
+}
+
+TEST(LaneQueue, CloseDrainsAdmittedItemsThenSignalsExit) {
+    serve::LaneQueue<int> queue(/*capacity=*/4, /*lanes=*/1, /*workers=*/1);
+    EXPECT_TRUE(queue.try_push(1, 0, 0));
+    EXPECT_TRUE(queue.try_push(2, 0, 0));
+    queue.close();
+    EXPECT_FALSE(queue.try_push(3, 0, 0)); // no admissions after close
+    EXPECT_EQ(queue.pop(0)->item, 1);
+    EXPECT_EQ(queue.pop(0)->item, 2);
+    EXPECT_FALSE(queue.pop(0).has_value()); // closed and drained
+}
+
+TEST(LaneQueue, CloseWakesBlockedPoppers) {
+    serve::LaneQueue<int> queue(/*capacity=*/1, /*lanes=*/2, /*workers=*/4);
+    std::atomic<int> woke{0};
+    std::vector<std::thread> poppers;
+    for (std::size_t worker = 0; worker < 4; ++worker)
+        poppers.emplace_back([&, worker] {
+            while (queue.pop(worker).has_value()) {
+            }
+            woke.fetch_add(1);
+        });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    queue.close();
+    for (std::thread& t : poppers) t.join();
+    EXPECT_EQ(woke.load(), 4);
 }
 
 TEST(LaneQueue, CapacityIsSharedAcrossLanesAndCloseDrains) {
