@@ -3,11 +3,13 @@
 # psaflowc three times against the same --cache-dir —
 #
 #   1. cold   (empty store; fills it),
-#   2. warm   (every profile and design artifact served from disk),
+#   2. warm   (the flow-result tier answers the whole compile; its
+#      --trace-out counters must show flow_cache.hits >= 1),
 #   3. after flipping one byte in every cached entry (checksums reject the
 #      corrupted entries, the run silently recomputes and repairs),
 #
-# and requires all three runs to write byte-identical designs and summaries.
+# and requires all three runs to write byte-identical designs, summaries,
+# stdout and --explain / --explain-md decision reports.
 # This is the end-to-end form of the guarantee the engine tests pin down:
 # the disk cache may only ever change *when* results are computed, never
 # *what* is computed.
@@ -29,9 +31,12 @@ WORK=$(mktemp -d "${TMPDIR:-/tmp}/psaflow-cache-smoke.XXXXXX")
 trap 'rm -rf "$WORK"' EXIT
 CACHE="$WORK/cache"
 
-run() { # run <outdir>
-    "$PSAFLOWC" --app "$APP" --cache-dir "$CACHE" --out "$WORK/$1" \
-        > "$WORK/$1.stdout"
+run() { # run <outdir> [extra flags...]
+    local tag=$1
+    shift
+    "$PSAFLOWC" --app "$APP" --cache-dir "$CACHE" --out "$WORK/$tag" \
+        --explain "$WORK/$tag.explain.json" \
+        --explain-md "$WORK/$tag.explain.md" "$@" > "$WORK/$tag.stdout"
 }
 
 echo "== cache smoke: $APP via $PSAFLOWC =="
@@ -40,7 +45,15 @@ ENTRIES=$(find "$CACHE" -name '*.cas' | wc -l)
 echo "cold run populated $ENTRIES cache entries"
 test "$ENTRIES" -gt 0
 
-run warm
+run warm --trace-out "$WORK/warm.trace.json"
+HITS=$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["counters"].get("flow_cache.hits", 0))' \
+    "$WORK/warm.trace.json")
+echo "warm run: flow_cache.hits=$HITS"
+if [ "$HITS" -lt 1 ]; then
+    echo "FAIL: the warm run was not answered by the flow-result tier" >&2
+    exit 1
+fi
 
 # Flip one byte in the middle of every entry; the checksum must catch it.
 for entry in $(find "$CACHE" -name '*.cas'); do
@@ -58,9 +71,17 @@ for outdir in warm corrupt; do
             exit 1
         }
     done
-    # stdout must match too, modulo the differing --out directory names.
+    for report in explain.json explain.md; do
+        diff -q "$WORK/cold.$report" "$WORK/$outdir.$report" > /dev/null || {
+            echo "FAIL: $outdir run --$report differs from cold run" >&2
+            exit 1
+        }
+    done
+    # stdout must match too, modulo the differing --out / --explain paths
+    # and the warm run's trace note.
     if ! diff <(sed "s|$WORK/cold|<out>|g" "$WORK/cold.stdout") \
-              <(sed "s|$WORK/$outdir|<out>|g" "$WORK/$outdir.stdout"); then
+              <(sed -e "s|$WORK/$outdir|<out>|g" -e '/^wrote json trace/d' \
+                    "$WORK/$outdir.stdout"); then
         echo "FAIL: $outdir run stdout differs from cold run" >&2
         exit 1
     fi

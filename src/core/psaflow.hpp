@@ -61,6 +61,18 @@ struct RunOptions {
 /// Session-aware variants: run through the caller's FlowSession so many
 /// compiles share one pool/cache/trace wiring (the batch driver's fast
 /// path). `options.jobs == 0` defers to the session's jobs setting.
+///
+/// With a persistent store (cas::store()), every compile first looks up
+/// the flow-result tier (local entries only, never a remote tier), keyed
+/// on everything the flow reads: app name and source, workload digest,
+/// allow_single_precision, the effective threshold_x, budget, cost model
+/// and feedback cap, and the flow's identity (the mode, or the manifest's
+/// canonical JSON). A hit returns
+/// the stored FlowResult, bit for bit the cold one, without parsing or
+/// running a task; a miss runs the flow (whose profile and
+/// design-artifact tiers may still hit) and stores its result. Counted
+/// as "flow_cache.hits" / "flow_cache.misses" under one "flow_cache" span.
+/// FlowSession::run never consults this tier.
 [[nodiscard]] flow::FlowResult compile(flow::FlowSession& session,
                                        const apps::Application& app,
                                        const RunOptions& options = {});

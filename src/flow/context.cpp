@@ -112,22 +112,24 @@ platform::KernelShape FlowContext::shape() {
                                     opt);
 }
 
+std::uint64_t workload_digest(const analysis::Workload& workload) {
+    cas::Hasher h;
+    h.str("workload");
+    h.str(workload.entry);
+    h.real(workload.profile_scale);
+    h.real(workload.eval_scale);
+    // Hash the argument contents at the two scales the dynamic analyses
+    // actually execute (scaling-law fitting runs at 2x profile scale).
+    h.u64(analysis::digest_args(workload.make_args(workload.profile_scale)));
+    h.u64(analysis::digest_args(
+        workload.make_args(2.0 * workload.profile_scale)));
+    const std::uint64_t digest = h.digest();
+    return digest == 0 ? 1 : digest; // 0 marks "not yet computed"
+}
+
 std::uint64_t FlowContext::workload_digest() {
-    if (workload_digest_ == 0) {
-        cas::Hasher h;
-        h.str("workload");
-        h.str(workload_.entry);
-        h.real(workload_.profile_scale);
-        h.real(workload_.eval_scale);
-        // Hash the argument contents at the two scales the dynamic analyses
-        // actually execute (scaling-law fitting runs at 2x profile scale).
-        h.u64(analysis::digest_args(
-            workload_.make_args(workload_.profile_scale)));
-        h.u64(analysis::digest_args(
-            workload_.make_args(2.0 * workload_.profile_scale)));
-        workload_digest_ = h.digest();
-        if (workload_digest_ == 0) workload_digest_ = 1; // keep memoizable
-    }
+    if (workload_digest_ == 0)
+        workload_digest_ = flow::workload_digest(workload_);
     return workload_digest_;
 }
 

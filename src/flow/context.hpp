@@ -24,6 +24,10 @@ class CancelToken;
 
 namespace psaflow::flow {
 
+/// Content digest of `workload` (see FlowContext::workload_digest); never
+/// 0. Needs no module, so a compile can key on it before parsing.
+[[nodiscard]] std::uint64_t workload_digest(const analysis::Workload& workload);
+
 class FlowContext {
 public:
     /// Start a flow over `source_module` driven by `workload`.
@@ -88,6 +92,12 @@ public:
     /// so persistent artifact-cache keys mix this in. Memoized; forks
     /// inherit the digest (the workload is shared).
     [[nodiscard]] std::uint64_t workload_digest();
+
+    /// Adopt a digest the caller already computed with
+    /// flow::workload_digest(workload()), so it is not computed twice.
+    void seed_workload_digest(std::uint64_t digest) {
+        workload_digest_ = digest;
+    }
 
     void note(std::string line) { log_.push_back(std::move(line)); }
     [[nodiscard]] const std::vector<std::string>& log() const { return log_; }

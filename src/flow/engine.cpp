@@ -6,6 +6,7 @@
 
 #include "analysis/profile_cache.hpp"
 #include "ast/printer.hpp"
+#include "flow/payload.hpp"
 #include "obs/log.hpp"
 #include "perf/estimator.hpp"
 #include "platform/devices.hpp"
@@ -50,24 +51,6 @@ double smem_per_block_kb(FlowContext& ctx) {
     return bytes_per_thread * ctx.spec.block_size / 1024.0;
 }
 
-constexpr std::uint32_t kArtifactPayloadVersion = 1;
-
-void hash_spec(cas::Hasher& h, const codegen::DesignSpec& spec) {
-    h.str(spec.app_name).str(spec.kernel_name);
-    h.u64(static_cast<std::uint64_t>(spec.target));
-    h.u64(static_cast<std::uint64_t>(spec.device));
-    h.i64(spec.omp_threads).i64(spec.block_size);
-    h.u64(spec.copy_in.size());
-    for (const std::string& s : spec.copy_in) h.str(s);
-    h.u64(spec.copy_out.size());
-    for (const std::string& s : spec.copy_out) h.str(s);
-    h.boolean(spec.pinned_host_memory).boolean(spec.specialised_math);
-    h.u64(spec.shared_arrays.size());
-    for (const std::string& s : spec.shared_arrays) h.str(s);
-    h.i64(spec.unroll).boolean(spec.zero_copy).boolean(spec.synthesizable);
-    h.boolean(spec.single_precision);
-}
-
 void hash_fpga_report(cas::Hasher& h, const platform::FpgaReport& r) {
     h.real(r.replica.luts).real(r.replica.dsps).real(r.replica.bram_kb);
     h.real(r.replica.pipeline_depth).real(r.replica.cycles_per_iter);
@@ -95,64 +78,6 @@ std::uint64_t detail::artifact_key(FlowContext& ctx, double reference_seconds,
 }
 
 namespace {
-
-std::string serialize_artifact_payload(const DesignArtifact& a,
-                                       const std::string& note) {
-    cas::Writer w;
-    w.u32(kArtifactPayloadVersion);
-    w.real(a.hotspot_seconds);
-    w.real(a.speedup);
-    w.real(a.loc_delta);
-    w.boolean(a.synthesizable);
-    w.str(a.source);
-    w.str(note);
-    const platform::KernelShape& s = a.shape;
-    w.real(s.flops);
-    w.real(s.footprint_bytes);
-    w.real(s.stream_bytes);
-    w.real(s.bytes_in);
-    w.real(s.bytes_out);
-    w.real(s.parallel_iters);
-    w.real(s.dependent_fraction);
-    w.i64(s.regs_per_thread);
-    w.boolean(s.double_precision);
-    w.real(s.shared_mem_reuse);
-    w.real(s.transcendental_fraction);
-    w.real(s.gpu_transfer_bytes);
-    w.real(s.invocations);
-    w.real(s.sequential_cycles_per_iter);
-    w.real(s.fpga_stream_bytes);
-    return w.take();
-}
-
-bool parse_artifact_payload(std::string_view payload, DesignArtifact& a,
-                            std::string& note) {
-    cas::Reader r(payload);
-    if (r.u32() != kArtifactPayloadVersion) return false;
-    a.hotspot_seconds = r.real();
-    a.speedup = r.real();
-    a.loc_delta = r.real();
-    a.synthesizable = r.boolean();
-    a.source = r.str();
-    note = r.str();
-    platform::KernelShape& s = a.shape;
-    s.flops = r.real();
-    s.footprint_bytes = r.real();
-    s.stream_bytes = r.real();
-    s.bytes_in = r.real();
-    s.bytes_out = r.real();
-    s.parallel_iters = r.real();
-    s.dependent_fraction = r.real();
-    s.regs_per_thread = static_cast<int>(r.i64());
-    s.double_precision = r.boolean();
-    s.shared_mem_reuse = r.real();
-    s.transcendental_fraction = r.real();
-    s.gpu_transfer_bytes = r.real();
-    s.invocations = r.real();
-    s.sequential_cycles_per_iter = r.real();
-    s.fpga_stream_bytes = r.real();
-    return r.complete();
-}
 
 DesignArtifact finalize(FlowContext ctx, double reference_seconds,
                         const std::string& signature) {

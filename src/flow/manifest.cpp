@@ -346,6 +346,7 @@ ManifestFlow from_manifest(const json::Value& doc) {
                  "must be a non-negative integer");
         out.max_feedback_iterations = static_cast<int>(iters->number_value);
     }
+    out.canonical = json::dump(doc);
     return out;
 }
 

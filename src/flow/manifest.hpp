@@ -62,6 +62,9 @@ struct ManifestFlow {
     std::optional<double> max_run_cost;        ///< "budget".max_run_cost
     std::optional<double> threshold_x;
     std::optional<int> max_feedback_iterations;
+    /// json::dump of the document the flow was lowered from: the flow's
+    /// identity in the flow-result cache key (core/psaflow.cpp).
+    std::string canonical;
 };
 
 /// Validate and lower a parsed manifest document. Throws psaflow::Error

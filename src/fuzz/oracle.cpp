@@ -25,15 +25,19 @@
 #include "codegen/codegen.hpp"
 #include "codegen/design_spec.hpp"
 #include "core/psaflow.hpp"
+#include "flow/standard_flow.hpp"
 #include "flow/session.hpp"
 #include "frontend/parser.hpp"
 #include "interp/interpreter.hpp"
 #include "meta/instrument.hpp"
 #include "meta/query.hpp"
+#include "obs/decision.hpp"
 #include "sema/type_check.hpp"
 #include "support/cas/cas.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/prng.hpp"
+#include "support/trace.hpp"
 #include "transform/accumulation.hpp"
 #include "transform/extract.hpp"
 #include "transform/fission.hpp"
@@ -756,24 +760,42 @@ OracleOutcome run_oracles(const std::string& source,
     // ---- flow engine, jobs=1 vs jobs=N (oracle d, part 2) ------------
     if (options.check_flow) {
         ++out.oracles_run;
-        auto run_flow_at = [&](int jobs) {
+        // `untiered` runs the flow through FlowSession::run, which skips
+        // the flow-result tier, so a warm store can only serve it from the
+        // profile and design-artifact tiers.
+        auto run_flow_at = [&](int jobs, bool untiered = false) {
             struct FlowCapture {
                 bool threw = false;
                 bool crash = false; ///< non-psaflow exception
                 std::string error;
                 std::string summary;
+                std::uint64_t flow_cache_hits = 0;
             } cap;
             RunOptions ro;
             ro.mode = flow::Mode::Informed;
             ro.jobs = jobs;
+            trace::Registry registry; // this run's counters only
             try {
                 // A fresh session per run keeps the comparisons honest:
                 // nothing is shared between the jobs=1 and jobs=N runs
                 // beyond the process-wide caches the oracle controls.
+                trace::ScopedRegistry scope(registry);
                 flow::FlowSession session;
-                const auto result =
-                    psaflow::compile(session, "fuzz", source, workload,
-                                     /*allow_single_precision=*/true, ro);
+                flow::FlowResult result;
+                if (untiered) {
+                    flow::FlowContext ctx(
+                        "fuzz", frontend::parse_module(source, "fuzz"),
+                        workload);
+                    flow::EngineOptions engine;
+                    engine.jobs = jobs;
+                    result = session.run(flow::standard_flow(ro.mode),
+                                         std::move(ctx), engine);
+                } else {
+                    result = psaflow::compile(session, "fuzz", source,
+                                              workload,
+                                              /*allow_single_precision=*/true,
+                                              ro);
+                }
                 std::ostringstream os;
                 os.precision(17);
                 os << "reference_seconds=" << result.reference_seconds
@@ -786,6 +808,9 @@ OracleOutcome run_oracles(const std::string& source,
                     os << d.source << "\n";
                     for (const auto& line : d.log) os << "| " << line << "\n";
                 }
+                os << json::dump(obs::decisions_json("fuzz", "informed",
+                                                     result.decisions))
+                   << "\n";
                 cap.summary = os.str();
             } catch (const Error& e) {
                 cap.threw = true;
@@ -795,6 +820,7 @@ OracleOutcome run_oracles(const std::string& source,
                 cap.crash = true;
                 cap.error = e.what();
             }
+            cap.flow_cache_hits = registry.counter("flow_cache.hits");
             return cap;
         };
 
@@ -827,9 +853,11 @@ OracleOutcome run_oracles(const std::string& source,
         }
 
         // ---- cold vs warm persistent cache (flow:cache) --------------
-        // Three states must agree byte for byte: no disk cache (seq,
-        // above), a cold run that populates an empty store, and a warm
-        // run served from the store with the in-memory caches dropped.
+        // Four states must agree byte for byte: no disk cache (seq,
+        // above), a cold run that populates an empty store, a warm run the
+        // flow-result tier answers, and a warm run of the flow itself
+        // served from the profile and design-artifact tiers, the
+        // in-memory caches dropped before each warm run.
         if (options.check_cache && !seq.crash) {
             ++out.oracles_run;
             namespace fs = std::filesystem;
@@ -847,11 +875,20 @@ OracleOutcome run_oracles(const std::string& source,
             const auto cold = run_flow_at(1);
             analysis::ProfileCache::global().clear();
             const auto warm = run_flow_at(1);
+            analysis::ProfileCache::global().clear();
+            const auto lower = run_flow_at(1, /*untiered=*/true);
             cas::configure("");
             if (own_dir) {
                 std::error_code ec;
                 fs::remove_all(root, ec);
             }
+
+            // A flow that completed is stored, so the warm compile must be
+            // a flow-result hit (a failed flow is never stored).
+            if (!cold.threw && !warm.threw && warm.flow_cache_hits != 1)
+                fail("flow:cache",
+                     "warm compile of a stored flow result missed the "
+                     "flow-result tier");
 
             auto check_against = [&](const char* label,
                                      const decltype(seq)& run) {
@@ -878,6 +915,7 @@ OracleOutcome run_oracles(const std::string& source,
             };
             check_against("cold", cold);
             check_against("warm", warm);
+            check_against("lower-tier", lower);
         }
     }
 

@@ -25,10 +25,12 @@
 //   codegen:*   all three emitters produce non-empty designs without
 //               throwing on a kernel that satisfies their preconditions
 //   flow:*      the full PSA flow engine at jobs=1 and jobs=N produces
-//               byte-identical results (designs, logs and predictions), or
-//               fails with the identical error; with check_cache, a cold
-//               run against an empty content-addressed store and a warm
-//               run served from it must also both match exactly
+//               byte-identical results (designs, logs, predictions and
+//               decision records), or fails with the identical error; with
+//               check_cache, a cold run against an empty content-addressed
+//               store, a warm compile the flow-result tier answers and a
+//               warm run of the flow served by the lower tiers must all
+//               match exactly
 //
 // A reported failure means a toolchain bug (or an unsound generated
 // program, which is a generator bug): there are no known false positives.
@@ -61,11 +63,13 @@ struct OracleOptions {
     bool check_vm = false;
 
     /// Cold-vs-warm persistent-cache oracle ("flow:cache"): run the flow
-    /// once against an empty content-addressed store, then again with only
-    /// the disk entries carried over; all three results (no cache, cold,
-    /// warm) must be byte-identical. Also enables the "profile:pragma"
-    /// oracle. Off by default — it triples the flow oracle's work and
-    /// touches the filesystem.
+    /// once against an empty content-addressed store, then twice with only
+    /// the disk entries carried over: a compile the flow-result tier must
+    /// answer, and a run of the flow itself that only the profile and
+    /// design-artifact tiers can serve. All four results (no cache, cold,
+    /// and both warm runs) must be byte-identical, decision records
+    /// included. Also enables the "profile:pragma" oracle. Off by default
+    /// — it multiplies the flow oracle's work and touches the filesystem.
     bool check_cache = false;
 
     /// Store root for the cache oracle; empty uses a fresh directory under

@@ -427,7 +427,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
     req_trace.queue_wait_us = queue_wait_us;
     const CompileOutcome outcome =
         execute_request(session, job.request.compile, &job.token,
-                        &trace::Registry::global(), &req_trace);
+                        /*merge_into=*/nullptr, &req_trace);
     {
         std::lock_guard lock(stats_mu_);
         queue_wait_us_.record(queue_wait_us);
@@ -437,12 +437,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
 
     flight.set_app(job.request.compile.app);
     flight.set_lane(to_string(job.request.compile.priority));
-    const auto hits = [&](const char* name) {
-        auto it = outcome.counters.find(name);
-        return it == outcome.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    flight.cache_hits = static_cast<std::uint32_t>(
-        hits("cas.hits") + hits("profile_cache.hits"));
+    flight.cache_hits = cache_hits(outcome);
     if (!outcome.decisions.empty() &&
         !outcome.decisions.front().selected.empty())
         flight.set_winner(outcome.decisions.front().selected.front());

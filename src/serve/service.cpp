@@ -235,4 +235,15 @@ CompileOutcome execute_request(flow::FlowSession& session,
     return outcome;
 }
 
+std::uint32_t cache_hits(const CompileOutcome& outcome) {
+    std::uint64_t total = 0;
+    for (const char* tier :
+         {"flow_cache.hits", "artifact_cache.hits", "profile_cache.hits",
+          "profile_cache.disk_hits"}) {
+        const auto it = outcome.counters.find(tier);
+        if (it != outcome.counters.end()) total += it->second;
+    }
+    return static_cast<std::uint32_t>(total);
+}
+
 } // namespace psaflow::serve

@@ -8,9 +8,11 @@
 // Each call runs under a private trace::Registry installed as the calling
 // thread's sink, so the outcome carries exactly this request's counters and
 // task spans — concurrent requests in one daemon process cannot bleed
-// metrics into each other — and the private registry is then folded into
-// `merge_into` (typically trace::Registry::global()) so process-wide totals
-// such as `--trace-out` keep accumulating.
+// metrics into each other. A non-null `merge_into` then receives the
+// private registry: psaflowc passes trace::Registry::global() so its
+// `--trace-out` and `--metrics-out` totals accumulate over the run. The
+// daemon passes null: its `stats` and `metrics` read the outcome's
+// counters, and a process-wide registry would only grow with its age.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +87,13 @@ struct RequestTrace {
 /// cannot take down a worker (per-request failure isolation).
 [[nodiscard]] CompileOutcome
 execute_request(flow::FlowSession& session, const CompileRequest& req,
-                const CancelToken* cancel = nullptr,
-                trace::Registry* merge_into = &trace::Registry::global(),
+                const CancelToken* cancel, trace::Registry* merge_into,
                 const RequestTrace* req_trace = nullptr);
+
+/// Cache-tier hits charged to one request, for its flight record: flow
+/// results, design artifacts and interpreter profiles (memory or disk)
+/// served instead of computed. A flow-result hit counts once, whether the
+/// local store or the remote tier answered it.
+[[nodiscard]] std::uint32_t cache_hits(const CompileOutcome& outcome);
 
 } // namespace psaflow::serve

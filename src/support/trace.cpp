@@ -8,8 +8,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <sstream>
+#include <unordered_set>
 
 namespace psaflow::trace {
 
@@ -151,6 +151,8 @@ bool Registry::enabled() const {
 void Registry::clear() {
     std::lock_guard lock(mu_);
     spans_.clear();
+    held_ids_.clear();
+    indexed_ = 0;
     counters_.clear();
     max_thread_ = 0;
     epoch_ns_ = steady_ns();
@@ -218,17 +220,19 @@ void Registry::merge_from(const Registry& other) {
     // Cross-process id-collision remap (see header): an incoming id that
     // this registry already holds gets a fresh process-unique id; parent
     // links that referenced a remapped incoming id follow it (a parent a
-    // source span recorded refers to the source's span, not ours).
-    std::set<std::uint64_t> mine;
-    for (const Span& span : spans_) mine.insert(span.id);
-    std::set<std::uint64_t> incoming;
+    // source span recorded refers to the source's span, not ours). The
+    // held-id index only catches up on spans added since the last merge,
+    // so a merge costs time in the incoming spans, not in the spans held.
+    for (; indexed_ < spans_.size(); ++indexed_)
+        held_ids_.insert(spans_[indexed_].id);
+    std::unordered_set<std::uint64_t> incoming;
     for (const Span& span : spans) incoming.insert(span.id);
     std::map<std::uint64_t, std::uint64_t> id_remap;
     for (const Span& span : spans) {
-        if (mine.count(span.id) == 0 || id_remap.count(span.id) != 0)
+        if (!held_ids_.contains(span.id) || id_remap.contains(span.id))
             continue;
         std::uint64_t fresh = next_span_id();
-        while (mine.count(fresh) != 0 || incoming.count(fresh) != 0)
+        while (held_ids_.contains(fresh) || incoming.contains(fresh))
             fresh = next_span_id();
         id_remap.emplace(span.id, fresh);
     }

@@ -33,6 +33,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace psaflow::trace {
@@ -96,9 +97,11 @@ public:
     /// ids from 1) can collide, so colliding incoming ids are remapped onto
     /// fresh process-unique ids, with parent links that referenced a
     /// remapped id rewritten to follow it. A parent id that exists only in
-    /// this registry is a cross-registry link and survives unchanged. The
-    /// batch driver and the daemon merge each request's private registry
-    /// into global() so process-wide totals (--trace-out) still accumulate.
+    /// this registry is a cross-registry link and survives unchanged.
+    /// psaflowc (single app and --batch) merges each request's private
+    /// registry into global() so process-wide totals (--trace-out) still
+    /// accumulate. Costs time linear in `other`'s spans, whatever this
+    /// registry already holds.
     void merge_from(const Registry& other);
 
 private:
@@ -107,6 +110,10 @@ private:
     std::int64_t epoch_ns_ = 0;
     std::uint64_t max_thread_ = 0; ///< highest track ordinal present
     std::vector<Span> spans_;
+    /// Ids of spans_[0, indexed_), brought up to date by merge_from only,
+    /// so add_span stays a plain append.
+    std::unordered_set<std::uint64_t> held_ids_;
+    std::size_t indexed_ = 0;
     std::map<std::string, std::uint64_t> counters_;
 };
 

@@ -10,9 +10,12 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 
 #include <sys/wait.h>
+
+#include "support/json.hpp"
 
 namespace {
 
@@ -228,6 +231,76 @@ TEST(CliBatch, WarmCacheRunIsIdentical) {
         ASSERT_TRUE(fs::exists(warm_file)) << warm_file;
         EXPECT_EQ(slurp(entry.path()), slurp(warm_file))
             << entry.path().filename();
+    }
+}
+
+TEST(CliFlowCache, FlowResultHitMatchesColdOnEveryKey) {
+    // A warm compile is answered by the flow-result tier; designs, summary
+    // CSV, stdout and both --explain reports must equal the cold run's.
+    BatchDir dir("flow-tier");
+    const std::string cache = (dir.path / "cache").string();
+    for (const char* app :
+         {"adpredictor", "bezier", "kmeans", "nbody", "rushlarsen"}) {
+        for (const char* mode : {"informed", "uninformed"}) {
+            const std::string key = std::string(app) + "-" + mode;
+            SCOPED_TRACE(key);
+            const auto run = [&](const std::string& tag,
+                                 const std::string& extra) {
+                const fs::path root = dir.path / key / tag;
+                fs::create_directories(root);
+                CliResult r = run_cli(
+                    "--app " + std::string(app) + " --mode " + mode +
+                    " --cache-dir " + cache + " --out " +
+                    (root / "out").string() + " --explain " +
+                    (root / "explain.json").string() + " --explain-md " +
+                    (root / "explain.md").string() + extra);
+                // Normalise the run's own paths and the trace note away.
+                std::string out;
+                std::istringstream lines(r.output);
+                for (std::string line; std::getline(lines, line);) {
+                    if (line.rfind("wrote json trace", 0) == 0) continue;
+                    for (std::size_t pos = line.find(root.string());
+                         pos != std::string::npos;
+                         pos = line.find(root.string(), pos))
+                        line.replace(pos, root.string().size(), "<root>");
+                    out += line + "\n";
+                }
+                r.output = out;
+                return r;
+            };
+            const fs::path trace = dir.path / key / "trace.json";
+            const CliResult cold = run("cold", "");
+            ASSERT_EQ(cold.exit_code, 0) << cold.output;
+            const CliResult warm =
+                run("warm", " --trace-out " + trace.string());
+            ASSERT_EQ(warm.exit_code, 0) << warm.output;
+            EXPECT_EQ(cold.output, warm.output);
+
+            const fs::path cold_root = dir.path / key / "cold";
+            const fs::path warm_root = dir.path / key / "warm";
+            for (const char* report : {"explain.json", "explain.md"})
+                EXPECT_EQ(slurp(cold_root / report), slurp(warm_root / report))
+                    << report;
+            std::size_t files = 0;
+            for (const auto& entry :
+                 fs::directory_iterator(cold_root / "out")) {
+                ++files;
+                EXPECT_EQ(slurp(entry.path()),
+                          slurp(warm_root / "out" / entry.path().filename()))
+                    << entry.path().filename();
+            }
+            EXPECT_EQ(files, static_cast<std::size_t>(std::distance(
+                                 fs::directory_iterator(warm_root / "out"),
+                                 fs::directory_iterator{})));
+
+            const auto doc = psaflow::json::parse(slurp(trace));
+            ASSERT_TRUE(doc.has_value());
+            const psaflow::json::Value* counters = doc->find("counters");
+            ASSERT_NE(counters, nullptr);
+            ASSERT_NE(counters->find("flow_cache.hits"), nullptr);
+            EXPECT_EQ(counters->find("flow_cache.hits")->number_value, 1.0);
+            EXPECT_EQ(counters->find("flow.runs"), nullptr);
+        }
     }
 }
 

@@ -6,7 +6,11 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "analysis/profile_cache.hpp"
@@ -14,9 +18,12 @@
 #include "ast/walk.hpp"
 #include "core/psaflow.hpp"
 #include "flow/engine.hpp"
+#include "flow/payload.hpp"
+#include "frontend/parser.hpp"
 #include "meta/instrument.hpp"
 #include "meta/query.hpp"
 #include "support/cas/cas.hpp"
+#include "support/json.hpp"
 #include "support/trace.hpp"
 #include "test_util.hpp"
 #include "transform/single_precision.hpp"
@@ -135,6 +142,21 @@ TEST(EngineParallel, RepeatedRunsIdenticalUnderSharedCache) {
     expect_identical(first, second, "nbody repeat");
 }
 
+/// The standard flow run through FlowSession::run, which never consults
+/// the flow-result tier: with a store configured, only the profile and
+/// design-artifact tiers can serve it.
+flow::FlowResult run_untiered(const apps::Application& app, flow::Mode mode,
+                              int jobs) {
+    flow::FlowContext ctx(app.name,
+                          frontend::parse_module(app.source, app.name),
+                          app.workload);
+    ctx.allow_single_precision = app.allow_single_precision;
+    flow::EngineOptions engine;
+    engine.jobs = jobs;
+    flow::FlowSession session;
+    return session.run(flow::standard_flow(mode), std::move(ctx), engine);
+}
+
 TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
     // The cold/warm contract of the content-addressed store: a run against
     // an empty store, a run served from disk, and a warm parallel run must
@@ -151,21 +173,277 @@ TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
     sequential.jobs = 1;
     const auto cold = compile(app, sequential);
 
-    // Drop the in-memory tier so the rerun can only warm up from disk.
+    // Drop the in-memory tier so the rerun can only warm up from disk, and
+    // run the flow itself: compile() would answer from the flow-result tier.
     ProfileCache::global().clear();
-    const auto warm_seq = compile(app, sequential);
+    trace::Registry warm_registry;
+    flow::FlowResult warm_seq;
+    {
+        trace::ScopedRegistry scope(warm_registry);
+        warm_seq = run_untiered(app, flow::Mode::Informed, 1);
+    }
     expect_identical(cold, warm_seq, "nbody cold vs warm jobs=1");
     EXPECT_GT(ProfileCache::global().stats().disk_hits, 0u);
+    EXPECT_GT(warm_registry.counter("artifact_cache.hits"), 0u);
 
     ProfileCache::global().clear();
+    const auto warm_par = run_untiered(app, flow::Mode::Informed, 4);
+    expect_identical(cold, warm_par, "nbody cold vs warm jobs=4");
+
+    // The flow-result tier answers at any jobs setting, identically.
     RunOptions parallel;
     parallel.jobs = 4;
-    const auto warm_par = compile(app, parallel);
-    expect_identical(cold, warm_par, "nbody cold vs warm jobs=4");
+    trace::Registry hit_registry;
+    flow::FlowResult hit;
+    {
+        trace::ScopedRegistry scope(hit_registry);
+        hit = compile(app, parallel);
+    }
+    expect_identical(cold, hit, "nbody cold vs flow-result hit jobs=4");
+    EXPECT_EQ(hit_registry.counter("flow_cache.hits"), 1u);
 
     cas::configure(""); // disable disk caching for the remaining tests
     std::error_code ec;
     fs::remove_all(root, ec);
+}
+
+// ---------------------------------------------------- flow-result tier ----
+
+/// A fresh process-wide store under the test temp dir; disabled and
+/// removed again on destruction.
+struct ScratchStore {
+    std::filesystem::path root;
+
+    explicit ScratchStore(const std::string& name)
+        : root(std::filesystem::path(::testing::TempDir()) / name) {
+        std::filesystem::remove_all(root);
+        cas::configure(root.string());
+        ProfileCache::global().clear();
+    }
+    ~ScratchStore() {
+        cas::configure("");
+        std::error_code ec;
+        std::filesystem::remove_all(root, ec);
+    }
+
+    [[nodiscard]] std::set<std::filesystem::path> entries() const {
+        std::set<std::filesystem::path> out;
+        namespace fs = std::filesystem;
+        for (const auto& e : fs::recursive_directory_iterator(root))
+            if (e.path().extension() == ".cas") out.insert(e.path());
+        return out;
+    }
+};
+
+/// compile() of arbitrary source through a fresh session, recording into
+/// `registry` only.
+flow::FlowResult compile_into(trace::Registry& registry,
+                              const apps::Application& app,
+                              const RunOptions& options,
+                              std::string_view source,
+                              bool allow_single_precision) {
+    trace::ScopedRegistry scope(registry);
+    flow::FlowSession session;
+    return compile(session, app.name, source, app.workload,
+                   allow_single_precision, options);
+}
+
+flow::FlowResult compile_into(trace::Registry& registry,
+                              const apps::Application& app,
+                              const RunOptions& options = {}) {
+    return compile_into(registry, app, options, app.source,
+                        app.allow_single_precision);
+}
+
+TEST(FlowResultTier, OffWithoutAStore) {
+    cas::configure("");
+    trace::Registry registry;
+    (void)compile_into(registry, apps::application_by_name("adpredictor"));
+    EXPECT_EQ(registry.counter("flow_cache.hits"), 0u);
+    EXPECT_EQ(registry.counter("flow_cache.misses"), 0u);
+    EXPECT_EQ(registry.counter("flow.runs"), 1u);
+    for (const trace::Span& span : registry.spans())
+        EXPECT_NE(span.name, "flow_cache");
+}
+
+TEST(FlowResultTier, EveryInputTheFlowReadsIsInTheKey) {
+    ScratchStore store("psaflow-flow-tier-key");
+    const apps::Application& app = apps::application_by_name("adpredictor");
+    const flow::DesignFlow standard = flow::standard_flow(flow::Mode::Informed);
+    const flow::ManifestFlow manifest =
+        flow::parse_manifest_text(json::dump(flow::to_manifest(standard)));
+    const flow::ManifestFlow renamed =
+        flow::parse_manifest_text(json::dump(flow::to_manifest(standard, "x")));
+    const std::string edited_source = app.source + " ";
+
+    struct Variant {
+        std::string what;
+        RunOptions options;
+        std::string_view source;
+        bool allow_single_precision;
+    };
+    RunOptions base;
+    base.jobs = 1;
+    std::vector<Variant> variants;
+    const auto add = [&](std::string what, RunOptions options,
+                         std::string_view source, bool sp) {
+        variants.push_back({std::move(what), options, source, sp});
+    };
+    add("base", base, app.source, app.allow_single_precision);
+    RunOptions o = base;
+    o.mode = flow::Mode::Uninformed;
+    add("mode", o, app.source, app.allow_single_precision);
+    o = base;
+    o.intensity_threshold_x = 8.0;
+    add("threshold_x", o, app.source, app.allow_single_precision);
+    o = base;
+    o.budget.max_run_cost = 1e-3;
+    add("budget", o, app.source, app.allow_single_precision);
+    o = base;
+    o.cost_model.gpu_per_hour = 3.5;
+    add("cost model", o, app.source, app.allow_single_precision);
+    o = base;
+    o.flow_manifest = &manifest;
+    add("manifest", o, app.source, app.allow_single_precision);
+    o.flow_manifest = &renamed;
+    add("manifest text", o, app.source, app.allow_single_precision);
+    add("source edit", base, edited_source, app.allow_single_precision);
+    add("allow_single_precision", base, app.source,
+        !app.allow_single_precision);
+
+    // First pass: every variant misses; second pass: every variant hits
+    // its own entry and returns the first pass's result.
+    std::vector<flow::FlowResult> first;
+    for (const Variant& v : variants) {
+        SCOPED_TRACE(v.what);
+        trace::Registry registry;
+        first.push_back(compile_into(registry, app, v.options, v.source,
+                                     v.allow_single_precision));
+        EXPECT_EQ(registry.counter("flow_cache.misses"), 1u);
+        EXPECT_EQ(registry.counter("flow_cache.hits"), 0u);
+    }
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const Variant& v = variants[i];
+        trace::Registry registry;
+        const auto again = compile_into(registry, app, v.options, v.source,
+                                        v.allow_single_precision);
+        EXPECT_EQ(registry.counter("flow_cache.hits"), 1u) << v.what;
+        EXPECT_EQ(registry.counter("flow.runs"), 0u) << v.what;
+        expect_identical(first[i], again, v.what + " miss vs hit");
+    }
+
+    // Results are identical at any jobs, so jobs is not in the key.
+    RunOptions jobs = base;
+    jobs.jobs = 3;
+    trace::Registry registry;
+    (void)compile_into(registry, app, jobs);
+    EXPECT_EQ(registry.counter("flow_cache.hits"), 1u);
+}
+
+TEST(FlowResultTier, AMissWritesOneEntryAndBadEntriesRecompute) {
+    ScratchStore store("psaflow-flow-tier-repair");
+    const apps::Application& app = apps::application_by_name("kmeans");
+    // Fill the profile and design-artifact tiers only.
+    const auto cold = run_untiered(app, flow::Mode::Informed, 1);
+    const auto lower_tiers = store.entries();
+
+    trace::Registry miss;
+    expect_identical(cold, compile_into(miss, app), "first compile");
+    EXPECT_EQ(miss.counter("flow_cache.misses"), 1u);
+    EXPECT_EQ(miss.counter("cas.writes"), 1u); // the flow-result entry only
+    std::vector<std::filesystem::path> added;
+    for (const auto& path : store.entries())
+        if (!lower_tiers.contains(path)) added.push_back(path);
+    ASSERT_EQ(added.size(), 1u);
+    const std::filesystem::path entry = added.front();
+    // <root>/<top byte>/<low 56 bits>.cas
+    const std::uint64_t key = std::stoull(
+        entry.parent_path().filename().string() + entry.stem().string(),
+        nullptr, 16);
+
+    const auto expect_recomputed = [&](const std::string& what,
+                                       std::uint64_t corrupt) {
+        SCOPED_TRACE(what);
+        trace::Registry registry;
+        expect_identical(cold, compile_into(registry, app), what);
+        EXPECT_EQ(registry.counter("flow_cache.misses"), 1u);
+        EXPECT_EQ(registry.counter("flow.runs"), 1u);
+        EXPECT_EQ(registry.counter("cas.corrupt"), corrupt);
+        trace::Registry after;
+        expect_identical(cold, compile_into(after, app), what + ", repaired");
+        EXPECT_EQ(after.counter("flow_cache.hits"), 1u);
+    };
+
+    // A flipped payload bit fails the store's checksum.
+    {
+        std::fstream file(entry, std::ios::in | std::ios::out |
+                                     std::ios::binary | std::ios::ate);
+        const auto size = static_cast<std::streamoff>(file.tellg());
+        char byte = 0;
+        file.seekg(size - 1);
+        file.get(byte);
+        file.seekp(size - 1);
+        file.put(static_cast<char>(byte ^ 0x10));
+    }
+    expect_recomputed("bit flip", 1);
+
+    // A well-framed entry of another payload version reads as a miss.
+    auto payload = cas::store()->get_local(key);
+    ASSERT_TRUE(payload.has_value());
+    (*payload)[0] = static_cast<char>((*payload)[0] + 1);
+    cas::store()->put_local(key, *payload);
+    expect_recomputed("payload version", 0);
+}
+
+TEST(FlowResultTier, StaysOffTheRemoteTier) {
+    // With every lower-tier entry local, a flow-result miss and the hit
+    // after it must neither fetch from nor publish to a remote tier.
+    ScratchStore store("psaflow-flow-tier-remote");
+    const apps::Application& app = apps::application_by_name("bezier");
+    (void)run_untiered(app, flow::Mode::Uninformed, 1);
+    int fetches = 0;
+    int publishes = 0;
+    cas::configure_remote(
+        [&](std::uint64_t) -> std::optional<std::string> {
+            ++fetches;
+            return std::nullopt;
+        },
+        [&](std::uint64_t, std::string_view) {
+            ++publishes;
+            return true;
+        });
+    RunOptions uninformed;
+    uninformed.mode = flow::Mode::Uninformed;
+    trace::Registry miss;
+    (void)compile_into(miss, app, uninformed);
+    trace::Registry hit;
+    (void)compile_into(hit, app, uninformed);
+    cas::configure_remote({}, {});
+    EXPECT_EQ(miss.counter("flow_cache.misses"), 1u);
+    EXPECT_EQ(miss.counter("cas.writes"), 1u);
+    EXPECT_EQ(hit.counter("flow_cache.hits"), 1u);
+    EXPECT_EQ(fetches, 0);
+    EXPECT_EQ(publishes, 0);
+}
+
+TEST(FlowResultTier, PayloadRoundTripsAndRejectsDamage) {
+    cas::configure("");
+    const auto result = run_untiered(apps::application_by_name("nbody"),
+                                     flow::Mode::Uninformed, 1);
+    const std::string payload = flow::serialize_flow_result(result);
+    flow::FlowResult parsed;
+    ASSERT_TRUE(flow::parse_flow_result(payload, parsed));
+    expect_identical(result, parsed, "round trip");
+    EXPECT_EQ(flow::serialize_flow_result(parsed), payload);
+    for (const std::size_t cut : {std::size_t{0}, std::size_t{3},
+                                  payload.size() / 2, payload.size() - 1}) {
+        flow::FlowResult truncated;
+        EXPECT_FALSE(flow::parse_flow_result(payload.substr(0, cut),
+                                             truncated))
+            << cut;
+    }
+    flow::FlowResult trailing;
+    EXPECT_FALSE(flow::parse_flow_result(payload + "x", trailing));
 }
 
 // ------------------------------------------------------- profile cache -----

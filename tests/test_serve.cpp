@@ -23,6 +23,7 @@
 #include "serve/service.hpp"
 #include "serve/wire_trace.hpp"
 #include "support/cancel.hpp"
+#include "support/cas/cas.hpp"
 #include "support/histogram.hpp"
 #include "support/net.hpp"
 #include "support/string_util.hpp"
@@ -835,7 +836,8 @@ TEST(ExecuteRequest, CompilesAndIsolatesPerRequestCounters) {
     serve::CompileRequest req;
     req.app = "adpredictor";
     req.out_dir = (dir.path / "one").string();
-    const serve::CompileOutcome first = serve::execute_request(session, req);
+    const serve::CompileOutcome first =
+        serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(first.ok) << first.error;
     EXPECT_GT(first.design_count, 0u);
     EXPECT_FALSE(first.designs.empty());
@@ -843,7 +845,7 @@ TEST(ExecuteRequest, CompilesAndIsolatesPerRequestCounters) {
 
     req.out_dir = (dir.path / "two").string();
     const serve::CompileOutcome second =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(second.ok) << second.error;
 
     // Satellite regression: counters must be scoped to one request, not
@@ -851,6 +853,46 @@ TEST(ExecuteRequest, CompilesAndIsolatesPerRequestCounters) {
     EXPECT_EQ(first.counters.at("flow.runs"), 1u);
     EXPECT_EQ(second.counters.at("flow.runs"), 1u);
     EXPECT_GT(first.counters.at("interp.runs"), 0u);
+}
+
+TEST(ExecuteRequest, FlowResultHitKeepsPerRequestCounters) {
+    // The same isolation with a store: the second request is answered by
+    // the flow-result tier, and its counters show that request alone.
+    ScratchDir dir("executor-tier");
+    cas::configure((dir.path / "cache").string());
+    flow::FlowSession session;
+
+    serve::CompileRequest req;
+    req.app = "adpredictor";
+    req.out_dir = (dir.path / "one").string();
+    const serve::CompileOutcome first =
+        serve::execute_request(session, req, nullptr, nullptr);
+    ASSERT_TRUE(first.ok) << first.error;
+    req.out_dir = (dir.path / "two").string();
+    const serve::CompileOutcome second =
+        serve::execute_request(session, req, nullptr, nullptr);
+    ASSERT_TRUE(second.ok) << second.error;
+    cas::configure("");
+
+    EXPECT_EQ(first.counters.at("flow.runs"), 1u);
+    EXPECT_EQ(first.counters.at("flow_cache.misses"), 1u);
+    EXPECT_EQ(first.counters.count("flow_cache.hits"), 0u);
+    EXPECT_EQ(second.counters.at("flow_cache.hits"), 1u);
+    EXPECT_EQ(second.counters.count("flow.runs"), 0u);
+    EXPECT_EQ(second.counters.count("flow_cache.misses"), 0u);
+    EXPECT_EQ(second.counters.count("interp.runs"), 0u);
+    EXPECT_GE(serve::cache_hits(second), 1u);
+
+    // The hit wrote the same files.
+    ASSERT_EQ(second.designs.size(), first.designs.size());
+    for (const serve::DesignRow& row : first.designs) {
+        std::ifstream a(dir.path / "one" / row.filename);
+        std::ifstream b(dir.path / "two" / row.filename);
+        std::stringstream sa, sb;
+        sa << a.rdbuf();
+        sb << b.rdbuf();
+        EXPECT_EQ(sa.str(), sb.str()) << row.filename;
+    }
 }
 
 TEST(ExecuteRequest, TracedRequestYieldsOneRootedHopTree) {
@@ -922,7 +964,7 @@ TEST(ExecuteRequest, UntracedRequestSynthesizesNoHopSpans) {
     req.app = "adpredictor";
     req.out_dir = (dir.path / "out").string();
     const serve::CompileOutcome outcome =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(outcome.ok) << outcome.error;
     for (const trace::Span& span : outcome.spans)
         EXPECT_NE(span.name, "serve:request");
@@ -935,7 +977,7 @@ TEST(ExecuteRequest, UnknownAppIsBadRequest) {
     req.app = "no_such_app";
     req.out_dir = (dir.path / "out").string();
     const serve::CompileOutcome outcome =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.error_kind, serve::ErrorKind::BadRequest);
     EXPECT_NE(outcome.error.find("no_such_app"), std::string::npos);
@@ -951,7 +993,7 @@ TEST(ExecuteRequest, FiredTokenYieldsDeadlineExceeded) {
     CancelToken token;
     token.cancel();
     const serve::CompileOutcome outcome =
-        serve::execute_request(session, req, &token);
+        serve::execute_request(session, req, &token, nullptr);
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.error_kind, serve::ErrorKind::DeadlineExceeded);
     EXPECT_EQ(outcome.error.rfind("flow failed:", 0), 0u) << outcome.error;
@@ -965,14 +1007,15 @@ TEST(ExecuteRequest, TightDeadlineCancelsColdCompile) {
     req.out_dir = (dir.path / "out").string();
     req.deadline_ms = 1;
     const serve::CompileOutcome outcome =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.error_kind, serve::ErrorKind::DeadlineExceeded);
 
     // The session stays healthy for the next request (failure isolation).
     req.deadline_ms = 0;
     req.app = "adpredictor";
-    const serve::CompileOutcome after = serve::execute_request(session, req);
+    const serve::CompileOutcome after =
+        serve::execute_request(session, req, nullptr, nullptr);
     EXPECT_TRUE(after.ok) << after.error;
 }
 
@@ -984,14 +1027,14 @@ TEST(ExecuteRequest, ExportedStandardFlowMatchesTheBuiltin) {
     req.app = "adpredictor";
     req.out_dir = (dir.path / "builtin").string();
     const serve::CompileOutcome builtin =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(builtin.ok) << builtin.error;
 
     req.out_dir = (dir.path / "manifest").string();
     req.flow_json = json::dump(
         flow::to_manifest(flow::standard_flow(flow::Mode::Informed)));
     const serve::CompileOutcome exported =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(exported.ok) << exported.error;
 
     // The exported-and-reimported standard flow is the same program: same
@@ -1108,7 +1151,7 @@ TEST(Daemon, ServesConcurrentCompilesIdenticalToDirectExecution) {
     req.app = "adpredictor";
     req.out_dir = (direct.path / "out").string();
     const serve::CompileOutcome outcome =
-        serve::execute_request(session, req);
+        serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(outcome.ok) << outcome.error;
     for (const serve::DesignRow& row : outcome.designs) {
         const fs::path daemon_file =
@@ -1128,6 +1171,63 @@ TEST(Daemon, ServesConcurrentCompilesIdenticalToDirectExecution) {
 
     fixture.drain();
     EXPECT_FALSE(fs::exists(fixture.socket()));
+}
+
+TEST(Daemon, RequestsLeaveTheGlobalTraceRegistryAlone) {
+    // Nothing in the daemon reads the process-wide registry: its stats and
+    // metrics come from each outcome's counters, so requests must not
+    // grow it.
+    trace::Registry& global = trace::Registry::global();
+    global.set_enabled(true);
+    DaemonFixture fixture("no-merge");
+    fixture.start();
+    const std::size_t spans_before = global.spans().size();
+    const auto counters_before = global.counters();
+    for (int i = 0; i < 4; ++i) {
+        const json::Value response = client_round_trip(
+            fixture.socket(),
+            R"({"type":"compile","app":"adpredictor","out":"r-)" +
+                std::to_string(i) + "\"}");
+        ASSERT_NE(response.find("ok"), nullptr);
+        EXPECT_TRUE(response.find("ok")->bool_value) << json::dump(response);
+    }
+    EXPECT_EQ(global.spans().size(), spans_before);
+    EXPECT_EQ(global.counters(), counters_before);
+}
+
+TEST(Daemon, FlowResultHitsReachStatsAndFlightRecords) {
+    DaemonFixture fixture("flow-tier", [] {
+        serve::DaemonOptions options;
+        options.workers = 1;
+        return options;
+    }());
+    cas::configure((fixture.dir.path / "cache").string());
+    fixture.start();
+    for (int i = 0; i < 2; ++i) {
+        const json::Value response = client_round_trip(
+            fixture.socket(),
+            R"({"type":"compile","app":"kmeans","out":"r-)" +
+                std::to_string(i) + "\"}");
+        ASSERT_NE(response.find("ok"), nullptr);
+        EXPECT_TRUE(response.find("ok")->bool_value) << json::dump(response);
+    }
+
+    const json::Value stats =
+        client_round_trip(fixture.socket(), R"({"type":"stats"})");
+    const json::Value* counters = stats.find("counters");
+    ASSERT_NE(counters, nullptr);
+    ASSERT_NE(counters->find("flow_cache.hits"), nullptr);
+    EXPECT_EQ(counters->find("flow_cache.hits")->number_value, 1.0);
+    EXPECT_EQ(counters->find("flow_cache.misses")->number_value, 1.0);
+    EXPECT_EQ(counters->find("flow.runs")->number_value, 1.0);
+
+    const json::Value flight =
+        client_round_trip(fixture.socket(), R"({"type":"flight","max":1})");
+    const json::Value* records = flight.find("records");
+    ASSERT_NE(records, nullptr);
+    ASSERT_EQ(records->elements.size(), 1u);
+    EXPECT_GE(records->elements[0].find("cache_hits")->number_value, 1.0);
+    cas::configure("");
 }
 
 TEST(Daemon, FullQueueRejectsWithRetryHint) {

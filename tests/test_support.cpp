@@ -405,6 +405,40 @@ TEST(Trace, MergeRemapsCollidingSpanIds) {
     }
 }
 
+TEST(Trace, MergeSeesSpansAddedBetweenMergesAndForgetsClearedOnes) {
+    // merge_from indexes the held ids lazily: spans added directly after
+    // one merge must still be seen as collisions by the next, and a
+    // cleared registry must not remember ids it no longer holds.
+    const auto one_span = [](std::uint64_t id) {
+        trace::Registry r;
+        r.set_enabled(true);
+        trace::Span span;
+        span.name = "s" + std::to_string(id);
+        span.id = id;
+        r.add_span(span);
+        return r.spans().front();
+    };
+    const auto merge_one = [](trace::Registry& target, trace::Span span) {
+        trace::Registry other;
+        other.set_enabled(true);
+        other.add_span(std::move(span));
+        target.merge_from(other);
+        return target.spans().back().id;
+    };
+
+    trace::Registry target;
+    target.set_enabled(true);
+    target.add_span(one_span(100));
+    EXPECT_EQ(merge_one(target, one_span(200)), 200u);
+    target.add_span(one_span(300));
+    EXPECT_NE(merge_one(target, one_span(300)), 300u); // collided
+    EXPECT_NE(merge_one(target, one_span(200)), 200u); // collided
+
+    target.clear();
+    EXPECT_EQ(merge_one(target, one_span(200)), 200u);
+    EXPECT_EQ(merge_one(target, one_span(300)), 300u);
+}
+
 TEST(Trace, WireSpanIdsAreSaltedDistinctAndJsonExact) {
     const std::uint64_t a = trace::wire_span_id();
     const std::uint64_t b = trace::wire_span_id();

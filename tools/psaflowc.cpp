@@ -93,12 +93,7 @@ void record_flight(const serve::CompileRequest& req,
     flight.set_lane("local");
     flight.exec_us = outcome.wall_us;
     flight.total_us = outcome.wall_us;
-    const auto hits = [&outcome](const char* name) {
-        const auto it = outcome.counters.find(name);
-        return it == outcome.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    flight.cache_hits = static_cast<std::uint32_t>(
-        hits("cas.hits") + hits("profile_cache.hits"));
+    flight.cache_hits = serve::cache_hits(outcome);
     if (!outcome.decisions.empty() &&
         !outcome.decisions.front().selected.empty())
         flight.set_winner(outcome.decisions.front().selected.front());
@@ -162,7 +157,8 @@ int run_batch(const std::string& manifest_path,
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const serve::CompileRequest& req = requests[i];
         const serve::CompileOutcome outcome =
-            serve::execute_request(session, req);
+            serve::execute_request(session, req, /*cancel=*/nullptr,
+                                   &trace::Registry::global());
         record_flight(req, outcome);
         if (!outcome.ok) {
             ++failures;
@@ -375,7 +371,8 @@ int main(int argc, char** argv) {
         std::cout << "running the " << mode << " PSA-flow on '" << app_name
                   << "'...\n";
         const serve::CompileOutcome outcome =
-            serve::execute_request(session, req);
+            serve::execute_request(session, req, /*cancel=*/nullptr,
+                                   &trace::Registry::global());
         record_flight(req, outcome);
         if (!outcome.ok) {
             std::cerr << outcome.error << "\n";
