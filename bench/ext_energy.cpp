@@ -18,6 +18,7 @@
 using namespace psaflow;
 
 int main() {
+    flow::FlowSession session;
     std::cout << "=== extension: energy-efficiency analysis (Section IV-D) "
                  "===\n";
     flow::CostModel model;
@@ -31,7 +32,7 @@ int main() {
     for (const apps::Application* app : apps::all_applications()) {
         RunOptions options;
         options.mode = flow::Mode::Uninformed;
-        auto all = compile(*app, options);
+        auto all = compile(session, *app, options);
 
         const flow::DesignArtifact* fastest = nullptr;
         const flow::DesignArtifact* greenest = nullptr;

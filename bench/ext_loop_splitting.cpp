@@ -42,6 +42,7 @@ struct PartEstimate {
 } // namespace
 
 int main() {
+    flow::FlowSession session;
     const auto& app = apps::rush_larsen();
     std::cout << "=== extension: loop splitting for the Rush Larsen FPGA "
                  "designs ===\n\n";
@@ -151,7 +152,7 @@ int main() {
 
         RunOptions informed;
         informed.mode = flow::Mode::Informed;
-        auto gpu = compile(app, informed);
+        auto gpu = compile(session, app, informed);
         const auto* best = gpu.best();
         if (best != nullptr) {
             std::cout << "informed PSA-flow's GPU design: "

@@ -32,6 +32,7 @@ double policy_speedup(const flow::FlowResult& all, codegen::TargetKind target,
 } // namespace
 
 int main() {
+    flow::FlowSession session;
     std::cout << "=== Fig. 3 ablation: value of the informed PSA strategy "
                  "===\n\n";
 
@@ -47,11 +48,11 @@ int main() {
     for (const apps::Application* app : apps::all_applications()) {
         RunOptions informed_opt;
         informed_opt.mode = flow::Mode::Informed;
-        auto informed = compile(*app, informed_opt);
+        auto informed = compile(session, *app, informed_opt);
 
         RunOptions uninformed_opt;
         uninformed_opt.mode = flow::Mode::Uninformed;
-        auto all = compile(*app, uninformed_opt);
+        auto all = compile(session, *app, uninformed_opt);
 
         const double s_informed =
             informed.best() != nullptr ? informed.best()->speedup : 0.0;

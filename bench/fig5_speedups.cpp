@@ -36,6 +36,7 @@ double speedup_value(const flow::FlowResult& result,
 } // namespace
 
 int main() {
+    flow::FlowSession session;
     std::cout << "=== Fig. 5: accelerated hotspot region speedups vs "
                  "single-thread CPU ===\n\n";
     const auto wall_start = std::chrono::steady_clock::now();
@@ -48,11 +49,11 @@ int main() {
     for (const apps::Application* app : apps::all_applications()) {
         RunOptions uninformed_opt;
         uninformed_opt.mode = flow::Mode::Uninformed;
-        auto uninformed = compile(*app, uninformed_opt);
+        auto uninformed = compile(session, *app, uninformed_opt);
 
         RunOptions informed_opt;
         informed_opt.mode = flow::Mode::Informed;
-        auto informed = compile(*app, informed_opt);
+        auto informed = compile(session, *app, informed_opt);
 
         const auto* auto_design = informed.best();
         const double auto_speedup =

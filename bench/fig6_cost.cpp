@@ -20,6 +20,7 @@
 using namespace psaflow;
 
 int main() {
+    flow::FlowSession session;
     std::cout << "=== Fig. 6: FPGA vs GPU cost for varying resource prices "
                  "===\n";
     std::cout << "cost(FPGA)/cost(GPU) = (t_fpga * p_fpga) / (t_gpu * "
@@ -41,7 +42,8 @@ int main() {
     for (const auto& name : app_names) {
         RunOptions options;
         options.mode = flow::Mode::Uninformed;
-        auto result = compile(apps::application_by_name(name), options);
+        auto result =
+            compile(session, apps::application_by_name(name), options);
         const auto* s10 = result.find(codegen::TargetKind::CpuFpga,
                                       platform::DeviceId::Stratix10);
         const auto* gpu = result.find(codegen::TargetKind::CpuGpu,

@@ -116,10 +116,11 @@ void f(int n, double* a) {
 BENCHMARK(BM_UnrollTransform)->Arg(2)->Arg(8)->Arg(32);
 
 static void BM_FullInformedFlow_AdPredictor(benchmark::State& state) {
+    flow::FlowSession session;
     for (auto _ : state) {
         RunOptions options;
         options.mode = flow::Mode::Informed;
-        auto result = compile(apps::adpredictor(), options);
+        auto result = compile(session, apps::adpredictor(), options);
         benchmark::DoNotOptimize(result);
     }
 }

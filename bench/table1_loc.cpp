@@ -31,6 +31,7 @@ int added_lines(const flow::DesignArtifact& d,
 } // namespace
 
 int main() {
+    flow::FlowSession session;
     std::cout << "=== Table I: added LOC per generated design vs reference "
                  "===\n\n";
 
@@ -43,7 +44,7 @@ int main() {
     for (const apps::Application* app : apps::all_applications()) {
         RunOptions options;
         options.mode = flow::Mode::Uninformed;
-        auto result = compile(*app, options);
+        auto result = compile(session, *app, options);
 
         using codegen::TargetKind;
         using platform::DeviceId;

@@ -14,6 +14,7 @@
 using namespace psaflow;
 
 int main() {
+    flow::FlowSession session;
     std::cout << "=== Table II: comparison of design approaches ===\n\n";
 
     TablePrinter table(
@@ -33,7 +34,7 @@ int main() {
     // ---- verify the "This Work" row against the implementation ------------
     RunOptions options;
     options.mode = flow::Mode::Informed;
-    auto result = compile(apps::nbody(), options);
+    auto result = compile(session, apps::nbody(), options);
 
     bool partitions = false; // hotspot extracted into a kernel function
     bool maps = false;       // branch point A selected a target
@@ -48,7 +49,7 @@ int main() {
     // Multiple targets: the uninformed flow generates OMP+HIP+oneAPI designs.
     RunOptions uninformed;
     uninformed.mode = flow::Mode::Uninformed;
-    auto all = compile(apps::nbody(), uninformed);
+    auto all = compile(session, apps::nbody(), uninformed);
     int targets_seen = 0;
     bool saw[3] = {false, false, false};
     for (const auto& d : all.designs) {

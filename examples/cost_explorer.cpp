@@ -17,6 +17,7 @@
 using namespace psaflow;
 
 int main(int argc, char** argv) {
+    flow::FlowSession session;
     const std::string app_name = argc > 1 ? argv[1] : "adpredictor";
     const apps::Application& app = apps::application_by_name(app_name);
 
@@ -30,7 +31,7 @@ int main(int argc, char** argv) {
     // --- all designs with their run costs --------------------------------
     RunOptions uninformed;
     uninformed.mode = flow::Mode::Uninformed;
-    auto all = compile(app, uninformed);
+    auto all = compile(session, app, uninformed);
 
     TablePrinter table({"design", "speedup", "hotspot time", "run cost"});
     for (const auto& d : all.designs) {
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
     std::cout << "unconstrained informed selection:\n";
     RunOptions informed;
     informed.mode = flow::Mode::Informed;
-    auto unconstrained = compile(app, informed);
+    auto unconstrained = compile(session, app, informed);
     for (const auto& d : unconstrained.designs) {
         std::cout << "  -> " << d.name() << " ($"
                   << format_compact(
@@ -72,11 +73,11 @@ int main(int argc, char** argv) {
         const double first_cost =
             prices.run_cost(first.spec.target, first.hotspot_seconds);
         RunOptions constrained = informed;
-        constrained.budget.max_run_cost = first_cost * 0.5;
+        constrained.engine.budget.max_run_cost = first_cost * 0.5;
         std::cout << "\nbudget set to $"
-                  << format_compact(constrained.budget.max_run_cost, 3)
+                  << format_compact(constrained.engine.budget.max_run_cost, 3)
                   << " (half the unconstrained choice):\n";
-        auto revised = compile(app, constrained);
+        auto revised = compile(session, app, constrained);
         for (const auto& d : revised.designs) {
             std::cout << "  -> " << d.name() << " ($"
                       << format_compact(prices.run_cost(d.spec.target,

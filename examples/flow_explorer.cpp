@@ -15,6 +15,7 @@
 using namespace psaflow;
 
 int main(int argc, char** argv) {
+    flow::FlowSession session;
     if (argc > 1 && std::strcmp(argv[1], "--list") == 0) {
         for (const apps::Application* app : apps::all_applications()) {
             std::cout << app->name << ": " << app->description << "\n";
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
     std::cout << "=== " << app.name << " (" << mode_name << " PSA-flow) ===\n";
     std::cout << app.description << "\n\n";
 
-    auto result = compile(app, options);
+    auto result = compile(session, app, options);
 
     std::cout << "reference 1-thread CPU hotspot time: "
               << format_compact(result.reference_seconds, 4) << " s\n\n";

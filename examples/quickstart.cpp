@@ -2,9 +2,10 @@
 //
 // 1. Write a technology-agnostic application in HLC (a C-like subset).
 // 2. Describe how to run it (workload: entry point + argument factory).
-// 3. Call psaflow::compile — the PSA-flow finds the hotspot, analyses it,
-//    picks a target (Fig. 3 strategy), applies the target- and
-//    device-specific optimisations and emits ready-to-build design sources.
+// 3. Call psaflow::compile with both as an Application — the PSA-flow
+//    finds the hotspot, analyses it, picks a target (Fig. 3 strategy),
+//    applies the target- and device-specific optimisations and emits
+//    ready-to-build design sources.
 //
 // This example also demonstrates the Fig. 2 meta-program directly: query
 // the kernel's outermost loops and instrument them with a pragma.
@@ -77,7 +78,12 @@ int main() {
 
     // --- 2. the full PSA-flow ----------------------------------------------
     std::cout << "--- running the informed PSA-flow ---\n";
-    auto result = compile("blur", kBlurSource, blur_workload());
+    apps::Application blur;
+    blur.name = "blur";
+    blur.source = kBlurSource;
+    blur.workload = blur_workload();
+    flow::FlowSession session;
+    auto result = compile(session, blur);
 
     std::cout << "reference single-thread hotspot time: "
               << format_compact(result.reference_seconds, 4) << " s\n\n";

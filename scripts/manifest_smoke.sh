@@ -9,6 +9,9 @@
 #      at jobs 1 and jobs 4,
 #   3. require an invalid manifest (unknown task id) to be rejected with
 #      exit 2 and a located diagnostic before any compile starts,
+#   3b. run `psaflowc --batch` entries whose "flow" is the manifest's file
+#      path and require designs byte-identical to `psaflowc --flow` and
+#      stdout byte-identical to the same batch with the inline object,
 #   4. ship the manifest inside a compile request to a live psaflowd via
 #      `psaflow-client --flow` and require the served designs to be
 #      byte-identical to single-shot psaflowc,
@@ -94,6 +97,38 @@ if [ -e "$WORK/never" ]; then
 fi
 echo "invalid manifest rejected with exit 2 and a located diagnostic"
 
+# 3b. Batch entries may name their flow by file path (the operator owns the
+# batch file). Designs must match `psaflowc --flow` on the same file; the
+# batch prints its own table, so its stdout must match the same batch with
+# the manifest inline.
+mkdir -p "$WORK/batch-path" "$WORK/batch-inline"
+cp "$WORK/std.json" "$WORK/batch-path/std.json"
+INLINE=$(cat "$WORK/std.json")
+for app in nbody kmeans; do
+    echo "{\"app\": \"$app\", \"flow\": \"std.json\", \"out\": \"designs/$app\"}"
+done | paste -sd, | sed 's/^/[/; s/$/]/' > "$WORK/batch-path/batch.json"
+for app in nbody kmeans; do
+    echo "{\"app\": \"$app\", \"flow\": $INLINE, \"out\": \"designs/$app\"}"
+done | paste -sd, | sed 's/^/[/; s/$/]/' > "$WORK/batch-inline/batch.json"
+(cd "$WORK/batch-path" && "$PSAFLOWC" --batch batch.json > stdout.txt)
+(cd "$WORK/batch-inline" && "$PSAFLOWC" --batch batch.json > stdout.txt)
+diff "$WORK/batch-path/stdout.txt" "$WORK/batch-inline/stdout.txt" || {
+    echo "FAIL: --batch stdout differs between a flow file path and the" \
+         "inline manifest" >&2
+    exit 1
+}
+for app in nbody kmeans; do
+    diff -r "$WORK/batch-path/designs/$app" \
+        "$WORK/manifest/$app-1/designs" > /dev/null || {
+        echo "FAIL: --batch entry with a flow file path differs from" \
+             "psaflowc --flow for $app" >&2
+        diff -r "$WORK/batch-path/designs/$app" \
+            "$WORK/manifest/$app-1/designs" >&2 || true
+        exit 1
+    }
+done
+echo "batch entries with a flow file path match psaflowc --flow"
+
 # 4. The daemon accepts an in-request flow and serves identical designs.
 "$PSAFLOWD" --socket "$SOCK" --workers 2 --out "$WORK/served" \
     > "$WORK/daemon.stdout" 2>&1 &
@@ -126,5 +161,5 @@ grep -q "5 manifest run(s), 0 failure(s)" "$WORK/fuzz.stdout" || {
 echo "manifest fuzz sweep clean"
 
 echo "manifest smoke passed: export round-trip, byte-identity across" \
-     "apps and jobs, located rejection, daemon in-request flows and the" \
-     "differential fuzzer"
+     "apps and jobs, located rejection, batch flow paths, daemon" \
+     "in-request flows and the differential fuzzer"

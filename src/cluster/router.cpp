@@ -20,6 +20,9 @@
 
 namespace psaflow::cluster {
 
+using serve::hit_rate;
+using serve::us_since;
+
 namespace {
 
 /// The c of the bounded-load rule (HashRing::pick_bounded): a compile
@@ -28,13 +31,6 @@ namespace {
 /// tail latency and peak RSS; EXPERIMENTS.md). Not an option: it is a
 /// property of the routing rule, not of a deployment.
 constexpr double kLoadBound = 1.0;
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
 
 /// Send `payload` to `endpoint` and read one response frame. False on any
 /// transport failure — the caller treats the shard as down for this
@@ -396,96 +392,68 @@ void Router::serve_connection(net::Fd conn) {
             continue;
         }
 
-        const json::Value* type_value = doc->find("type");
-        const std::string type =
-            type_value != nullptr ? type_value->string_or("compile")
-                                  : "compile";
+        serve::WireRequest request;
+        const auto request_error = serve::parse_wire_request(*doc, request);
         std::string response;
-        if (type == "ping") {
+        if (request_error.has_value()) {
+            bad_requests_.fetch_add(1);
+            response = json::dump(serve::make_error_response(
+                serve::ErrorKind::BadRequest, *request_error));
+        } else if (auto answer = answer_inline(request, *doc)) {
             inline_answers_.fetch_add(1);
-            response = json::dump(serve::make_pong_response());
-        } else if (type == "stats") {
-            inline_answers_.fetch_add(1);
-            response = json::dump(stats_json());
-        } else if (type == "metrics") {
-            inline_answers_.fetch_add(1);
-            json::Value body = json::Value::object();
-            body.set("ok", json::Value::boolean(true));
-            body.set("schema_version",
-                     json::Value::number(double(serve::kSchemaVersion)));
-            body.set("type", json::Value::string("metrics"));
-            body.set("content_type",
-                     json::Value::string(
-                         "text/plain; version=0.0.4; charset=utf-8"));
-            body.set("body", json::Value::string(metrics_text()));
-            response = json::dump(body);
-        } else if (type == "logs") {
-            inline_answers_.fetch_add(1);
-            long long max_records = 100;
-            std::string min_level;
-            if (const json::Value* v = doc->find("max"))
-                max_records = static_cast<long long>(v->number_or(100.0));
-            if (const json::Value* v = doc->find("min_level"))
-                min_level = v->string_or("");
-            response = json::dump(
-                serve::Daemon::logs_json(max_records, min_level));
-        } else if (type == "drain") {
-            inline_answers_.fetch_add(1);
-            response = handle_admin(*doc);
-        } else if (type == "flight") {
-            inline_answers_.fetch_add(1);
-            long long max_records = 0;
-            if (const json::Value* v = doc->find("max"))
-                max_records = static_cast<long long>(v->number_or(0.0));
-            response = json::dump(serve::make_flight_response(
-                obs::FlightRecorder::global(), max_records));
-        } else if (type == "cluster_stats") {
-            inline_answers_.fetch_add(1);
-            response = json::dump(cluster_stats_json());
-        } else if (type == "cluster_metrics") {
-            inline_answers_.fetch_add(1);
-            json::Value body = json::Value::object();
-            body.set("ok", json::Value::boolean(true));
-            body.set("schema_version",
-                     json::Value::number(double(serve::kSchemaVersion)));
-            body.set("type", json::Value::string("cluster_metrics"));
-            body.set("content_type",
-                     json::Value::string(
-                         "text/plain; version=0.0.4; charset=utf-8"));
-            body.set("body", json::Value::string(cluster_metrics_text()));
-            response = json::dump(body);
+            response = std::move(*answer);
         } else {
-            // A routed request. Parse just enough to pick the key; the
-            // original payload is forwarded untouched so the shard sees —
-            // and the client receives — the exact bytes. (A *traced*
-            // request is the one exception: the router re-points the
-            // trace's parent_span at its own relay span before
-            // forwarding, and wraps the shard's returned spans in that
-            // relay span on the way back.)
-            serve::WireRequest request;
-            const auto request_error =
-                serve::parse_wire_request(*doc, request);
-            if (request_error.has_value()) {
-                bad_requests_.fetch_add(1);
-                response = json::dump(serve::make_error_response(
-                    serve::ErrorKind::BadRequest, *request_error));
-            } else {
-                // Keyless requests (e.g. sleep) round-robin by sequence
-                // number, but the raw counter must be mixed first: ring
-                // positions are uniform 64-bit hashes, and sequential
-                // integers all sit below the same first vnode — unmixed,
-                // every keyless request would land on one shard.
-                std::uint64_t key =
-                    SplitMix64(request_seq_.fetch_add(1)).next_u64();
-                if (request.type == serve::RequestType::Compile)
-                    key = serve::affinity_digest(request.compile);
-                else if (request.type == serve::RequestType::CasGet ||
-                         request.type == serve::RequestType::CasPut)
-                    key = request.cas_key;
-                response = relay(request, *doc, key, payload, rng);
-            }
+            // A routed request. The original payload is forwarded
+            // untouched so the shard sees — and the client receives — the
+            // exact bytes. (A *traced* request is the one exception: the
+            // router re-points the trace's parent_span at its own relay
+            // span before forwarding, and wraps the shard's returned spans
+            // in that relay span on the way back.)
+            //
+            // Keyless requests (e.g. sleep) round-robin by sequence
+            // number, but the raw counter must be mixed first: ring
+            // positions are uniform 64-bit hashes, and sequential
+            // integers all sit below the same first vnode — unmixed,
+            // every keyless request would land on one shard.
+            std::uint64_t key =
+                SplitMix64(request_seq_.fetch_add(1)).next_u64();
+            if (request.type == serve::RequestType::Compile)
+                key = serve::affinity_digest(request.compile);
+            else if (request.type == serve::RequestType::CasGet ||
+                     request.type == serve::RequestType::CasPut)
+                key = request.cas_key;
+            response = relay(request, *doc, key, payload, rng);
         }
         if (!net::write_frame(conn.get(), response)) break;
+    }
+}
+
+std::optional<std::string>
+Router::answer_inline(const serve::WireRequest& request,
+                      const json::Value& doc) {
+    switch (request.type) {
+    case serve::RequestType::Ping:
+        return json::dump(serve::make_pong_response());
+    case serve::RequestType::Stats:
+        return json::dump(stats_json());
+    case serve::RequestType::Metrics:
+        return json::dump(
+            serve::make_metrics_response("metrics", metrics_text()));
+    case serve::RequestType::Logs:
+        return json::dump(serve::Daemon::logs_json(request.logs_max,
+                                                   request.logs_min_level));
+    case serve::RequestType::Drain:
+        return handle_admin(doc);
+    case serve::RequestType::Flight:
+        return json::dump(serve::make_flight_response(
+            obs::FlightRecorder::global(), request.flight_max));
+    case serve::RequestType::ClusterStats:
+        return json::dump(cluster_stats_json());
+    case serve::RequestType::ClusterMetrics:
+        return json::dump(serve::make_metrics_response(
+            "cluster_metrics", cluster_metrics_text()));
+    default:
+        return std::nullopt; // compile, cas_get, cas_put, sleep: relayed
     }
 }
 
@@ -645,62 +613,6 @@ std::uint64_t member_u64(const json::Value& doc, const char* key) {
     return v == nullptr ? 0 : static_cast<std::uint64_t>(v->number_or(0.0));
 }
 
-/// Rebuild a Histogram from a shard stats document's histogram member
-/// (the {"count","sum","min","max",...,"buckets":[[floor,n],...]} shape
-/// the daemon's stats endpoint emits). Missing/malformed members merge
-/// as zeroes — an old shard without buckets degrades, it doesn't fail.
-Histogram histogram_from_doc(const json::Value* value) {
-    Histogram::Parts parts;
-    if (value != nullptr && value->is_object()) {
-        parts.count = member_u64(*value, "count");
-        parts.sum = member_u64(*value, "sum");
-        parts.min = member_u64(*value, "min");
-        parts.max = member_u64(*value, "max");
-        if (const json::Value* buckets = value->find("buckets");
-            buckets != nullptr && buckets->is_array())
-            for (const json::Value& pair : buckets->elements)
-                if (pair.is_array() && pair.elements.size() == 2)
-                    parts.buckets.emplace_back(
-                        static_cast<std::uint64_t>(
-                            pair.elements[0].number_or(0.0)),
-                        static_cast<std::uint64_t>(
-                            pair.elements[1].number_or(0.0)));
-    }
-    return Histogram::from_parts(parts);
-}
-
-/// Same histogram shape the daemon stats endpoint uses (percentiles for
-/// humans, raw buckets so the document stays mergeable downstream).
-json::Value histogram_value(const Histogram& hist) {
-    json::Value out = json::Value::object();
-    out.set("count", json::Value::number(double(hist.count())));
-    out.set("sum", json::Value::number(double(hist.sum())));
-    out.set("min", json::Value::number(double(hist.min())));
-    out.set("max", json::Value::number(double(hist.max())));
-    out.set("mean", json::Value::number(hist.mean()));
-    out.set("p50", json::Value::number(double(hist.percentile(50))));
-    out.set("p90", json::Value::number(double(hist.percentile(90))));
-    out.set("p99", json::Value::number(double(hist.percentile(99))));
-    json::Value buckets = json::Value::array();
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-        const std::uint64_t n = hist.bucket_count(b);
-        if (n == 0) continue;
-        json::Value pair = json::Value::array();
-        pair.push(json::Value::number(double(Histogram::bucket_floor(b))));
-        pair.push(json::Value::number(double(n)));
-        buckets.push(std::move(pair));
-    }
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
-double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
-}
-
 /// Everything the two cluster endpoints aggregate from one scrape pass.
 struct FleetRollup {
     std::size_t live = 0;
@@ -718,8 +630,8 @@ struct FleetRollup {
 void fold_shard(FleetRollup& fleet, const json::Value& doc) {
     ++fleet.live;
     fleet.request_latency.merge(
-        histogram_from_doc(doc.find("request_latency_us")));
-    fleet.queue_wait.merge(histogram_from_doc(doc.find("queue_wait_us")));
+        Histogram::from_json(doc.find("request_latency_us")));
+    fleet.queue_wait.merge(Histogram::from_json(doc.find("queue_wait_us")));
     if (const json::Value* counters = doc.find("counters");
         counters != nullptr && counters->is_object())
         for (const auto& [name, value] : counters->members)
@@ -823,9 +735,8 @@ json::Value Router::cluster_stats_json() {
     for (const std::uint64_t depth : fleet.lane_depths)
         lanes.push(json::Value::number(double(depth)));
     rollup.set("queue_lane_depths", std::move(lanes));
-    rollup.set("request_latency_us",
-               histogram_value(fleet.request_latency));
-    rollup.set("queue_wait_us", histogram_value(fleet.queue_wait));
+    rollup.set("request_latency_us", fleet.request_latency.to_json());
+    rollup.set("queue_wait_us", fleet.queue_wait.to_json());
 
     const auto counter = [&fleet](const char* name) {
         auto it = fleet.counters.find(name);
@@ -875,12 +786,12 @@ std::string Router::cluster_metrics_text() {
         // exactly the sums of these.
         renderer.histogram("psaflow_cluster_shard_request_latency_us",
                            "Per-shard receipt-to-response latency",
-                           histogram_from_doc(
+                           Histogram::from_json(
                                doc.find("request_latency_us")),
                            labels);
         renderer.histogram("psaflow_cluster_shard_queue_wait_us",
                            "Per-shard admission-to-execution wait",
-                           histogram_from_doc(doc.find("queue_wait_us")),
+                           Histogram::from_json(doc.find("queue_wait_us")),
                            labels);
         if (const json::Value* requests = doc.find("requests");
             requests != nullptr && requests->is_object())

@@ -119,7 +119,7 @@ public:
     /// {"type":"cluster_metrics"}: Prometheus exposition of the same
     /// fan-in — every shard histogram re-exposed under psaflow_cluster_*
     /// with shard/endpoint labels, beside merged (label-free) series
-    /// rebuilt via Histogram::from_parts so merged bucket counts are
+    /// rebuilt via Histogram::from_json so merged bucket counts are
     /// exactly the sums of the per-shard scrapes.
     [[nodiscard]] std::string cluster_metrics_text();
 
@@ -191,6 +191,10 @@ private:
     };
     /// Scrape every shard concurrently, in shards_ order.
     [[nodiscard]] std::vector<ShardScrape> scrape_shards();
+    /// The response to a request the router answers itself (ping, stats,
+    /// metrics, logs, flight, drain, cluster_*); nullopt for one it relays.
+    [[nodiscard]] std::optional<std::string>
+    answer_inline(const serve::WireRequest& request, const json::Value& doc);
     [[nodiscard]] std::string handle_admin(const json::Value& doc);
     void health_loop();
     [[nodiscard]] bool ping_shard(Shard& shard);

@@ -9,33 +9,11 @@
 
 namespace psaflow {
 
-flow::FlowResult compile(const apps::Application& app,
-                         const RunOptions& options) {
-    flow::FlowSession session;
-    return compile(session, app, options);
-}
-
-flow::FlowResult compile(const std::string& app_name, std::string_view source,
-                         analysis::Workload workload,
-                         bool allow_single_precision,
-                         const RunOptions& options) {
-    flow::FlowSession session;
-    return compile(session, app_name, source, std::move(workload),
-                   allow_single_precision, options);
-}
-
-flow::FlowResult compile(flow::FlowSession& session,
-                         const apps::Application& app,
-                         const RunOptions& options) {
-    return compile(session, app.name, app.source, app.workload,
-                   app.allow_single_precision, options);
-}
-
 namespace {
 
-/// Flow-result key: every input the flow reads. `jobs` and `cancel` stay
-/// out (any jobs setting yields the same result; a cancelled run is never
-/// stored).
+/// Flow-result key: every input the flow reads. The session's jobs and
+/// `cancel` stay out (any jobs setting yields the same result; a cancelled
+/// run is never stored).
 std::uint64_t flow_result_key(const std::string& app_name,
                               std::string_view source,
                               std::uint64_t workload_digest,
@@ -63,24 +41,14 @@ std::uint64_t flow_result_key(const std::string& app_name,
 } // namespace
 
 flow::FlowResult compile(flow::FlowSession& session,
-                         const std::string& app_name, std::string_view source,
-                         analysis::Workload workload,
-                         bool allow_single_precision,
+                         const apps::Application& app,
                          const RunOptions& options) {
-    // Request-level manifest wins over the session default; the builtin
-    // standard flow is the fallback when neither is present.
-    const flow::ManifestFlow* manifest = options.flow_manifest != nullptr
-                                             ? options.flow_manifest
-                                             : session.manifest_flow();
-
+    const flow::ManifestFlow* manifest = options.flow_manifest;
     double threshold_x = options.intensity_threshold_x;
-    if (manifest != nullptr && manifest->threshold_x.has_value())
-        threshold_x = *manifest->threshold_x;
-    flow::EngineOptions engine;
-    engine.budget = options.budget;
-    engine.cost_model = options.cost_model;
-    engine.jobs = options.jobs;
+    flow::EngineOptions engine = options.engine;
     if (manifest != nullptr) {
+        if (manifest->threshold_x.has_value())
+            threshold_x = *manifest->threshold_x;
         if (manifest->max_run_cost.has_value())
             engine.budget.max_run_cost = *manifest->max_run_cost;
         if (manifest->max_feedback_iterations.has_value())
@@ -102,9 +70,10 @@ flow::FlowResult compile(flow::FlowSession& session,
     if (tiered) {
         poll_cancellation(options.cancel);
         trace::ScopedSpan span("flow_cache", "cache");
-        digest = flow::workload_digest(workload);
-        key = flow_result_key(app_name, source, digest, allow_single_precision,
-                              threshold_x, engine, manifest, options.mode);
+        digest = flow::workload_digest(app.workload);
+        key = flow_result_key(app.name, app.source, digest,
+                              app.allow_single_precision, threshold_x, engine,
+                              manifest, options.mode);
         if (auto payload = disk->get_local(key)) {
             flow::FlowResult cached;
             if (flow::parse_flow_result(*payload, cached)) {
@@ -115,10 +84,10 @@ flow::FlowResult compile(flow::FlowSession& session,
         trace::Registry::current().count("flow_cache.misses", 1);
     }
 
-    auto module = frontend::parse_module(source, app_name);
-    flow::FlowContext ctx(app_name, std::move(module), std::move(workload));
+    auto module = frontend::parse_module(app.source, app.name);
+    flow::FlowContext ctx(app.name, std::move(module), app.workload);
     if (digest != 0) ctx.seed_workload_digest(digest);
-    ctx.allow_single_precision = allow_single_precision;
+    ctx.allow_single_precision = app.allow_single_precision;
     ctx.intensity_threshold_x = threshold_x;
     ctx.cancel = options.cancel;
 

@@ -5,16 +5,17 @@
 // uninformed mode, and receive the generated designs with their emitted
 // sources and predicted performance.
 //
-//     const auto& app = psaflow::apps::nbody();
-//     auto result = psaflow::compile(app, {.mode = flow::Mode::Informed});
+//     psaflow::flow::FlowSession session;
+//     psaflow::RunOptions options;
+//     options.mode = psaflow::flow::Mode::Uninformed;
+//     auto result = psaflow::compile(session, psaflow::apps::nbody(), options);
 //     for (const auto& d : result.designs)
 //         std::cout << d.name() << ": " << d.speedup << "x\n";
+//
+// Raw HLC source compiles the same way: fill an apps::Application with a
+// name, the source and its workload.
 #pragma once
 
-#include <string>
-#include <string_view>
-
-#include "analysis/workload.hpp"
 #include "apps/apps.hpp"
 #include "flow/engine.hpp"
 #include "flow/manifest.hpp"
@@ -24,12 +25,13 @@
 
 namespace psaflow {
 
+/// What one compile runs. The session (flow::SessionOptions) owns how it
+/// runs: worker count and persistent store.
 struct RunOptions {
     flow::Mode mode = flow::Mode::Informed;
-    flow::Budget budget;         ///< Fig. 3 cost feedback (optional)
-    flow::CostModel cost_model;  ///< cloud prices for the budget check
     double intensity_threshold_x = 4.0; ///< Fig. 3's tunable X (FLOPs/B)
-    int jobs = 0; ///< branch-path workers; 0 = PSAFLOW_JOBS / hw default
+    /// Fig. 3 cost feedback: budget, cloud prices and the feedback cap.
+    flow::EngineOptions engine;
 
     /// Cooperative cancellation (not owned; may be null). When the token
     /// fires — explicitly or via its deadline — the flow unwinds with
@@ -40,27 +42,13 @@ struct RunOptions {
     /// runs this flow instead of standard_flow(mode) and the manifest's
     /// engine parameters (budget / threshold_x / max_feedback_iterations)
     /// override the fields above — a flow that declares its own budget
-    /// means it. When null, a session-level manifest
-    /// (SessionOptions::flow_manifest) applies; the builtin standard flow
-    /// is the final fallback.
+    /// means it.
     const flow::ManifestFlow* flow_manifest = nullptr;
 };
 
-/// Run the standard PSA-flow on one of the bundled applications.
-[[nodiscard]] flow::FlowResult compile(const apps::Application& app,
-                                       const RunOptions& options = {});
-
-/// Run the standard PSA-flow on arbitrary HLC source. `workload` drives the
-/// dynamic analyses; `allow_single_precision` gates the SP transforms.
-[[nodiscard]] flow::FlowResult compile(const std::string& app_name,
-                                       std::string_view source,
-                                       analysis::Workload workload,
-                                       bool allow_single_precision = true,
-                                       const RunOptions& options = {});
-
-/// Session-aware variants: run through the caller's FlowSession so many
-/// compiles share one pool/cache/trace wiring (the batch driver's fast
-/// path). `options.jobs == 0` defers to the session's jobs setting.
+/// Run a PSA-flow on `app` through `session`, so many compiles share one
+/// pool/cache/trace wiring. `app.workload` drives the dynamic analyses;
+/// `app.allow_single_precision` gates the SP transforms.
 ///
 /// With a persistent store (cas::store()), every compile first looks up
 /// the flow-result tier (local entries only, never a remote tier), keyed
@@ -75,13 +63,6 @@ struct RunOptions {
 /// FlowSession::run never consults this tier.
 [[nodiscard]] flow::FlowResult compile(flow::FlowSession& session,
                                        const apps::Application& app,
-                                       const RunOptions& options = {});
-
-[[nodiscard]] flow::FlowResult compile(flow::FlowSession& session,
-                                       const std::string& app_name,
-                                       std::string_view source,
-                                       analysis::Workload workload,
-                                       bool allow_single_precision = true,
                                        const RunOptions& options = {});
 
 /// Library version string.

@@ -1,8 +1,10 @@
-#include "flow/engine.hpp"
+#include "flow/session.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "analysis/profile_cache.hpp"
 #include "ast/printer.hpp"
@@ -376,45 +378,16 @@ struct Scheduler {
     }
 };
 
-} // namespace
-
-FlowResult detail::run_flow_impl(const DesignFlow& flow, FlowContext ctx,
-                                 const EngineOptions& options) {
-    trace::ScopedSpan flow_span("run_flow:" + ctx.app_name(), "flow");
-    CancelScope cancel_scope(ctx.cancel);
-
-    const int jobs =
-        options.jobs > 0 ? options.jobs : ThreadPool::default_jobs();
-    Scheduler scheduler;
-    if (jobs > 1) scheduler.pool = &ThreadPool::shared();
-    scheduler.cost_model = &options.cost_model;
-
-    std::string signature = "prologue";
-    for (const TaskPtr& task : flow.prologue) {
-        poll_cancellation(ctx.cancel);
-        trace::ScopedSpan task_span("task:" + task->id(),
-                                    task->dynamic() ? "task.dynamic" : "task");
-        task->run(ctx);
-        signature += ";" + task->id();
-    }
-
-    FlowResult result;
-    result.reference_seconds =
-        ctx.has_kernel() ? ctx.reference_seconds() : 0.0;
-    result.log = ctx.log();
-
-    if (flow.branch == nullptr) {
-        result.designs.push_back(
-            finalize(std::move(ctx), result.reference_seconds, signature));
-        return result;
-    }
-
-    // Budget feedback loop (Fig. 3, bottom): if the selected design's run
-    // cost exceeds the budget, exclude its target and re-select. Only
-    // meaningful for single-path (informed) strategies.
+/// The branch phase of a flow run, with the Fig. 3 budget feedback loop
+/// (bottom): if the selected design's run cost exceeds the budget, exclude
+/// its target and re-select. Only meaningful for single-path (informed)
+/// strategies.
+void run_branches(const BranchPoint& root, FlowContext& ctx,
+                  const EngineOptions& engine, Scheduler& scheduler,
+                  const std::string& signature, FlowResult& result) {
     std::set<std::string> excluded;
     for (int iteration = 0;; ++iteration) {
-        BranchPoint branch = *flow.branch;
+        BranchPoint branch = root;
         if (!excluded.empty())
             branch.strategy = informed_strategy(excluded);
 
@@ -426,8 +399,8 @@ FlowResult detail::run_flow_impl(const DesignFlow& flow, FlowContext ctx,
         scheduler.descend(&branch, ctx.fork(), result.reference_seconds,
                           signature, result.designs, result.decisions);
 
-        if (!options.budget.constrained() ||
-            iteration >= options.max_feedback_iterations)
+        if (!engine.budget.constrained() ||
+            iteration >= engine.max_feedback_iterations)
             break;
 
         // Feedback applies only to an *informed* selection: every design of
@@ -452,15 +425,15 @@ FlowResult detail::run_flow_impl(const DesignFlow& flow, FlowContext ctx,
                 cheapest = &d;
         }
         if (cheapest == nullptr) break;
-        const double cost = options.cost_model.run_cost(
+        const double cost = engine.cost_model.run_cost(
             family, cheapest->hotspot_seconds);
-        if (cost <= options.budget.max_run_cost) break;
+        if (cost <= engine.budget.max_run_cost) break;
 
         obs::info("flow", "budget feedback: selection vetoed, re-selecting",
                   {{"app", ctx.app_name()},
                    {"iteration", std::to_string(iteration)},
                    {"run_cost", format_compact(cost, 4)},
-                   {"budget", format_compact(options.budget.max_run_cost, 4)}});
+                   {"budget", format_compact(engine.budget.max_run_cost, 4)}});
         switch (family) {
             case TargetKind::CpuGpu: excluded.insert("gpu"); break;
             case TargetKind::CpuFpga: excluded.insert("fpga"); break;
@@ -468,6 +441,58 @@ FlowResult detail::run_flow_impl(const DesignFlow& flow, FlowContext ctx,
             default: break;
         }
     }
+}
+
+} // namespace
+
+FlowSession::FlowSession(SessionOptions options)
+    : options_(std::move(options)) {
+    if (!options_.cache_dir.empty())
+        cas::configure(options_.cache_dir, options_.cache_max_bytes);
+}
+
+FlowResult FlowSession::run(const DesignFlow& flow, FlowContext ctx,
+                            const EngineOptions& engine) {
+    const auto start = std::chrono::steady_clock::now();
+    FlowResult result;
+    {
+        trace::ScopedSpan flow_span("run_flow:" + ctx.app_name(), "flow");
+        CancelScope cancel_scope(ctx.cancel);
+
+        const int jobs =
+            options_.jobs > 0 ? options_.jobs : ThreadPool::default_jobs();
+        Scheduler scheduler;
+        if (jobs > 1) scheduler.pool = &ThreadPool::shared();
+        scheduler.cost_model = &engine.cost_model;
+
+        std::string signature = "prologue";
+        for (const TaskPtr& task : flow.prologue) {
+            poll_cancellation(ctx.cancel);
+            trace::ScopedSpan task_span(
+                "task:" + task->id(),
+                task->dynamic() ? "task.dynamic" : "task");
+            task->run(ctx);
+            signature += ";" + task->id();
+        }
+
+        result.reference_seconds =
+            ctx.has_kernel() ? ctx.reference_seconds() : 0.0;
+        result.log = ctx.log();
+
+        if (flow.branch == nullptr) {
+            result.designs.push_back(finalize(
+                std::move(ctx), result.reference_seconds, signature));
+        } else {
+            run_branches(*flow.branch, ctx, engine, scheduler, signature,
+                         result);
+        }
+    }
+    const auto wall_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    trace::Registry::current().count("flow.runs", 1);
+    trace::Registry::current().count("flow.wall_us",
+                                    static_cast<std::uint64_t>(wall_us));
     return result;
 }
 

@@ -52,27 +52,15 @@ struct FlowResult {
     find(codegen::TargetKind target, platform::DeviceId device) const;
 };
 
+/// The Fig. 3 cost-feedback parameters of one flow execution. How many
+/// workers run it is the session's setting (SessionOptions::jobs).
 struct EngineOptions {
     Budget budget;       ///< Fig. 3 cost feedback (informed mode only)
     CostModel cost_model;
     int max_feedback_iterations = 3;
-
-    /// Worker threads for independent branch paths. 1 runs strictly
-    /// sequentially on the calling thread; 0 picks the process default
-    /// (PSAFLOW_JOBS or hardware concurrency). Any setting produces a
-    /// byte-identical FlowResult: paths fork deterministically before they
-    /// are scheduled and leaves merge back in flow order.
-    int jobs = 0;
 };
 
 namespace detail {
-/// The engine proper, behind the FlowSession facade: executes the flow
-/// with the options exactly as given (no session defaults applied, no
-/// session-level accounting).
-[[nodiscard]] FlowResult run_flow_impl(const DesignFlow& flow,
-                                       FlowContext ctx,
-                                       const EngineOptions& options);
-
 /// Persistent-cache key of one leaf design. The signature pins the exact
 /// task sequence that produced the state; the module print (pragmas
 /// included: they change the emitted design), spec, FPGA report and

@@ -4,26 +4,21 @@
 // worker-pool width, the persistent content-addressed store configuration
 // and the trace accounting — so embedders (psaflowc, the batch driver, the
 // fuzz harness, the bench programs) configure these once instead of
-// plumbing environment variables and EngineOptions fields individually.
-// Running many flows through one session shares the warm in-process caches
-// and the store index: that is what makes `psaflowc --batch` cheap.
-//
-// A session may also carry a default flow lowered from a manifest
-// (SessionOptions::flow_manifest, see flow/manifest.hpp); the core
-// compile() runs it in place of the builtin standard_flow.
+// plumbing environment variables per call. Running many flows through one
+// session shares the warm in-process caches and the store index: that is
+// what makes `psaflowc --batch` cheap. What a flow computes (mode, budget,
+// manifest) is the caller's per-compile input (psaflow::RunOptions).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "flow/engine.hpp"
-#include "flow/manifest.hpp"
 
 namespace psaflow::flow {
 
 // Environment-variable precedence (the single source of truth for it):
-// an explicit SessionOptions field wins over its environment variable,
+// a SessionOptions field, when set, wins over its environment variable,
 // which wins over the built-in default —
 //
 //   jobs        : SessionOptions.jobs      > PSAFLOW_JOBS      > hardware
@@ -35,9 +30,11 @@ namespace psaflow::flow {
 // the FlowSession constructor, so later sessions in the same process
 // inherit it unless they override it themselves.
 struct SessionOptions {
-    /// Worker threads for independent branch paths; 0 picks the process
-    /// default (PSAFLOW_JOBS or hardware concurrency). Any setting yields
-    /// a byte-identical FlowResult.
+    /// Worker threads for independent branch paths. 1 runs strictly
+    /// sequentially on the calling thread; 0 picks the process default
+    /// (PSAFLOW_JOBS or hardware concurrency). Any setting produces a
+    /// byte-identical FlowResult: paths fork deterministically before they
+    /// are scheduled and leaves merge back in flow order.
     int jobs = 0;
 
     /// Root directory of the persistent content-addressed store. Empty
@@ -48,14 +45,6 @@ struct SessionOptions {
     /// Size cap for the store in bytes; 0 keeps the PSAFLOW_CACHE_MAX_MB /
     /// built-in default. Only consulted when `cache_dir` is set.
     std::uint64_t cache_max_bytes = 0;
-
-    /// Flow manifest naming the session's default flow: text starting with
-    /// '{' is an inline JSON document, anything else a file path (see
-    /// flow/manifest.hpp). Validated and lowered eagerly by the FlowSession
-    /// constructor, which throws psaflow::Error with a located diagnostic
-    /// on any schema violation. Empty: no session default — the core
-    /// compile() falls back to the builtin standard_flow().
-    std::string flow_manifest;
 };
 
 class FlowSession {
@@ -66,23 +55,17 @@ public:
     explicit FlowSession(SessionOptions options);
 
     /// Execute `flow` over `ctx` (the context is consumed; paths fork from
-    /// it). `engine.jobs == 0` inherits the session's jobs setting. Counts
-    /// "flow.runs" and the flow-phase wall clock "flow.wall_us" into the
-    /// trace registry.
+    /// it) on the session's workers, forking at branch points, finalising
+    /// every leaf and applying the Fig. 3 budget feedback in informed mode.
+    /// Counts "flow.runs" and the flow-phase wall clock "flow.wall_us" into
+    /// the trace registry.
     [[nodiscard]] FlowResult run(const DesignFlow& flow, FlowContext ctx,
-                                 EngineOptions engine = {});
+                                 const EngineOptions& engine = {});
 
     [[nodiscard]] const SessionOptions& options() const { return options_; }
 
-    /// The flow lowered from SessionOptions::flow_manifest; nullptr when
-    /// the session has no manifest.
-    [[nodiscard]] const ManifestFlow* manifest_flow() const {
-        return manifest_.has_value() ? &*manifest_ : nullptr;
-    }
-
 private:
     SessionOptions options_;
-    std::optional<ManifestFlow> manifest_;
 };
 
 } // namespace psaflow::flow

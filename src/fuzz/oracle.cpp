@@ -763,6 +763,10 @@ OracleOutcome run_oracles(const std::string& source,
         // `untiered` runs the flow through FlowSession::run, which skips
         // the flow-result tier, so a warm store can only serve it from the
         // profile and design-artifact tiers.
+        apps::Application app;
+        app.name = "fuzz";
+        app.source = source;
+        app.workload = workload;
         auto run_flow_at = [&](int jobs, bool untiered = false) {
             struct FlowCapture {
                 bool threw = false;
@@ -771,30 +775,25 @@ OracleOutcome run_oracles(const std::string& source,
                 std::string summary;
                 std::uint64_t flow_cache_hits = 0;
             } cap;
-            RunOptions ro;
-            ro.mode = flow::Mode::Informed;
-            ro.jobs = jobs;
             trace::Registry registry; // this run's counters only
             try {
                 // A fresh session per run keeps the comparisons honest:
                 // nothing is shared between the jobs=1 and jobs=N runs
                 // beyond the process-wide caches the oracle controls.
                 trace::ScopedRegistry scope(registry);
-                flow::FlowSession session;
+                flow::SessionOptions session_options;
+                session_options.jobs = jobs;
+                flow::FlowSession session(session_options);
                 flow::FlowResult result;
                 if (untiered) {
                     flow::FlowContext ctx(
                         "fuzz", frontend::parse_module(source, "fuzz"),
                         workload);
-                    flow::EngineOptions engine;
-                    engine.jobs = jobs;
-                    result = session.run(flow::standard_flow(ro.mode),
-                                         std::move(ctx), engine);
+                    result = session.run(
+                        flow::standard_flow(flow::Mode::Informed),
+                        std::move(ctx));
                 } else {
-                    result = psaflow::compile(session, "fuzz", source,
-                                              workload,
-                                              /*allow_single_precision=*/true,
-                                              ro);
+                    result = psaflow::compile(session, app);
                 }
                 std::ostringstream os;
                 os.precision(17);

@@ -79,6 +79,10 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         out.type = RequestType::ClusterMetrics;
         return std::nullopt;
     }
+    if (type == "drain") {
+        out.type = RequestType::Drain;
+        return std::nullopt;
+    }
     if (type == "sleep") {
         out.type = RequestType::Sleep;
         if (const json::Value* v = doc.find("ms"))
@@ -201,6 +205,32 @@ json::Value make_pong_response() {
                  json::Value::number(double(kSchemaVersion)));
     response.set("type", json::Value::string("pong"));
     return response;
+}
+
+json::Value make_metrics_response(const std::string& type, std::string body) {
+    json::Value response = json::Value::object();
+    response.set("ok", json::Value::boolean(true));
+    response.set("schema_version",
+                 json::Value::number(double(kSchemaVersion)));
+    response.set("type", json::Value::string(type));
+    response.set("content_type",
+                 json::Value::string("text/plain; version=0.0.4"));
+    response.set("body", json::Value::string(std::move(body)));
+    return response;
+}
+
+double hit_rate(std::uint64_t hits, std::uint64_t misses) {
+    const std::uint64_t total = hits + misses;
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits) /
+                            static_cast<double>(total);
+}
+
+std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
 }
 
 std::optional<ResponseView> parse_response(const json::Value& doc) {

@@ -13,10 +13,11 @@
 //    "out":"designs/nbody", "deadline_ms":500, "flow":{...}}
 //     — the compile fields are exactly a `psaflowc --batch` manifest
 //       entry, so a manifest request and a daemon request are the same
-//       object (serve/request.hpp). The optional "flow" member is a flow
-//       manifest (flow/manifest.hpp): clients ship user-programmed flows
-//       over the wire and the daemon runs them in place of the builtin
-//       standard flow.
+//       object (serve/request.hpp). The optional "flow" member is an
+//       inline flow manifest object (flow/manifest.hpp): clients ship
+//       user-programmed flows over the wire and the daemon runs them in
+//       place of the builtin standard flow. Any other "flow" value — a
+//       file path included — is a bad_request.
 //   {"type":"stats"}  — live metrics snapshot (never queued; answered
 //       inline even when every worker is busy).
 //   {"type":"metrics"} — Prometheus text-format exposition of the same
@@ -46,6 +47,9 @@
 //       scrape every live shard concurrently and return the fleet view
 //       (merged histograms + counters with per-shard labels). A daemon
 //       rejects these with bad_request pointing at the router.
+//   {"type":"drain", "shard":"a", "draining":true} — router only: take a
+//       shard out of rotation (or put it back). A daemon rejects it the
+//       same way.
 //
 // Any request may additionally carry a "trace" member (wire_trace.hpp):
 //   "trace": {"trace_id":"<16-hex>", "parent_span":N}
@@ -60,6 +64,7 @@
 //    "retry_after_ms":N}            — retry_after_ms only on overloaded.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -88,6 +93,7 @@ enum class RequestType {
     Flight,
     ClusterStats,
     ClusterMetrics,
+    Drain, ///< router admin; its fields are read from the document
 };
 
 struct WireRequest {
@@ -104,7 +110,9 @@ struct WireRequest {
 };
 
 /// Parse one request frame. Returns an error message (a bad_request body
-/// for the caller to send back) on malformed input.
+/// for the caller to send back) on malformed input. Daemons and routers
+/// both parse every frame here, so they reject the same malformed
+/// requests; a daemon then refuses the router-only types.
 [[nodiscard]] std::optional<std::string>
 parse_wire_request(const json::Value& doc, WireRequest& out);
 
@@ -115,6 +123,9 @@ parse_wire_request(const json::Value& doc, WireRequest& out);
 [[nodiscard]] json::Value make_compile_response(const CompileRequest& req,
                                                 const CompileOutcome& outcome);
 [[nodiscard]] json::Value make_pong_response();
+/// metrics / cluster_metrics response: Prometheus text in "body".
+[[nodiscard]] json::Value make_metrics_response(const std::string& type,
+                                                std::string body);
 
 /// cas_get response: "found" + base64 "payload" when present.
 [[nodiscard]] json::Value
@@ -126,6 +137,13 @@ make_flight_response(const obs::FlightRecorder& recorder,
                      long long max_records);
 /// cas_put response: "stored" is false when the daemon has no disk store.
 [[nodiscard]] json::Value make_cas_put_response(bool stored);
+
+/// hits / (hits + misses), 0 when both are 0: the stats documents' cache
+/// hit rates.
+[[nodiscard]] double hit_rate(std::uint64_t hits, std::uint64_t misses);
+/// Microseconds elapsed since `start`.
+[[nodiscard]] std::uint64_t
+us_since(std::chrono::steady_clock::time_point start);
 
 /// The client's view of a response frame: the failure taxonomy decoded,
 /// with the full document kept for payload access.

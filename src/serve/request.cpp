@@ -1,8 +1,6 @@
 #include "serve/request.hpp"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "apps/apps.hpp"
 #include "flow/manifest.hpp"
@@ -69,29 +67,13 @@ std::optional<std::string> parse_compile_request(const json::Value& entry,
         else return "priority must be 'interactive' or 'batch'";
     }
     if (const json::Value* v = entry.find("flow")) {
-        json::Value doc;
-        if (v->is_object()) {
-            doc = *v;
-        } else if (v->is_string()) {
-            std::ifstream file(v->string_value);
-            if (!file)
-                return "flow: cannot read '" + v->string_value + "'";
-            std::stringstream buffer;
-            buffer << file.rdbuf();
-            std::string parse_error;
-            auto parsed = json::parse(buffer.str(), &parse_error);
-            if (!parsed.has_value())
-                return "flow: " + v->string_value + ": " + parse_error;
-            doc = std::move(*parsed);
-        } else {
-            return "flow must be a manifest object or a file path";
-        }
+        if (!v->is_object()) return "flow must be an inline manifest object";
         try {
-            (void)flow::from_manifest(doc);
+            (void)flow::from_manifest(*v);
         } catch (const Error& e) {
             return std::string(e.what());
         }
-        out.flow_json = json::dump(doc);
+        out.flow_json = json::dump(*v);
     }
     return std::nullopt;
 }
@@ -132,8 +114,23 @@ std::optional<std::string> parse_manifest(const json::Value& doc,
                "array";
 
     for (std::size_t i = 0; i < list->elements.size(); ++i) {
+        // The operator owns the batch file, so an entry may name its flow
+        // by file path; it is read here and parsed as the inline form.
+        const json::Value* entry = &list->elements[i];
+        json::Value resolved;
+        if (const json::Value* flow = entry->find("flow");
+            flow != nullptr && flow->is_string()) {
+            resolved = *entry;
+            try {
+                resolved.set("flow",
+                             flow::read_manifest_file(flow->string_value));
+            } catch (const Error& e) {
+                return "request " + std::to_string(i) + ": " + e.what();
+            }
+            entry = &resolved;
+        }
         CompileRequest req;
-        if (auto error = parse_compile_request(list->elements[i], req))
+        if (auto error = parse_compile_request(*entry, req))
             return "request " + std::to_string(i) + ": " + *error;
         if (req.out_dir.empty())
             req.out_dir = (std::filesystem::path(defaults.out_root) /

@@ -54,11 +54,11 @@ enum class ErrorKind {
 /// nullopt on success. Absent fields keep the defaults already in `out`,
 /// so callers can pre-seed manifest-level defaults.
 ///
-/// A "flow" member may be an inline manifest object (the wire form —
-/// clients ship flows over the wire to psaflowd) or a string path to a
-/// manifest file, resolved where the request is parsed (the --batch
-/// convenience). Either way the manifest is fully validated here, so a
-/// bad flow is a parse error, not a mid-run failure.
+/// A "flow" member must be an inline manifest object (clients ship flows
+/// over the wire to psaflowd); it is fully validated here, so a bad flow
+/// is a parse error, not a mid-run failure. This runs on the daemon's and
+/// router's reader threads, so it never touches the file system: the
+/// file-path form belongs to parse_manifest, whose file the operator owns.
 [[nodiscard]] std::optional<std::string>
 parse_compile_request(const json::Value& entry, CompileRequest& out);
 
@@ -81,7 +81,9 @@ struct ManifestDefaults {
 
 /// Parse a batch manifest document (a bare array of request objects, or an
 /// object with "requests" plus optional "jobs"/"cache_dir"/"out").
-/// Requests without an "out" default to `<out_root>/<app>-<index>`.
+/// Requests without an "out" default to `<out_root>/<app>-<index>`. An
+/// entry's "flow" may also be a manifest file path
+/// (flow::read_manifest_file), relative to the working directory.
 /// Returns an error message on malformed input.
 [[nodiscard]] std::optional<std::string>
 parse_manifest(const json::Value& doc, ManifestDefaults& defaults,

@@ -16,51 +16,6 @@
 namespace psaflow::serve {
 
 namespace {
-
-/// Histogram summary for the stats document: percentiles for humans plus
-/// the raw [floor, count] buckets — the buckets are what lets a router
-/// rebuild this histogram (Histogram::from_parts) and merge shards into
-/// fleet metrics whose bucket counts sum exactly.
-json::Value histogram_value(const Histogram& hist) {
-    json::Value out = json::Value::object();
-    out.set("count", json::Value::number(double(hist.count())));
-    out.set("sum", json::Value::number(double(hist.sum())));
-    out.set("min", json::Value::number(double(hist.min())));
-    out.set("max", json::Value::number(double(hist.max())));
-    out.set("mean", json::Value::number(hist.mean()));
-    out.set("p50", json::Value::number(double(hist.percentile(50))));
-    out.set("p90", json::Value::number(double(hist.percentile(90))));
-    out.set("p99", json::Value::number(double(hist.percentile(99))));
-    json::Value buckets = json::Value::array();
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-        const std::uint64_t n = hist.bucket_count(b);
-        if (n == 0) continue;
-        json::Value pair = json::Value::array();
-        pair.push(json::Value::number(double(Histogram::bucket_floor(b))));
-        pair.push(json::Value::number(double(n)));
-        buckets.push(std::move(pair));
-    }
-    out.set("buckets", std::move(buckets));
-    return out;
-}
-
-[[nodiscard]] double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
-                            static_cast<double>(total);
-}
-
-std::uint64_t us_since(std::chrono::steady_clock::time_point start) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
-
-} // namespace
-
-namespace {
 DaemonOptions normalized(DaemonOptions options) {
     if (options.workers < 1) options.workers = 1;
     return options;
@@ -222,7 +177,8 @@ void Daemon::serve_connection(net::Fd conn) {
             request_error = "unknown request type 'sleep'";
         if (!request_error.has_value() &&
             (request.type == RequestType::ClusterStats ||
-             request.type == RequestType::ClusterMetrics))
+             request.type == RequestType::ClusterMetrics ||
+             request.type == RequestType::Drain))
             request_error = "cluster requests are answered by "
                             "psaflow-router, not a shard";
         {
@@ -478,17 +434,8 @@ void Daemon::record_outcome(const CompileOutcome& outcome,
 std::string Daemon::handle_inline(const WireRequest& request) {
     if (request.type == RequestType::Stats)
         return json::dump(stats_json());
-    if (request.type == RequestType::Metrics) {
-        json::Value response = json::Value::object();
-        response.set("ok", json::Value::boolean(true));
-        response.set("schema_version",
-                     json::Value::number(double(kSchemaVersion)));
-        response.set("type", json::Value::string("metrics"));
-        response.set("content_type",
-                     json::Value::string("text/plain; version=0.0.4"));
-        response.set("body", json::Value::string(metrics_text()));
-        return json::dump(response);
-    }
+    if (request.type == RequestType::Metrics)
+        return json::dump(make_metrics_response("metrics", metrics_text()));
     if (request.type == RequestType::Logs)
         return json::dump(
             logs_json(request.logs_max, request.logs_min_level));
@@ -587,12 +534,12 @@ json::Value Daemon::stats_json() {
     stats.set("connections",
               json::Value::number(double(counters_.connections)));
 
-    stats.set("request_latency_us", histogram_value(request_latency_us_));
-    stats.set("queue_wait_us", histogram_value(queue_wait_us_));
+    stats.set("request_latency_us", request_latency_us_.to_json());
+    stats.set("queue_wait_us", queue_wait_us_.to_json());
 
     json::Value tasks = json::Value::object();
     for (const auto& [name, hist] : task_latency_us_)
-        tasks.set(name, histogram_value(hist));
+        tasks.set(name, hist.to_json());
     stats.set("task_latency_us", std::move(tasks));
 
     json::Value flow_counters = json::Value::object();

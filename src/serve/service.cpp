@@ -37,13 +37,13 @@ CompileOutcome run_compile(flow::FlowSession& session,
     RunOptions options;
     options.mode = req.mode == "informed" ? flow::Mode::Informed
                                           : flow::Mode::Uninformed;
-    options.budget.max_run_cost = req.budget;
+    options.engine.budget.max_run_cost = req.budget;
     options.intensity_threshold_x = req.threshold_x;
     options.cancel = cancel;
 
     // Lower the request's manifest (if any) here, at run time: the request
-    // carries validated text, so failure is a BadRequest (e.g. the file a
-    // batch entry named changed between parse and run), not an engine bug.
+    // carries validated text, so failure is a BadRequest, not an engine
+    // bug.
     flow::ManifestFlow manifest;
     if (!req.flow_json.empty()) {
         try {

@@ -78,26 +78,52 @@ std::uint64_t Histogram::percentile(double p) const {
     return max_;
 }
 
-std::string Histogram::to_json() const {
-    std::string out = "{\"count\":" + std::to_string(count_);
-    out += ",\"sum\":" + std::to_string(sum_);
-    out += ",\"min\":" + std::to_string(min());
-    out += ",\"max\":" + std::to_string(max_);
-    out += ",\"p50\":" + std::to_string(percentile(50));
-    out += ",\"p90\":" + std::to_string(percentile(90));
-    out += ",\"p99\":" + std::to_string(percentile(99));
-    out += ",\"buckets\":[";
-    bool first = true;
+json::Value Histogram::to_json() const {
+    json::Value out = json::Value::object();
+    out.set("count", json::Value::number(double(count_)));
+    out.set("sum", json::Value::number(double(sum_)));
+    out.set("min", json::Value::number(double(min())));
+    out.set("max", json::Value::number(double(max_)));
+    out.set("mean", json::Value::number(mean()));
+    out.set("p50", json::Value::number(double(percentile(50))));
+    out.set("p90", json::Value::number(double(percentile(90))));
+    out.set("p99", json::Value::number(double(percentile(99))));
+    json::Value buckets = json::Value::array();
     for (int b = 0; b < kBuckets; ++b) {
         const std::uint64_t n = buckets_[static_cast<std::size_t>(b)];
         if (n == 0) continue;
-        if (!first) out += ",";
-        first = false;
-        out += "[" + std::to_string(bucket_floor(b)) + "," +
-               std::to_string(n) + "]";
+        json::Value pair = json::Value::array();
+        pair.push(json::Value::number(double(bucket_floor(b))));
+        pair.push(json::Value::number(double(n)));
+        buckets.push(std::move(pair));
     }
-    out += "]}";
+    out.set("buckets", std::move(buckets));
     return out;
+}
+
+Histogram Histogram::from_json(const json::Value* value) {
+    const auto member = [value](const char* key) {
+        const json::Value* v = value->find(key);
+        return v == nullptr ? std::uint64_t{0}
+                            : static_cast<std::uint64_t>(v->number_or(0.0));
+    };
+    Parts parts;
+    if (value != nullptr && value->is_object()) {
+        parts.count = member("count");
+        parts.sum = member("sum");
+        parts.min = member("min");
+        parts.max = member("max");
+        if (const json::Value* buckets = value->find("buckets");
+            buckets != nullptr && buckets->is_array())
+            for (const json::Value& pair : buckets->elements)
+                if (pair.is_array() && pair.elements.size() == 2)
+                    parts.buckets.emplace_back(
+                        static_cast<std::uint64_t>(
+                            pair.elements[0].number_or(0.0)),
+                        static_cast<std::uint64_t>(
+                            pair.elements[1].number_or(0.0)));
+    }
+    return from_parts(parts);
 }
 
 } // namespace psaflow

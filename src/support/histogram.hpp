@@ -14,9 +14,10 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
+
+#include "support/json.hpp"
 
 namespace psaflow {
 
@@ -44,6 +45,16 @@ public:
     };
     [[nodiscard]] static Histogram from_parts(const Parts& parts);
 
+    /// The stats-document form: {"count","sum","min","max","mean","p50",
+    /// "p90","p99","buckets":[[floor,count],...]} with empty buckets
+    /// elided — percentiles for humans, buckets so the document stays
+    /// mergeable downstream.
+    [[nodiscard]] json::Value to_json() const;
+    /// Inverse of to_json (through Parts). A null, missing or malformed
+    /// member reads as zeroes: an old shard without buckets degrades, it
+    /// doesn't fail.
+    [[nodiscard]] static Histogram from_json(const json::Value* value);
+
     [[nodiscard]] std::uint64_t count() const { return count_; }
     [[nodiscard]] std::uint64_t sum() const { return sum_; }
     /// Smallest / largest recorded sample (0 when empty).
@@ -65,10 +76,6 @@ public:
     }
     /// Inclusive lower bound of a bucket's value range.
     [[nodiscard]] static std::uint64_t bucket_floor(int bucket);
-
-    /// Compact JSON: {"count":N,"sum":N,"min":N,"max":N,"p50":N,"p90":N,
-    /// "p99":N,"buckets":[[floor,count],...]} with empty buckets elided.
-    [[nodiscard]] std::string to_json() const;
 
 private:
     std::array<std::uint64_t, kBuckets> buckets_{};

@@ -2,8 +2,8 @@
 // bounded-load picks, backoff jitter, shard specs, and an in-process
 // two-shard fleet behind a live Router — byte-identity of routed versus
 // direct designs, drain and rejoin, transport-failure failover, compile
-// spills and CAS home routing under load, reader-thread reaping, and the
-// remote-CAS wire round trip.
+// spills and CAS home routing under load, request validation, reader-thread
+// reaping, and the remote-CAS wire round trip.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,6 +23,8 @@
 #include "cluster/remote_cas.hpp"
 #include "cluster/retry.hpp"
 #include "cluster/router.hpp"
+#include "flow/manifest.hpp"
+#include "flow/standard_flow.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
@@ -586,6 +588,48 @@ TEST(Router, AnswersStatsAndMetricsItself) {
               std::string::npos);
     EXPECT_NE(body->string_value.find("psaflow_router_shard_healthy"),
               std::string::npos);
+}
+
+TEST(Router, ValidatesEveryRequestLikeTheDaemon) {
+    ClusterFixture fleet("validation");
+    fleet.start();
+    const fs::path manifest = fleet.dir.path / "std.json";
+    {
+        std::ofstream file(manifest);
+        file << json::dump(
+            flow::to_manifest(flow::standard_flow(flow::Mode::Informed)));
+    }
+    const std::string flow_path =
+        R"({"type":"compile","app":"nbody","flow":")" + manifest.string() +
+        R"("})";
+    // Requests the router answers itself and requests it relays must both
+    // meet the daemon's parser; none of these reaches a shard.
+    for (const std::string& request :
+         {std::string(R"({"schema_version":2,"type":"ping"})"),
+          std::string(R"({"schema_version":2,"type":"stats"})"),
+          std::string(R"({"type":"logs","max":-1})"),
+          std::string(R"({"type":"flight","max":-1})"),
+          std::string(R"({"type":7,"app":"nbody"})"), flow_path}) {
+        SCOPED_TRACE(request);
+        const auto view =
+            serve::parse_response(round_trip(fleet.router_socket, request));
+        ASSERT_TRUE(view.has_value());
+        EXPECT_FALSE(view->ok);
+        EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+    }
+    for (const cluster::ShardView& view : fleet.router->shard_views())
+        EXPECT_EQ(view.routed, 0u) << view.name;
+
+    // Both metrics endpoints speak the daemon's content type.
+    for (const char* type : {"metrics", "cluster_metrics"}) {
+        const json::Value metrics = round_trip(
+            fleet.router_socket,
+            std::string(R"({"type":")") + type + R"("})");
+        const json::Value* content_type = metrics.find("content_type");
+        ASSERT_NE(content_type, nullptr) << type;
+        EXPECT_EQ(content_type->string_value, "text/plain; version=0.0.4")
+            << type;
+    }
 }
 
 TEST(Router, ConcurrentColdCompilesOfOneAppSpillToTheOtherShard) {

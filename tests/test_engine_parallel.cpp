@@ -36,6 +36,16 @@ using psaflow::testing::parse_and_check;
 
 interp::Arg integer(long long v) { return interp::Value::of_int(v); }
 
+/// compile() through a fresh session with `jobs` workers (0: the process
+/// default).
+flow::FlowResult compile_at(int jobs, const apps::Application& app,
+                            const RunOptions& options = {}) {
+    flow::SessionOptions session_options;
+    session_options.jobs = jobs;
+    flow::FlowSession session(session_options);
+    return compile(session, app, options);
+}
+
 analysis::Workload small_workload() {
     analysis::Workload w;
     w.entry = "app";
@@ -109,14 +119,11 @@ class EngineDeterminism : public ::testing::TestWithParam<const char*> {};
 TEST_P(EngineDeterminism, ParallelMatchesSequentialBothModes) {
     const apps::Application& app = apps::application_by_name(GetParam());
     for (flow::Mode mode : {flow::Mode::Informed, flow::Mode::Uninformed}) {
-        RunOptions sequential;
-        sequential.mode = mode;
-        sequential.jobs = 1;
-        RunOptions parallel = sequential;
-        parallel.jobs = 4;
+        RunOptions options;
+        options.mode = mode;
 
-        const auto seq = compile(app, sequential);
-        const auto par = compile(app, parallel);
+        const auto seq = compile_at(1, app, options);
+        const auto par = compile_at(4, app, options);
         expect_identical(
             seq, par,
             app.name + (mode == flow::Mode::Informed ? "/informed"
@@ -135,10 +142,8 @@ TEST(EngineParallel, RepeatedRunsIdenticalUnderSharedCache) {
     // Back-to-back runs share the process-wide profile cache; the second
     // run (mostly cache hits) must still produce the identical result.
     const apps::Application& app = apps::application_by_name("nbody");
-    RunOptions options;
-    options.jobs = 4;
-    const auto first = compile(app, options);
-    const auto second = compile(app, options);
+    const auto first = compile_at(4, app);
+    const auto second = compile_at(4, app);
     expect_identical(first, second, "nbody repeat");
 }
 
@@ -151,10 +156,10 @@ flow::FlowResult run_untiered(const apps::Application& app, flow::Mode mode,
                           frontend::parse_module(app.source, app.name),
                           app.workload);
     ctx.allow_single_precision = app.allow_single_precision;
-    flow::EngineOptions engine;
-    engine.jobs = jobs;
-    flow::FlowSession session;
-    return session.run(flow::standard_flow(mode), std::move(ctx), engine);
+    flow::SessionOptions session_options;
+    session_options.jobs = jobs;
+    flow::FlowSession session(session_options);
+    return session.run(flow::standard_flow(mode), std::move(ctx));
 }
 
 TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
@@ -169,9 +174,7 @@ TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
     ProfileCache::global().clear();
 
     const apps::Application& app = apps::application_by_name("nbody");
-    RunOptions sequential;
-    sequential.jobs = 1;
-    const auto cold = compile(app, sequential);
+    const auto cold = compile_at(1, app);
 
     // Drop the in-memory tier so the rerun can only warm up from disk, and
     // run the flow itself: compile() would answer from the flow-result tier.
@@ -191,13 +194,11 @@ TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
     expect_identical(cold, warm_par, "nbody cold vs warm jobs=4");
 
     // The flow-result tier answers at any jobs setting, identically.
-    RunOptions parallel;
-    parallel.jobs = 4;
     trace::Registry hit_registry;
     flow::FlowResult hit;
     {
         trace::ScopedRegistry scope(hit_registry);
-        hit = compile(app, parallel);
+        hit = compile_at(4, app);
     }
     expect_identical(cold, hit, "nbody cold vs flow-result hit jobs=4");
     EXPECT_EQ(hit_registry.counter("flow_cache.hits"), 1u);
@@ -235,24 +236,13 @@ struct ScratchStore {
     }
 };
 
-/// compile() of arbitrary source through a fresh session, recording into
+/// compile() through a fresh session with `jobs` workers, recording into
 /// `registry` only.
 flow::FlowResult compile_into(trace::Registry& registry,
                               const apps::Application& app,
-                              const RunOptions& options,
-                              std::string_view source,
-                              bool allow_single_precision) {
+                              const RunOptions& options = {}, int jobs = 0) {
     trace::ScopedRegistry scope(registry);
-    flow::FlowSession session;
-    return compile(session, app.name, source, app.workload,
-                   allow_single_precision, options);
-}
-
-flow::FlowResult compile_into(trace::Registry& registry,
-                              const apps::Application& app,
-                              const RunOptions& options = {}) {
-    return compile_into(registry, app, options, app.source,
-                        app.allow_single_precision);
+    return compile_at(jobs, app, options);
 }
 
 TEST(FlowResultTier, OffWithoutAStore) {
@@ -274,42 +264,45 @@ TEST(FlowResultTier, EveryInputTheFlowReadsIsInTheKey) {
         flow::parse_manifest_text(json::dump(flow::to_manifest(standard)));
     const flow::ManifestFlow renamed =
         flow::parse_manifest_text(json::dump(flow::to_manifest(standard, "x")));
-    const std::string edited_source = app.source + " ";
+    apps::Application edited_source = app;
+    edited_source.source += " ";
+    apps::Application no_sp = app;
+    no_sp.allow_single_precision = !app.allow_single_precision;
 
     struct Variant {
         std::string what;
         RunOptions options;
-        std::string_view source;
-        bool allow_single_precision;
+        const apps::Application* app;
     };
-    RunOptions base;
-    base.jobs = 1;
+    const RunOptions base;
     std::vector<Variant> variants;
     const auto add = [&](std::string what, RunOptions options,
-                         std::string_view source, bool sp) {
-        variants.push_back({std::move(what), options, source, sp});
+                         const apps::Application& compiled) {
+        variants.push_back({std::move(what), options, &compiled});
     };
-    add("base", base, app.source, app.allow_single_precision);
+    add("base", base, app);
     RunOptions o = base;
     o.mode = flow::Mode::Uninformed;
-    add("mode", o, app.source, app.allow_single_precision);
+    add("mode", o, app);
     o = base;
     o.intensity_threshold_x = 8.0;
-    add("threshold_x", o, app.source, app.allow_single_precision);
+    add("threshold_x", o, app);
     o = base;
-    o.budget.max_run_cost = 1e-3;
-    add("budget", o, app.source, app.allow_single_precision);
+    o.engine.budget.max_run_cost = 1e-3;
+    add("budget", o, app);
     o = base;
-    o.cost_model.gpu_per_hour = 3.5;
-    add("cost model", o, app.source, app.allow_single_precision);
+    o.engine.cost_model.gpu_per_hour = 3.5;
+    add("cost model", o, app);
+    o = base;
+    o.engine.max_feedback_iterations = 1;
+    add("feedback cap", o, app);
     o = base;
     o.flow_manifest = &manifest;
-    add("manifest", o, app.source, app.allow_single_precision);
+    add("manifest", o, app);
     o.flow_manifest = &renamed;
-    add("manifest text", o, app.source, app.allow_single_precision);
-    add("source edit", base, edited_source, app.allow_single_precision);
-    add("allow_single_precision", base, app.source,
-        !app.allow_single_precision);
+    add("manifest text", o, app);
+    add("source edit", base, edited_source);
+    add("allow_single_precision", base, no_sp);
 
     // First pass: every variant misses; second pass: every variant hits
     // its own entry and returns the first pass's result.
@@ -317,26 +310,22 @@ TEST(FlowResultTier, EveryInputTheFlowReadsIsInTheKey) {
     for (const Variant& v : variants) {
         SCOPED_TRACE(v.what);
         trace::Registry registry;
-        first.push_back(compile_into(registry, app, v.options, v.source,
-                                     v.allow_single_precision));
+        first.push_back(compile_into(registry, *v.app, v.options, 1));
         EXPECT_EQ(registry.counter("flow_cache.misses"), 1u);
         EXPECT_EQ(registry.counter("flow_cache.hits"), 0u);
     }
     for (std::size_t i = 0; i < variants.size(); ++i) {
         const Variant& v = variants[i];
         trace::Registry registry;
-        const auto again = compile_into(registry, app, v.options, v.source,
-                                        v.allow_single_precision);
+        const auto again = compile_into(registry, *v.app, v.options, 1);
         EXPECT_EQ(registry.counter("flow_cache.hits"), 1u) << v.what;
         EXPECT_EQ(registry.counter("flow.runs"), 0u) << v.what;
         expect_identical(first[i], again, v.what + " miss vs hit");
     }
 
     // Results are identical at any jobs, so jobs is not in the key.
-    RunOptions jobs = base;
-    jobs.jobs = 3;
     trace::Registry registry;
-    (void)compile_into(registry, app, jobs);
+    (void)compile_into(registry, app, base, 3);
     EXPECT_EQ(registry.counter("flow_cache.hits"), 1u);
 }
 
@@ -683,9 +672,8 @@ TEST(TraceIntegration, BranchedFlowEmitsSpansAndCacheHits) {
 
     RunOptions options;
     options.mode = flow::Mode::Uninformed; // 5 designs: branched flow
-    options.jobs = 4;
     const auto result =
-        compile(apps::application_by_name("nbody"), options);
+        compile_at(4, apps::application_by_name("nbody"), options);
     EXPECT_EQ(result.designs.size(), 5u);
 
     const auto spans = registry.spans();
@@ -750,8 +738,8 @@ TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
                 trace::ScopedRegistry install(registry);
                 RunOptions options;
                 options.mode = mode;
-                options.jobs = 1;
-                (void)compile(apps::application_by_name(row.app), options);
+                (void)compile_at(1, apps::application_by_name(row.app),
+                                 options);
             }
             const Counts& want = informed ? row.informed : row.uninformed;
             const std::uint64_t runs = registry.counter("interp.runs");
@@ -787,9 +775,8 @@ TEST(TraceIntegration, ParallelFlowKeepsASingleRootedSpanTree) {
         trace::ScopedRegistry install(registry);
         RunOptions options;
         options.mode = flow::Mode::Uninformed;
-        options.jobs = 4;
         const auto result =
-            compile(apps::application_by_name("nbody"), options);
+            compile_at(4, apps::application_by_name("nbody"), options);
         EXPECT_EQ(result.designs.size(), 5u);
         EXPECT_FALSE(result.decisions.empty());
     }

@@ -19,13 +19,15 @@ using platform::DeviceId;
 flow::FlowResult informed(const apps::Application& app) {
     RunOptions options;
     options.mode = flow::Mode::Informed;
-    return compile(app, options);
+    flow::FlowSession session;
+    return compile(session, app, options);
 }
 
 flow::FlowResult uninformed(const apps::Application& app) {
     RunOptions options;
     options.mode = flow::Mode::Uninformed;
-    return compile(app, options);
+    flow::FlowSession session;
+    return compile(session, app, options);
 }
 
 // ----------------------------------------------------- informed selection --

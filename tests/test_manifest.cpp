@@ -1,6 +1,6 @@
 // Flow-manifest tests: exact located diagnostics, export round-trips,
-// strategy lowering, session wiring and execution identity against the
-// programmatic standard flow.
+// strategy lowering, the manifest-file loader and execution identity
+// against the programmatic standard flow.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -163,7 +163,7 @@ TEST(Manifest, RejectsDuplicateNamedBranchDefinitions) {
 TEST(Manifest, JsonSyntaxErrorsAreWrappedAndFilesCarryTheirPath) {
     EXPECT_THROW((void)parse_manifest_text("{nope"), Error);
     try {
-        (void)load_manifest("/nonexistent/manifest.json");
+        (void)read_manifest_file("/nonexistent/manifest.json");
         FAIL();
     } catch (const Error& e) {
         EXPECT_EQ(std::string(e.what()),
@@ -251,36 +251,53 @@ TEST(Manifest, NamedBranchDefinitionsResolveAndMayBeShared) {
     }
 }
 
-// ---------------------------------------------------------------- session ----
+// ---------------------------------------------------------- manifest file ----
 
-TEST(Session, InlineManifestBecomesTheSessionDefaultFlow) {
-    SessionOptions options;
-    options.flow_manifest =
-        R"({"psaflow_manifest":1,"name":"mine",
-            "prologue":["identify-hotspot-loops"]})";
-    FlowSession session(options);
-    ASSERT_NE(session.manifest_flow(), nullptr);
-    EXPECT_EQ(session.manifest_flow()->name, "mine");
-    EXPECT_EQ(session.manifest_flow()->flow.prologue.size(), 1u);
+/// Write `text` to a file under the test temp dir and return its path.
+std::string write_manifest(const std::string& name, const std::string& text) {
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream file(path);
+    file << text;
+    return path;
 }
 
-TEST(Session, ManifestFilesLoadAndViolationsThrowEagerly) {
-    const std::string path =
-        testing::TempDir() + "/psaflow-test-manifest.json";
-    {
-        std::ofstream file(path);
-        file << R"({"psaflow_manifest":1,"name":"from-file"})";
-    }
-    SessionOptions options;
-    options.flow_manifest = path;
-    FlowSession session(options);
-    ASSERT_NE(session.manifest_flow(), nullptr);
-    EXPECT_EQ(session.manifest_flow()->name, "from-file");
+TEST(ManifestFile, InlineAndFileSpellingsLoadOneDocument) {
+    const std::string text =
+        R"({"psaflow_manifest":1,"name":"mine",
+            "prologue":["identify-hotspot-loops"]})";
+    const json::Value doc = read_manifest_file(
+        write_manifest("psaflow-test-manifest-inline.json", text));
+    const ManifestFlow inline_flow = parse_manifest_text(text);
+    EXPECT_EQ(json::dump(doc), inline_flow.canonical);
+    const ManifestFlow file_flow = from_manifest(doc);
+    EXPECT_EQ(file_flow.name, "mine");
+    EXPECT_EQ(file_flow.flow.prologue.size(), 1u);
+    EXPECT_EQ(file_flow.canonical, inline_flow.canonical);
+}
 
-    SessionOptions bad;
-    bad.flow_manifest = R"({"psaflow_manifest":1,"prologue":["nope"]})";
-    EXPECT_THROW(FlowSession{bad}, Error);
-    EXPECT_EQ(FlowSession().manifest_flow(), nullptr);
+TEST(ManifestFile, ViolationsAndUnreadablePathsThrowLocated) {
+    const auto message = [](const std::string& path) -> std::string {
+        try {
+            (void)read_manifest_file(path);
+        } catch (const Error& e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    const std::string bad = write_manifest(
+        "psaflow-test-manifest-bad.json",
+        R"({"psaflow_manifest":1,"prologue":["nope"]})");
+    EXPECT_EQ(message(bad),
+              "flow manifest: $.prologue[0]: unknown task id 'nope' [" + bad +
+                  "]");
+    const std::string syntax =
+        write_manifest("psaflow-test-manifest-syntax.json", "{nope");
+    const std::string got = message(syntax);
+    EXPECT_EQ(got.rfind("flow manifest: ", 0), 0u) << got;
+    EXPECT_TRUE(got.ends_with(" [" + syntax + "]")) << got;
+    const std::string missing = testing::TempDir() + "/psaflow-no-such.json";
+    EXPECT_EQ(message(missing),
+              "flow manifest: cannot read '" + missing + "'");
 }
 
 // -------------------------------------------------------------- execution ----

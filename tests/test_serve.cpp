@@ -320,6 +320,29 @@ TEST(Histogram, FromPartsOfNothingIsEmpty) {
     EXPECT_EQ(rebuilt.percentile(50), 0u);
 }
 
+TEST(Histogram, JsonRoundTripIsByteIdentical) {
+    // The stats documents' histogram form: a router decodes what a shard
+    // encoded, so encode -> decode -> encode must not move a byte.
+    Histogram hist;
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{2},
+                            std::uint64_t{3}, std::uint64_t{1500},
+                            std::uint64_t{1} << 40})
+        hist.record(v);
+    const std::string encoded = json::dump(hist.to_json());
+    const json::Value doc = hist.to_json();
+    EXPECT_EQ(json::dump(Histogram::from_json(&doc).to_json()), encoded);
+    EXPECT_NE(encoded.find("\"buckets\":[[0,1],[2,2],[1024,1]"),
+              std::string::npos)
+        << encoded;
+
+    const Histogram empty;
+    const json::Value empty_doc = empty.to_json();
+    EXPECT_EQ(json::dump(Histogram::from_json(&empty_doc).to_json()),
+              json::dump(empty_doc));
+    EXPECT_EQ(json::dump(Histogram::from_json(nullptr).to_json()),
+              json::dump(empty_doc));
+}
+
 // -------------------------------------------------------------- lane queue ----
 
 TEST(LaneQueue, InteractiveLaneDrainsBeforeBatch) {
@@ -572,7 +595,44 @@ TEST(Protocol, BrokenInlineFlowIsAParseErrorNotAMidRunFailure) {
         serve::parse_wire_request(*bad_shape, request);
     ASSERT_TRUE(shape_error.has_value());
     EXPECT_EQ(*shape_error,
-              "flow must be a manifest object or a file path");
+              "flow must be an inline manifest object");
+}
+
+TEST(Protocol, BatchEntriesMayNameTheirFlowByFilePath) {
+    // The batch file is the operator's, so its entries may name a manifest
+    // file; the request then carries the same text as the inline form.
+    const fs::path path =
+        fs::path(testing::TempDir()) /
+        ("psaflow-batch-flow-" + std::to_string(::getpid()) + ".json");
+    const json::Value manifest =
+        flow::to_manifest(flow::standard_flow(flow::Mode::Uninformed));
+    {
+        std::ofstream file(path);
+        file << json::dump(manifest);
+    }
+    json::Value by_path = json::Value::object();
+    by_path.set("app", json::Value::string("nbody"));
+    by_path.set("flow", json::Value::string(path.string()));
+    json::Value by_value = json::Value::object();
+    by_value.set("app", json::Value::string("nbody"));
+    by_value.set("flow", manifest);
+    json::Value doc = json::Value::array();
+    doc.push(by_path);
+    doc.push(by_value);
+
+    serve::ManifestDefaults defaults;
+    std::vector<serve::CompileRequest> requests;
+    ASSERT_FALSE(serve::parse_manifest(doc, defaults, requests).has_value());
+    ASSERT_EQ(requests.size(), 2u);
+    EXPECT_EQ(requests[0].flow_json, json::dump(manifest));
+    EXPECT_EQ(requests[1].flow_json, requests[0].flow_json);
+
+    fs::remove(path);
+    requests.clear();
+    const auto missing = serve::parse_manifest(doc, defaults, requests);
+    ASSERT_TRUE(missing.has_value());
+    EXPECT_EQ(*missing, "request 0: flow manifest: cannot read '" +
+                            path.string() + "'");
 }
 
 TEST(Protocol, ParsesPriorityLane) {
@@ -1350,6 +1410,31 @@ TEST(Daemon, MalformedFramesGetStructuredErrors) {
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
     EXPECT_EQ(net::read_frame(conn2.get(), payload), net::FrameStatus::Eof);
+}
+
+TEST(Daemon, WireFlowPathIsABadRequestEvenForAValidManifestFile) {
+    // The daemon parses requests on its reader threads and never opens a
+    // path a client names: a "flow" string is rejected, not read.
+    DaemonFixture fixture("wire-flow-path");
+    fixture.start();
+    ScratchDir dir("wire-flow-path-file");
+    const fs::path manifest = dir.path / "std.json";
+    {
+        std::ofstream file(manifest);
+        file << json::dump(
+            flow::to_manifest(flow::standard_flow(flow::Mode::Informed)));
+    }
+    json::Value request = json::Value::object();
+    request.set("type", json::Value::string("compile"));
+    request.set("app", json::Value::string("nbody"));
+    request.set("flow", json::Value::string(manifest.string()));
+    const json::Value response =
+        client_round_trip(fixture.socket(), json::dump(request));
+    const auto view = serve::parse_response(response);
+    ASSERT_TRUE(view.has_value()) << json::dump(response);
+    EXPECT_FALSE(view->ok);
+    EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+    EXPECT_EQ(view->error, "flow must be an inline manifest object");
 }
 
 TEST(Daemon, DrainFinishesAdmittedWorkAndRemovesSocket) {

@@ -1241,8 +1241,11 @@ void expect_flow_matches_tree_walker(const apps::Application& app) {
         for (const int jobs : {1, 3}) {
             RunOptions options;
             options.mode = mode;
-            options.jobs = jobs;
-            summaries.push_back(flow_summary(psaflow::compile(app, options)));
+            flow::SessionOptions session_options;
+            session_options.jobs = jobs;
+            flow::FlowSession session(session_options);
+            summaries.push_back(
+                flow_summary(psaflow::compile(session, app, options)));
         }
         EXPECT_FALSE(summaries[0].empty()) << name;
         EXPECT_EQ(summaries[0], summaries[1]) << name << " at jobs=3";

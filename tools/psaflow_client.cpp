@@ -37,7 +37,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 
 #include "cluster/retry.hpp"
@@ -349,28 +348,12 @@ int main(int argc, char** argv) {
         if (!flow_file.empty()) {
             // Validate client-side so a broken manifest never leaves the
             // machine; the daemon re-validates on receipt regardless.
-            std::ifstream file(flow_file);
-            if (!file) {
-                std::cerr << "psaflow-client: cannot read flow manifest '"
-                          << flow_file << "'\n";
-                return 2;
-            }
-            std::stringstream buffer;
-            buffer << file.rdbuf();
-            std::string parse_error;
-            auto doc = json::parse(buffer.str(), &parse_error);
-            if (!doc.has_value()) {
-                std::cerr << "psaflow-client: flow manifest '" << flow_file
-                          << "': " << parse_error << "\n";
-                return 2;
-            }
             try {
-                (void)flow::from_manifest(*doc);
+                request.set("flow", flow::read_manifest_file(flow_file));
             } catch (const Error& e) {
                 std::cerr << "psaflow-client: " << e.what() << "\n";
                 return 2;
             }
-            request.set("flow", std::move(*doc));
         }
     }
 

@@ -35,7 +35,8 @@
 //        "out": "designs/nbody"}  // optional (default "<out>/<app>-<i>")
 //     ]
 //   }
-// A manifest entry is exactly a psaflowd compile request: both drivers run
+// A manifest entry is a psaflowd compile request (whose "flow" can only be
+// the inline object: the daemon reads no paths off the wire): both drivers run
 // requests through serve::execute_request, so a request behaves the same
 // whether it arrives via --batch or over the daemon's socket. Requests run
 // sequentially through one FlowSession, so later requests reuse the warm
@@ -103,7 +104,7 @@ void record_flight(const serve::CompileRequest& req,
 
 /// Read + parse the batch manifest; returns false (message on stderr) on
 /// malformed input.
-bool load_manifest(const std::string& path,
+bool load_batch(const std::string& path,
                    serve::ManifestDefaults& defaults,
                    std::vector<serve::CompileRequest>& requests) {
     std::ifstream file(path);
@@ -136,7 +137,7 @@ int run_batch(const std::string& manifest_path,
     serve::ManifestDefaults defaults;
     if (out_dir_given) defaults.out_root = out_dir;
     std::vector<serve::CompileRequest> requests;
-    if (!load_manifest(manifest_path, defaults, requests)) return 2;
+    if (!load_batch(manifest_path, defaults, requests)) return 2;
     if (session_options.jobs == 0)
         session_options.jobs = static_cast<int>(defaults.jobs);
     if (session_options.cache_dir.empty())
@@ -342,28 +343,12 @@ int main(int argc, char** argv) {
         if (!flow_file.empty()) {
             // Validate up front so a broken manifest is a usage error with
             // a located diagnostic, not a mid-flow failure.
-            std::ifstream file(flow_file);
-            if (!file) {
-                std::cerr << "cannot read flow manifest '" << flow_file
-                          << "'\n";
-                return 2;
-            }
-            std::stringstream buffer;
-            buffer << file.rdbuf();
-            std::string error;
-            const auto doc = json::parse(buffer.str(), &error);
-            if (!doc.has_value()) {
-                std::cerr << "flow manifest '" << flow_file << "': " << error
-                          << "\n";
-                return 2;
-            }
             try {
-                (void)flow::from_manifest(*doc);
+                req.flow_json = json::dump(flow::read_manifest_file(flow_file));
             } catch (const Error& e) {
                 std::cerr << e.what() << "\n";
                 return 2;
             }
-            req.flow_json = json::dump(*doc);
         }
 
         flow::FlowSession session(session_options);
