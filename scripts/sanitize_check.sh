@@ -2,7 +2,9 @@
 # Builds the asan preset (-fsanitize=address,undefined) and runs the test
 # binaries that exercise the concurrency and interpreter layers introduced
 # by the parallel engine: support (thread pool, trace, prng), interp, flow
-# and the parallel-engine determinism suite.
+# and the parallel-engine determinism suite; sema and fission, whose
+# programs the VM must lower safely; and the loop-splitting bench, which
+# runs recursively split kernels end to end.
 #
 # usage: scripts/sanitize_check.sh [jobs]
 set -euo pipefail
@@ -16,9 +18,13 @@ cmake --build --preset asan -j "$JOBS"
 export ASAN_OPTIONS=detect_leaks=0   # gtest's lazy singletons are not leaks
 export UBSAN_OPTIONS=halt_on_error=1
 
-for bin in test_support test_interp test_vm test_flow test_engine_parallel; do
+for bin in test_support test_interp test_vm test_flow test_engine_parallel \
+           test_sema test_fission; do
     echo "== $bin (asan/ubsan) =="
     "build-asan/tests/$bin"
 done
+
+echo "== ext_loop_splitting (asan/ubsan) =="
+build-asan/bench/ext_loop_splitting > /dev/null
 
 echo "sanitizer check passed"

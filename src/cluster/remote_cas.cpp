@@ -21,17 +21,14 @@ std::optional<json::Value> round_trip(const net::Endpoint& upstream,
                                       long long recv_timeout_ms,
                                       const json::Value& request) {
     std::string error;
-    net::Fd conn = net::connect_endpoint(upstream, &error);
-    if (!conn.valid()) {
-        obs::debug("cluster.cas", "upstream unreachable",
-                   {{"upstream", upstream.describe()}, {"error", error}});
+    std::string payload;
+    if (net::round_trip(upstream, json::dump(request), recv_timeout_ms,
+                        payload, &error) != net::FrameStatus::Ok) {
+        if (!error.empty())
+            obs::debug("cluster.cas", "upstream unreachable",
+                       {{"upstream", upstream.describe()}, {"error", error}});
         return std::nullopt;
     }
-    net::set_recv_timeout(conn.get(), recv_timeout_ms);
-    if (!net::write_frame(conn.get(), json::dump(request))) return std::nullopt;
-    std::string payload;
-    if (net::read_frame(conn.get(), payload) != net::FrameStatus::Ok)
-        return std::nullopt;
     return json::parse(payload, nullptr);
 }
 
@@ -45,10 +42,7 @@ std::optional<std::string> RemoteCasClient::fetch(std::uint64_t key) const {
     // graft it back into the current registry, so the cross-process tree
     // shows the time spent inside the upstream store.
     trace::ScopedSpan span("cas:remote-get", "cluster");
-    json::Value request = json::Value::object();
-    request.set("schema_version",
-                json::Value::number(double(serve::kSchemaVersion)));
-    request.set("type", json::Value::string("cas_get"));
+    json::Value request = serve::make_request("cas_get");
     request.set("key", json::Value::string(hex_u64(key)));
     serve::WireTraceContext ctx;
     ctx.trace_id = trace::current_trace_id();
@@ -84,10 +78,7 @@ std::optional<std::string> RemoteCasClient::fetch(std::uint64_t key) const {
 bool RemoteCasClient::publish(std::uint64_t key,
                               std::string_view payload) const {
     trace::ScopedSpan span("cas:remote-put", "cluster");
-    json::Value request = json::Value::object();
-    request.set("schema_version",
-                json::Value::number(double(serve::kSchemaVersion)));
-    request.set("type", json::Value::string("cas_put"));
+    json::Value request = serve::make_request("cas_put");
     request.set("key", json::Value::string(hex_u64(key)));
     request.set("payload",
                 json::Value::string(base64_encode(payload)));

@@ -1,10 +1,6 @@
 #include "cluster/router.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <map>
 
 #include "obs/flight.hpp"
@@ -12,7 +8,6 @@
 #include "obs/prometheus.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request.hpp"
-#include "serve/server.hpp"
 #include "serve/wire_trace.hpp"
 #include "support/histogram.hpp"
 #include "support/string_util.hpp"
@@ -31,19 +26,6 @@ namespace {
 /// tail latency and peak RSS; EXPERIMENTS.md). Not an option: it is a
 /// property of the routing rule, not of a deployment.
 constexpr double kLoadBound = 1.0;
-
-/// Send `payload` to `endpoint` and read one response frame. False on any
-/// transport failure — the caller treats the shard as down for this
-/// attempt.
-bool exchange(const net::Endpoint& endpoint, const std::string& payload,
-              long long recv_timeout_ms, std::string& response) {
-    std::string error;
-    net::Fd conn = net::connect_endpoint(endpoint, &error);
-    if (!conn.valid()) return false;
-    net::set_recv_timeout(conn.get(), recv_timeout_ms);
-    if (!net::write_frame(conn.get(), payload)) return false;
-    return net::read_frame(conn.get(), response) == net::FrameStatus::Ok;
-}
 
 } // namespace
 
@@ -74,7 +56,7 @@ Router::Router(RouterOptions options) : options_(std::move(options)) {
 Router::~Router() {
     notify_shutdown();
     if (health_thread_.joinable()) health_thread_.join();
-    readers_.join_all();
+    front_.join_readers();
 }
 
 std::optional<std::string> Router::start() {
@@ -84,32 +66,9 @@ std::optional<std::string> Router::start() {
             if (shards_[i]->config.name == shards_[j]->config.name)
                 return "duplicate shard name '" + shards_[i]->config.name +
                        "'";
-    if (options_.socket_path.empty() && options_.listen_tcp.empty())
-        return "no listener configured (need a socket path or --listen)";
-
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0) return "cannot create self-pipe";
-    wake_read_.reset(pipe_fds[0]);
-    wake_write_.reset(pipe_fds[1]);
-    ::fcntl(wake_write_.get(), F_SETFL, O_NONBLOCK);
-
-    std::string error;
-    if (!options_.socket_path.empty()) {
-        listen_fd_ = net::listen_unix(options_.socket_path, /*backlog=*/64,
-                                      &error);
-        if (!listen_fd_.valid()) return error;
-    }
-    if (!options_.listen_tcp.empty()) {
-        auto endpoint = net::parse_endpoint(options_.listen_tcp, &error);
-        if (!endpoint.has_value()) return error;
-        if (endpoint->kind != net::Endpoint::Kind::Tcp)
-            return "--listen expects host:port, got '" + options_.listen_tcp +
-                   "'";
-        tcp_listen_fd_ = net::listen_tcp(endpoint->host, endpoint->port,
-                                         /*backlog=*/64, &error);
-        if (!tcp_listen_fd_.valid()) return error;
-        tcp_port_ = net::local_port(tcp_listen_fd_.get());
-    }
+    if (auto error = front_.listen(options_.socket_path, options_.listen_tcp,
+                                   options_.recv_timeout_ms))
+        return error;
 
     for (const auto& shard : shards_)
         ring_.add(shard->config.name, options_.vnodes);
@@ -120,44 +79,27 @@ std::optional<std::string> Router::start() {
               {{"socket", options_.socket_path},
                {"tcp", options_.listen_tcp.empty()
                            ? std::string()
-                           : "port " + std::to_string(tcp_port_)},
+                           : "port " + std::to_string(tcp_port())},
                {"shards", std::to_string(shards_.size())}});
     return std::nullopt;
 }
 
 void Router::run() {
-    while (true) {
-        const int ready = net::wait_readable_any(
-            {listen_fd_.get(), tcp_listen_fd_.get(), wake_read_.get()}, -1);
-        const bool is_listener =
-            (listen_fd_.valid() && ready == listen_fd_.get()) ||
-            (tcp_listen_fd_.valid() && ready == tcp_listen_fd_.get());
-        if (!is_listener) break; // shutdown wake (or poll failure)
-        net::Fd conn = net::accept_connection(ready);
-        if (!conn.valid()) continue;
-        readers_.spawn([this, fd = std::move(conn)]() mutable {
-            serve_connection(std::move(fd));
-        });
-    }
-
-    shutting_down_.store(true);
-    listen_fd_.reset();
-    tcp_listen_fd_.reset();
-    std::error_code ec;
-    if (!options_.socket_path.empty())
-        std::filesystem::remove(options_.socket_path, ec);
+    front_.run([this] {
+        // Per-connection jitter stream: seeded from the global seed and
+        // the connection sequence so concurrent readers never share RNG
+        // state yet a single-connection test replays exactly.
+        return [this, rng = SplitMix64(options_.seed ^
+                                       request_seq_.fetch_add(1))](
+                   const serve::WireRequest& request, const json::Value& doc,
+                   const std::string& payload) mutable {
+            return handle(request, doc, payload, rng);
+        };
+    });
     if (health_thread_.joinable()) health_thread_.join();
-    readers_.join_all();
+    front_.join_readers();
     obs::info("cluster.router", "router drained",
               {{"relayed", std::to_string(relayed_.load())}});
-}
-
-void Router::notify_shutdown() noexcept {
-    shutting_down_.store(true);
-    if (wake_write_.valid()) {
-        const char byte = 'q';
-        [[maybe_unused]] ssize_t rc = ::write(wake_write_.get(), &byte, 1);
-    }
 }
 
 bool Router::usable(const std::string& name) const {
@@ -224,9 +166,11 @@ Router::ForwardOutcome Router::forward(std::uint64_t key, bool bounded,
         }
         ++outcome.attempts;
         shard->routed.fetch_add(1);
-        const bool answered = exchange(shard->config.endpoint, payload,
-                                       options_.recv_timeout_ms,
-                                       outcome.response);
+        // Any transport failure counts the shard as down for this attempt.
+        const bool answered =
+            net::round_trip(shard->config.endpoint, payload,
+                            options_.recv_timeout_ms, outcome.response,
+                            nullptr) == net::FrameStatus::Ok;
         shard->in_flight.fetch_sub(1);
         if (answered) {
             relayed_.fetch_add(1);
@@ -336,11 +280,7 @@ std::string Router::handle_admin(const json::Value& doc) {
         return json::dump(serve::make_error_response(
             serve::ErrorKind::BadRequest,
             "unknown shard '" + shard->string_value + "'"));
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(serve::kSchemaVersion)));
-    response.set("type", json::Value::string("drain"));
+    json::Value response = serve::make_ok_response("drain");
     response.set("shard", json::Value::string(shard->string_value));
     response.set("draining", json::Value::boolean(draining->bool_value));
     return json::dump(response);
@@ -356,76 +296,30 @@ bool Router::set_drain(const std::string& shard_name, bool draining) {
     return true;
 }
 
-void Router::serve_connection(net::Fd conn) {
-    // Per-connection jitter stream: seeded from the global seed and the
-    // connection sequence so concurrent readers never share RNG state yet
-    // a single-connection test replays exactly.
-    SplitMix64 rng(options_.seed ^ request_seq_.fetch_add(1));
-    while (!shutting_down_.load()) {
-        const int ready =
-            net::wait_readable(conn.get(), wake_read_.get(), -1);
-        if (ready != conn.get()) break;
-
-        std::string payload;
-        const net::FrameStatus status = net::read_frame(conn.get(), payload);
-        if (status == net::FrameStatus::Eof ||
-            status == net::FrameStatus::Error)
-            break;
-        if (status != net::FrameStatus::Ok) {
-            const json::Value response = serve::make_error_response(
-                serve::ErrorKind::BadRequest,
-                std::string("malformed frame: ") + net::to_string(status));
-            (void)net::write_frame(conn.get(), json::dump(response));
-            break;
-        }
-
-        requests_.fetch_add(1);
-        std::string parse_error;
-        const auto doc = json::parse(payload, &parse_error);
-        if (!doc.has_value()) {
-            bad_requests_.fetch_add(1);
-            const std::string response =
-                json::dump(serve::make_error_response(
-                    serve::ErrorKind::BadRequest,
-                    "invalid JSON: " + parse_error));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        serve::WireRequest request;
-        const auto request_error = serve::parse_wire_request(*doc, request);
-        std::string response;
-        if (request_error.has_value()) {
-            bad_requests_.fetch_add(1);
-            response = json::dump(serve::make_error_response(
-                serve::ErrorKind::BadRequest, *request_error));
-        } else if (auto answer = answer_inline(request, *doc)) {
-            inline_answers_.fetch_add(1);
-            response = std::move(*answer);
-        } else {
-            // A routed request. The original payload is forwarded
-            // untouched so the shard sees — and the client receives — the
-            // exact bytes. (A *traced* request is the one exception: the
-            // router re-points the trace's parent_span at its own relay
-            // span before forwarding, and wraps the shard's returned spans
-            // in that relay span on the way back.)
-            //
-            // Keyless requests (e.g. sleep) round-robin by sequence
-            // number, but the raw counter must be mixed first: ring
-            // positions are uniform 64-bit hashes, and sequential
-            // integers all sit below the same first vnode — unmixed,
-            // every keyless request would land on one shard.
-            std::uint64_t key =
-                SplitMix64(request_seq_.fetch_add(1)).next_u64();
-            if (request.type == serve::RequestType::Compile)
-                key = serve::affinity_digest(request.compile);
-            else if (request.type == serve::RequestType::CasGet ||
-                     request.type == serve::RequestType::CasPut)
-                key = request.cas_key;
-            response = relay(request, *doc, key, payload, rng);
-        }
-        if (!net::write_frame(conn.get(), response)) break;
+std::string Router::handle(const serve::WireRequest& request,
+                           const json::Value& doc, const std::string& payload,
+                           SplitMix64& rng) {
+    if (auto answer = answer_inline(request, doc)) {
+        inline_answers_.fetch_add(1);
+        return std::move(*answer);
     }
+    // A routed request. The original payload is forwarded untouched so the
+    // shard sees — and the client receives — the exact bytes. (A *traced*
+    // request is the one exception: the router re-points the trace's
+    // parent_span at its own relay span before forwarding, and wraps the
+    // shard's returned spans in that relay span on the way back.)
+    //
+    // Keyless requests (e.g. sleep) round-robin by sequence number, but
+    // the raw counter must be mixed first: ring positions are uniform
+    // 64-bit hashes, and sequential integers all sit below the same first
+    // vnode — unmixed, every keyless request would land on one shard.
+    std::uint64_t key = SplitMix64(request_seq_.fetch_add(1)).next_u64();
+    if (request.type == serve::RequestType::Compile)
+        key = serve::affinity_digest(request.compile);
+    else if (request.type == serve::RequestType::CasGet ||
+             request.type == serve::RequestType::CasPut)
+        key = request.cas_key;
+    return relay(request, doc, key, payload, rng);
 }
 
 std::optional<std::string>
@@ -440,8 +334,8 @@ Router::answer_inline(const serve::WireRequest& request,
         return json::dump(
             serve::make_metrics_response("metrics", metrics_text()));
     case serve::RequestType::Logs:
-        return json::dump(serve::Daemon::logs_json(request.logs_max,
-                                                   request.logs_min_level));
+        return json::dump(serve::make_logs_response(request.logs_max,
+                                                    request.logs_min_level));
     case serve::RequestType::Drain:
         return handle_admin(doc);
     case serve::RequestType::Flight:
@@ -458,25 +352,22 @@ Router::answer_inline(const serve::WireRequest& request,
 }
 
 bool Router::ping_shard(Shard& shard) {
-    json::Value request = json::Value::object();
-    request.set("schema_version",
-                json::Value::number(double(serve::kSchemaVersion)));
-    request.set("type", json::Value::string("ping"));
     std::string response;
     // Health probes use a short stall cap: a shard that cannot answer a
     // ping within the health interval is not usefully alive.
     const long long timeout =
         options_.health_interval_ms > 0 ? options_.health_interval_ms : 500;
-    return exchange(shard.config.endpoint, json::dump(request), timeout,
-                    response);
+    return net::round_trip(shard.config.endpoint,
+                           json::dump(serve::make_request("ping")), timeout,
+                           response, nullptr) == net::FrameStatus::Ok;
 }
 
 void Router::health_loop() {
     const auto interval = std::chrono::milliseconds(
         options_.health_interval_ms > 0 ? options_.health_interval_ms : 500);
-    while (!shutting_down_.load()) {
+    while (!front_.draining()) {
         for (const auto& shard : shards_) {
-            if (shutting_down_.load()) return;
+            if (front_.draining()) return;
             if (ping_shard(*shard)) {
                 shard->ping_failures.store(0);
                 if (!shard->healthy.exchange(true))
@@ -493,7 +384,7 @@ void Router::health_loop() {
         }
         // Sleep in small slices so shutdown stays prompt.
         auto remaining = interval;
-        while (remaining.count() > 0 && !shutting_down_.load()) {
+        while (remaining.count() > 0 && !front_.draining()) {
             const auto slice =
                 std::min(remaining, std::chrono::milliseconds(50));
             std::this_thread::sleep_for(slice);
@@ -522,19 +413,15 @@ std::vector<ShardView> Router::shard_views() const {
 }
 
 json::Value Router::stats_json() {
-    json::Value stats = json::Value::object();
-    stats.set("ok", json::Value::boolean(true));
-    stats.set("schema_version",
-              json::Value::number(double(serve::kSchemaVersion)));
-    stats.set("type", json::Value::string("stats"));
+    json::Value stats = serve::make_ok_response("stats");
     stats.set("role", json::Value::string("router"));
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
-    stats.set("requests", json::Value::number(double(requests_.load())));
+    stats.set("requests", json::Value::number(double(front_.requests())));
     stats.set("relayed", json::Value::number(double(relayed_.load())));
     stats.set("retries", json::Value::number(double(retries_.load())));
     stats.set("no_shard", json::Value::number(double(no_shard_.load())));
     stats.set("bad_requests",
-              json::Value::number(double(bad_requests_.load())));
+              json::Value::number(double(front_.bad_requests())));
     stats.set("inline_answers",
               json::Value::number(double(inline_answers_.load())));
     json::Value shards = json::Value::array();
@@ -562,7 +449,7 @@ std::string Router::metrics_text() {
                    double(us_since(started_)) / 1e6);
     renderer.counter("psaflow_router_requests_total",
                      "Frames received from clients",
-                     double(requests_.load()));
+                     double(front_.requests()));
     renderer.counter("psaflow_router_relayed_total",
                      "Requests forwarded and answered by a shard",
                      double(relayed_.load()));
@@ -574,7 +461,7 @@ std::string Router::metrics_text() {
                      double(no_shard_.load()));
     renderer.counter("psaflow_router_bad_requests_total",
                      "Malformed client requests",
-                     double(bad_requests_.load()));
+                     double(front_.bad_requests()));
     renderer.counter("psaflow_router_inline_answers_total",
                      "Requests the router answered itself",
                      double(inline_answers_.load()));
@@ -618,7 +505,7 @@ struct FleetRollup {
     std::size_t live = 0;
     Histogram request_latency;
     Histogram queue_wait;
-    std::map<std::string, std::uint64_t> counters;
+    serve::CounterMap counters;
     std::uint64_t completed = 0;
     std::uint64_t received = 0;
     std::uint64_t in_flight = 0;
@@ -627,7 +514,9 @@ struct FleetRollup {
     double aggregate_qps = 0.0; ///< sum of per-shard completed/uptime
 };
 
-void fold_shard(FleetRollup& fleet, const json::Value& doc) {
+/// Fold one shard's stats document into `fleet`; returns the shard's
+/// completed requests per second (0 without an uptime).
+double fold_shard(FleetRollup& fleet, const json::Value& doc) {
     ++fleet.live;
     fleet.request_latency.merge(
         Histogram::from_json(doc.find("request_latency_us")));
@@ -645,9 +534,11 @@ void fold_shard(FleetRollup& fleet, const json::Value& doc) {
     }
     fleet.completed += completed;
     const std::uint64_t uptime_us = member_u64(doc, "uptime_us");
-    if (uptime_us > 0)
-        fleet.aggregate_qps += static_cast<double>(completed) /
-                               (static_cast<double>(uptime_us) / 1e6);
+    const double qps = uptime_us > 0
+                           ? static_cast<double>(completed) /
+                                 (static_cast<double>(uptime_us) / 1e6)
+                           : 0.0;
+    fleet.aggregate_qps += qps;
     fleet.in_flight += member_u64(doc, "in_flight");
     fleet.queue_depth += member_u64(doc, "queue_depth");
     if (const json::Value* lanes = doc.find("queue_lane_depths");
@@ -658,16 +549,13 @@ void fold_shard(FleetRollup& fleet, const json::Value& doc) {
             fleet.lane_depths[lane] += static_cast<std::uint64_t>(
                 lanes->elements[lane].number_or(0.0));
     }
+    return qps;
 }
 
 } // namespace
 
 std::vector<Router::ShardScrape> Router::scrape_shards() {
-    json::Value request = json::Value::object();
-    request.set("schema_version",
-                json::Value::number(double(serve::kSchemaVersion)));
-    request.set("type", json::Value::string("stats"));
-    const std::string payload = json::dump(request);
+    const std::string payload = json::dump(serve::make_request("stats"));
 
     // One scrape thread per shard: the endpoints answer stats inline even
     // under full load, so the fan-in takes one round trip, not N.
@@ -677,8 +565,9 @@ std::vector<Router::ShardScrape> Router::scrape_shards() {
     for (std::size_t i = 0; i < shards_.size(); ++i)
         threads.emplace_back([this, &scrapes, &payload, i] {
             std::string response;
-            if (!exchange(shards_[i]->config.endpoint, payload,
-                          options_.recv_timeout_ms, response))
+            if (net::round_trip(shards_[i]->config.endpoint, payload,
+                                options_.recv_timeout_ms, response,
+                                nullptr) != net::FrameStatus::Ok)
                 return;
             auto doc = json::parse(response, nullptr);
             if (!doc.has_value()) return;
@@ -694,11 +583,7 @@ std::vector<Router::ShardScrape> Router::scrape_shards() {
 json::Value Router::cluster_stats_json() {
     const std::vector<ShardScrape> scrapes = scrape_shards();
 
-    json::Value stats = json::Value::object();
-    stats.set("ok", json::Value::boolean(true));
-    stats.set("schema_version",
-              json::Value::number(double(serve::kSchemaVersion)));
-    stats.set("type", json::Value::string("cluster_stats"));
+    json::Value stats = serve::make_ok_response("cluster_stats");
     stats.set("role", json::Value::string("router"));
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
 
@@ -738,22 +623,7 @@ json::Value Router::cluster_stats_json() {
     rollup.set("request_latency_us", fleet.request_latency.to_json());
     rollup.set("queue_wait_us", fleet.queue_wait.to_json());
 
-    const auto counter = [&fleet](const char* name) {
-        auto it = fleet.counters.find(name);
-        return it == fleet.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    json::Value cache = json::Value::object();
-    cache.set("cas_hit_rate",
-              json::Value::number(
-                  hit_rate(counter("cas.hits"), counter("cas.misses"))));
-    cache.set("profile_cache_hit_rate",
-              json::Value::number(
-                  hit_rate(counter("profile_cache.hits"),
-                           counter("profile_cache.misses"))));
-    cache.set("remote_cas_hit_rate",
-              json::Value::number(hit_rate(counter("cas.remote_hits"),
-                                           counter("cas.remote_misses"))));
-    rollup.set("cache", std::move(cache));
+    rollup.set("cache", serve::cache_hit_rates(fleet.counters));
 
     json::Value merged_counters = json::Value::object();
     for (const auto& [name, value] : fleet.counters)
@@ -778,7 +648,7 @@ std::string Router::cluster_metrics_text() {
                        scrapes[i].reachable ? 1.0 : 0.0, labels);
         if (!scrapes[i].reachable) continue;
         const json::Value& doc = scrapes[i].stats;
-        fold_shard(fleet, doc);
+        const double qps = fold_shard(fleet, doc);
 
         // Per-shard-labeled re-exposure of each shard's histograms and
         // outcome tallies: the merged psaflow_cluster_* series below are
@@ -802,16 +672,9 @@ std::string Router::cluster_metrics_text() {
                                  "Per-shard requests by outcome",
                                  value.number_or(0.0), outcome_labels);
             }
-        const std::uint64_t uptime_us = member_u64(doc, "uptime_us");
-        const std::uint64_t completed =
-            doc.find("requests") != nullptr
-                ? member_u64(*doc.find("requests"), "completed")
-                : 0;
-        if (uptime_us > 0)
+        if (member_u64(doc, "uptime_us") > 0)
             renderer.gauge("psaflow_cluster_shard_qps",
-                           "Per-shard completed requests per second",
-                           static_cast<double>(completed) /
-                               (static_cast<double>(uptime_us) / 1e6),
+                           "Per-shard completed requests per second", qps,
                            labels);
         if (const json::Value* lanes = doc.find("queue_lane_depths");
             lanes != nullptr && lanes->is_array())
@@ -855,21 +718,16 @@ std::string Router::cluster_metrics_text() {
                        "Merged admission-to-execution wait (all shards)",
                        fleet.queue_wait);
 
-    const auto counter = [&fleet](const char* name) {
-        auto it = fleet.counters.find(name);
-        return it == fleet.counters.end() ? std::uint64_t{0} : it->second;
-    };
-    renderer.gauge("psaflow_cluster_cas_hit_rate",
-                   "Fleet CAS hit rate",
-                   hit_rate(counter("cas.hits"), counter("cas.misses")));
+    renderer.gauge("psaflow_cluster_cas_hit_rate", "Fleet CAS hit rate",
+                   hit_rate(fleet.counters, "cas.hits", "cas.misses"));
     renderer.gauge("psaflow_cluster_profile_cache_hit_rate",
                    "Fleet profile-cache hit rate",
-                   hit_rate(counter("profile_cache.hits"),
-                            counter("profile_cache.misses")));
+                   hit_rate(fleet.counters, "profile_cache.hits",
+                            "profile_cache.misses"));
     renderer.gauge("psaflow_cluster_remote_cas_hit_rate",
                    "Fleet remote-CAS hit rate",
-                   hit_rate(counter("cas.remote_hits"),
-                            counter("cas.remote_misses")));
+                   hit_rate(fleet.counters, "cas.remote_hits",
+                            "cas.remote_misses"));
     for (const auto& [name, value] : fleet.counters)
         renderer.counter(
             obs::sanitize_metric_name(name, "psaflow_cluster_"),

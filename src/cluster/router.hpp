@@ -22,6 +22,12 @@
 //                 takes a shard out of rotation without killing it (and
 //                 back in with false) for graceful rolling restarts.
 //
+// Serving (listeners, a reader thread per client connection, the frame
+// loop and its receive timeout, the drain) is the shared serve::FrontEnd
+// psaflowd runs too; the router supplies the handler that answers or
+// relays each request, holding the connection while the shard answers.
+// `recv_timeout_ms` caps a client's stall mid-frame and a shard's reply.
+//
 // Failure handling: a transport failure on a shard marks it unhealthy and
 // the request retries on the next ring candidate after a jittered backoff
 // (cluster/retry.hpp), up to the attempt budget. A health thread pings
@@ -43,10 +49,10 @@
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/retry.hpp"
+#include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
 #include "support/net.hpp"
-#include "support/reader_threads.hpp"
 
 namespace psaflow::cluster {
 
@@ -67,7 +73,8 @@ struct RouterOptions {
     long long health_interval_ms = 500;
     int health_failures_to_eject = 2; ///< consecutive ping failures
     BackoffPolicy retry;           ///< failover attempts + backoff window
-    long long recv_timeout_ms = 30000; ///< shard response stall cap
+    long long recv_timeout_ms = 30000; ///< client mid-frame and shard
+                                       ///< response stall cap
     std::uint64_t seed = 0x8a5cd789635d2dffULL; ///< backoff jitter seed
 };
 
@@ -100,9 +107,11 @@ public:
     void run();
 
     /// Async-signal-safe shutdown request (self-pipe write).
-    void notify_shutdown() noexcept;
+    void notify_shutdown() noexcept { front_.notify_shutdown(); }
+    /// The shared front end (signal wiring, the start-up line).
+    [[nodiscard]] serve::FrontEnd& front_end() { return front_; }
 
-    [[nodiscard]] std::uint16_t tcp_port() const { return tcp_port_; }
+    [[nodiscard]] std::uint16_t tcp_port() const { return front_.tcp_port(); }
 
     /// Cluster stats document ({"type":"stats"} answered by the router).
     [[nodiscard]] json::Value stats_json();
@@ -135,7 +144,7 @@ public:
     /// Connection reader threads not yet joined (live ones, plus those
     /// finished since the last accept).
     [[nodiscard]] std::size_t reader_threads() const {
-        return readers_.retained();
+        return front_.reader_threads();
     }
 
 private:
@@ -151,7 +160,12 @@ private:
         std::atomic<std::uint64_t> spills{0};
     };
 
-    void serve_connection(net::Fd conn);
+    /// The front end's handler: answer `request` inline or relay it.
+    /// `rng` is the connection's backoff-jitter stream.
+    [[nodiscard]] std::string handle(const serve::WireRequest& request,
+                                     const json::Value& doc,
+                                     const std::string& payload,
+                                     SplitMix64& rng);
     /// One relayed request's outcome: the response to send back plus the
     /// relay telemetry the flight recorder wants.
     struct ForwardOutcome {
@@ -204,23 +218,15 @@ private:
     RouterOptions options_;
     HashRing ring_; ///< immutable after start(); health is a predicate
     std::vector<std::unique_ptr<Shard>> shards_;
-    net::Fd listen_fd_;
-    net::Fd tcp_listen_fd_;
-    std::uint16_t tcp_port_ = 0;
-    net::Fd wake_read_;
-    net::Fd wake_write_;
     std::thread health_thread_;
     std::mutex reserve_mu_; ///< serialises bounded picks (reserve())
-    ReaderThreads readers_;
-    std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> request_seq_{0};
-    std::atomic<std::uint64_t> requests_{0};
     std::atomic<std::uint64_t> relayed_{0};
     std::atomic<std::uint64_t> retries_{0};
     std::atomic<std::uint64_t> no_shard_{0};
-    std::atomic<std::uint64_t> bad_requests_{0};
     std::atomic<std::uint64_t> inline_answers_{0};
     std::chrono::steady_clock::time_point started_;
+    serve::FrontEnd front_; ///< last: its readers call into the members above
 };
 
 } // namespace psaflow::cluster

@@ -57,6 +57,13 @@ private:
         infos.clear();
 
         for (const auto& p : fn.params) {
+            // Each parameter is its own argument slot: a repeated name
+            // would alias two arguments (bytecode lowering keys registers
+            // by name, so the frame would get fewer slots than arguments).
+            if (vars_.count(p->name) != 0)
+                throw SemaError(p->loc, "duplicate parameter '" + p->name +
+                                            "' in function '" + fn.name +
+                                            "'");
             declare(p->name, p->type, p->loc, /*is_param=*/true,
                     /*is_array=*/false);
         }

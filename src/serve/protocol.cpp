@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include "obs/log.hpp"
 #include "support/string_util.hpp"
 
 namespace psaflow::serve {
@@ -22,13 +23,18 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         out.type = RequestType::Compile;
         return parse_compile_request(doc, out.compile);
     }
-    if (type == "stats") {
-        out.type = RequestType::Stats;
-        return std::nullopt;
-    }
-    if (type == "metrics") {
-        out.type = RequestType::Metrics;
-        return std::nullopt;
+    // Types without members of their own.
+    for (const auto& [name, kind] :
+         {std::pair{"stats", RequestType::Stats},
+          std::pair{"metrics", RequestType::Metrics},
+          std::pair{"ping", RequestType::Ping},
+          std::pair{"cluster_stats", RequestType::ClusterStats},
+          std::pair{"cluster_metrics", RequestType::ClusterMetrics},
+          std::pair{"drain", RequestType::Drain}}) {
+        if (type == name) {
+            out.type = kind;
+            return std::nullopt;
+        }
     }
     if (type == "logs") {
         out.type = RequestType::Logs;
@@ -37,10 +43,6 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         if (const json::Value* v = doc.find("min_level"))
             out.logs_min_level = v->string_or("");
         if (out.logs_max < 0) return "logs: max must be >= 0";
-        return std::nullopt;
-    }
-    if (type == "ping") {
-        out.type = RequestType::Ping;
         return std::nullopt;
     }
     if (type == "cas_get" || type == "cas_put") {
@@ -71,18 +73,6 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         if (out.flight_max < 0) return "flight: max must be >= 0";
         return std::nullopt;
     }
-    if (type == "cluster_stats") {
-        out.type = RequestType::ClusterStats;
-        return std::nullopt;
-    }
-    if (type == "cluster_metrics") {
-        out.type = RequestType::ClusterMetrics;
-        return std::nullopt;
-    }
-    if (type == "drain") {
-        out.type = RequestType::Drain;
-        return std::nullopt;
-    }
     if (type == "sleep") {
         out.type = RequestType::Sleep;
         if (const json::Value* v = doc.find("ms"))
@@ -94,6 +84,22 @@ std::optional<std::string> parse_wire_request(const json::Value& doc,
         return std::nullopt;
     }
     return "unknown request type '" + type + "'";
+}
+
+json::Value make_request(const std::string& type) {
+    json::Value request = json::Value::object();
+    request.set("schema_version", json::Value::number(double(kSchemaVersion)));
+    request.set("type", json::Value::string(type));
+    return request;
+}
+
+json::Value make_ok_response(const std::string& type) {
+    json::Value response = json::Value::object();
+    response.set("ok", json::Value::boolean(true));
+    response.set("schema_version",
+                 json::Value::number(double(kSchemaVersion)));
+    response.set("type", json::Value::string(type));
+    return response;
 }
 
 json::Value make_error_response(ErrorKind kind, const std::string& message,
@@ -112,11 +118,7 @@ json::Value make_error_response(ErrorKind kind, const std::string& message,
 
 json::Value make_compile_response(const CompileRequest& req,
                                   const CompileOutcome& outcome) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("compile"));
+    json::Value response = make_ok_response("compile");
     response.set("app", json::Value::string(req.app));
     response.set("mode", json::Value::string(req.mode));
     response.set("design_count",
@@ -153,11 +155,7 @@ json::Value make_compile_response(const CompileRequest& req,
 }
 
 json::Value make_cas_get_response(const std::optional<std::string>& payload) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("cas_get"));
+    json::Value response = make_ok_response("cas_get");
     response.set("found", json::Value::boolean(payload.has_value()));
     if (payload.has_value())
         response.set("payload", json::Value::string(base64_encode(*payload)));
@@ -166,11 +164,7 @@ json::Value make_cas_get_response(const std::optional<std::string>& payload) {
 
 json::Value make_flight_response(const obs::FlightRecorder& recorder,
                                  long long max_records) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("flight"));
+    json::Value response = make_ok_response("flight");
     response.set("capacity",
                  json::Value::number(double(recorder.capacity())));
     response.set("total", json::Value::number(double(recorder.total())));
@@ -188,42 +182,80 @@ json::Value make_flight_response(const obs::FlightRecorder& recorder,
     return response;
 }
 
+json::Value make_logs_response(long long max_records,
+                               const std::string& min_level) {
+    obs::LogLevel level = obs::LogLevel::Trace;
+    if (!min_level.empty())
+        if (auto parsed = obs::parse_log_level(min_level)) level = *parsed;
+
+    const obs::Logger& logger = obs::Logger::global();
+    const auto records = logger.recent(
+        max_records < 0 ? 0 : static_cast<std::size_t>(max_records), level);
+
+    json::Value response = make_ok_response("logs");
+    response.set("total", json::Value::number(double(logger.total())));
+    response.set("dropped", json::Value::number(double(logger.dropped())));
+    json::Value out = json::Value::array();
+    for (const obs::LogRecord& record : records) {
+        json::Value entry = json::Value::object();
+        entry.set("seq", json::Value::number(double(record.seq)));
+        entry.set("wall_ms", json::Value::number(double(record.wall_ms)));
+        entry.set("level",
+                  json::Value::string(obs::to_string(record.level)));
+        entry.set("component", json::Value::string(record.component));
+        entry.set("message", json::Value::string(record.message));
+        if (!record.fields.empty()) {
+            json::Value fields = json::Value::object();
+            for (const auto& [key, value] : record.fields)
+                fields.set(key, json::Value::string(value));
+            entry.set("fields", std::move(fields));
+        }
+        entry.set("line", json::Value::string(record.to_line()));
+        out.push(std::move(entry));
+    }
+    response.set("records", std::move(out));
+    return response;
+}
+
 json::Value make_cas_put_response(bool stored) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("cas_put"));
+    json::Value response = make_ok_response("cas_put");
     response.set("stored", json::Value::boolean(stored));
     return response;
 }
 
-json::Value make_pong_response() {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("pong"));
-    return response;
-}
+json::Value make_pong_response() { return make_ok_response("pong"); }
 
 json::Value make_metrics_response(const std::string& type, std::string body) {
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string(type));
+    json::Value response = make_ok_response(type);
     response.set("content_type",
                  json::Value::string("text/plain; version=0.0.4"));
     response.set("body", json::Value::string(std::move(body)));
     return response;
 }
 
-double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
+double hit_rate(const CounterMap& counters, const char* hits,
+                const char* misses) {
+    const auto count = [&counters](const char* name) {
+        const auto it = counters.find(name);
+        return it == counters.end() ? std::uint64_t{0} : it->second;
+    };
+    const std::uint64_t total = count(hits) + count(misses);
     return total == 0 ? 0.0
-                      : static_cast<double>(hits) /
+                      : static_cast<double>(count(hits)) /
                             static_cast<double>(total);
+}
+
+json::Value cache_hit_rates(const CounterMap& counters) {
+    json::Value cache = json::Value::object();
+    cache.set("cas_hit_rate", json::Value::number(hit_rate(
+                                  counters, "cas.hits", "cas.misses")));
+    cache.set("profile_cache_hit_rate",
+              json::Value::number(hit_rate(counters, "profile_cache.hits",
+                                           "profile_cache.misses")));
+    cache.set("remote_cas_hit_rate",
+              json::Value::number(hit_rate(counters, "cas.remote_hits",
+                                           "cas.remote_misses")));
+    return cache;
 }
 
 std::uint64_t us_since(std::chrono::steady_clock::time_point start) {

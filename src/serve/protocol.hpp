@@ -66,6 +66,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -116,6 +117,12 @@ struct WireRequest {
 [[nodiscard]] std::optional<std::string>
 parse_wire_request(const json::Value& doc, WireRequest& out);
 
+/// {"schema_version":N,"type":type}: a request to add members to.
+[[nodiscard]] json::Value make_request(const std::string& type);
+/// {"ok":true,"schema_version":N,"type":type}: the envelope every success
+/// response starts with, in wire order; builders append their members.
+[[nodiscard]] json::Value make_ok_response(const std::string& type);
+
 /// Response builders (serialise with json::dump before framing).
 [[nodiscard]] json::Value make_error_response(ErrorKind kind,
                                               const std::string& message,
@@ -135,12 +142,23 @@ make_cas_get_response(const std::optional<std::string>& payload);
 [[nodiscard]] json::Value
 make_flight_response(const obs::FlightRecorder& recorder,
                      long long max_records);
+/// logs response: the newest `max_records` structured-log records at or
+/// above `min_level` (as in obs::parse_log_level; "" = all), oldest
+/// first. Shared by daemons and routers.
+[[nodiscard]] json::Value make_logs_response(long long max_records,
+                                             const std::string& min_level);
 /// cas_put response: "stored" is false when the daemon has no disk store.
 [[nodiscard]] json::Value make_cas_put_response(bool stored);
 
-/// hits / (hits + misses), 0 when both are 0: the stats documents' cache
+/// Flow counters by name (cas.hits, profile_cache.misses, ...).
+using CounterMap = std::map<std::string, std::uint64_t>;
+/// hits / (hits + misses) of two named counters (absent = 0), 0 when both
+/// are 0.
+[[nodiscard]] double hit_rate(const CounterMap& counters, const char* hits,
+                              const char* misses);
+/// The stats documents' "cache" object: CAS, profile-cache and remote-CAS
 /// hit rates.
-[[nodiscard]] double hit_rate(std::uint64_t hits, std::uint64_t misses);
+[[nodiscard]] json::Value cache_hit_rates(const CounterMap& counters);
 /// Microseconds elapsed since `start`.
 [[nodiscard]] std::uint64_t
 us_since(std::chrono::steady_clock::time_point start);

@@ -69,11 +69,11 @@ std::optional<std::string> parse_compile_request(const json::Value& entry,
     if (const json::Value* v = entry.find("flow")) {
         if (!v->is_object()) return "flow must be an inline manifest object";
         try {
-            (void)flow::from_manifest(*v);
+            out.flow = std::make_shared<const flow::ManifestFlow>(
+                flow::from_manifest(*v));
         } catch (const Error& e) {
             return std::string(e.what());
         }
-        out.flow_json = json::dump(*v);
     }
     return std::nullopt;
 }
@@ -89,7 +89,8 @@ std::uint64_t affinity_digest(const CompileRequest& req) {
     } catch (const Error&) {
         hasher.str(req.app); // unknown app: still deterministic routing
     }
-    hasher.str(req.flow_json);
+    hasher.str(req.flow != nullptr ? std::string_view(req.flow->canonical)
+                                   : std::string_view());
     return hasher.digest();
 }
 

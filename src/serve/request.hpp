@@ -7,11 +7,16 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "support/json.hpp"
+
+namespace psaflow::flow {
+struct ManifestFlow;
+} // namespace psaflow::flow
 
 namespace psaflow::serve {
 
@@ -31,11 +36,11 @@ struct CompileRequest {
     long long deadline_ms = 0;     ///< per-request deadline; 0 = none
     Priority priority = Priority::Interactive; ///< admission lane
 
-    /// Manifest-defined flow as compact JSON text (flow/manifest.hpp),
-    /// already validated by parse_compile_request; empty = run the builtin
-    /// standard flow. Carried as text (not a lowered flow) so requests stay
-    /// copyable/queueable and the executor lowers at run time.
-    std::string flow_json;
+    /// Manifest-defined flow (flow/manifest.hpp), lowered once by
+    /// parse_compile_request; null = run the builtin standard flow. Shared
+    /// and immutable, so requests stay cheap to copy and queue and the
+    /// executor runs it as is.
+    std::shared_ptr<const flow::ManifestFlow> flow;
 };
 
 /// How a request failed — the wire protocol's error taxonomy.
@@ -64,9 +69,9 @@ parse_compile_request(const json::Value& entry, CompileRequest& out);
 
 /// The request's cache-affinity key: a digest of the module source it will
 /// compile (the bundled app's HLC text when the app is known, else the
-/// name) plus any in-request flow manifest. Everything warm about a
-/// request — profile-cache entries, design artifacts, a worker's parsed
-/// session state — keys off this content, so the cluster router
+/// name) plus any in-request flow manifest's canonical text. Everything
+/// warm about a request — profile-cache entries, design artifacts, a
+/// worker's parsed session state — keys off this content, so the router
 /// consistent-hashes it onto shards and the daemon's LaneQueue uses it for
 /// worker sub-queue affinity. Deterministic across processes and hosts.
 [[nodiscard]] std::uint64_t affinity_digest(const CompileRequest& req);

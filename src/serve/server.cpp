@@ -1,8 +1,6 @@
 #include "serve/server.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <filesystem>
 #include <thread>
 
@@ -20,6 +18,15 @@ DaemonOptions normalized(DaemonOptions options) {
     if (options.workers < 1) options.workers = 1;
     return options;
 }
+
+/// A relative wire "out" that climbs above the output root it is joined
+/// to. Absolute paths are the client's own choice and pass.
+bool escapes_root(const std::string& out) {
+    const std::filesystem::path path(out);
+    if (path.is_absolute()) return false;
+    const std::filesystem::path normal = path.lexically_normal();
+    return !normal.empty() && *normal.begin() == "..";
+}
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)
@@ -28,13 +35,17 @@ Daemon::Daemon(DaemonOptions options)
              kPriorityLanes, static_cast<std::size_t>(options_.workers)) {}
 
 Daemon::~Daemon() {
+    // run() drains in order; this covers a daemon that was started but
+    // whose run() never ran (tests, early exits).
     notify_shutdown();
-    // run() performs the orderly drain; this is the fallback for a daemon
-    // that was started but whose run() never ran (tests, early exits).
-    queue_.close();
-    for (std::thread& worker : workers_)
-        if (worker.joinable()) worker.join();
-    readers_.join_all();
+    drain();
+}
+
+void Daemon::drain() {
+    queue_.close(); // admitted jobs still run
+    for (std::thread& worker : workers_) worker.join();
+    workers_.clear();
+    front_.join_readers();
 }
 
 std::optional<std::string> Daemon::start() {
@@ -44,32 +55,9 @@ std::optional<std::string> Daemon::start() {
         obs::FlightRecorder::global().set_slo_us(
             static_cast<std::uint64_t>(options_.slo_ms) * 1000);
 
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0) return "cannot create self-pipe";
-    wake_read_.reset(pipe_fds[0]);
-    wake_write_.reset(pipe_fds[1]);
-    ::fcntl(wake_write_.get(), F_SETFL, O_NONBLOCK);
-
-    if (options_.socket_path.empty() && options_.listen_tcp.empty())
-        return "no listener configured (need a socket path or --listen)";
-
-    std::string error;
-    if (!options_.socket_path.empty()) {
-        listen_fd_ = net::listen_unix(options_.socket_path, /*backlog=*/64,
-                                      &error);
-        if (!listen_fd_.valid()) return error;
-    }
-    if (!options_.listen_tcp.empty()) {
-        auto endpoint = net::parse_endpoint(options_.listen_tcp, &error);
-        if (!endpoint.has_value()) return error;
-        if (endpoint->kind != net::Endpoint::Kind::Tcp)
-            return "--listen expects host:port, got '" + options_.listen_tcp +
-                   "'";
-        tcp_listen_fd_ = net::listen_tcp(endpoint->host, endpoint->port,
-                                         /*backlog=*/64, &error);
-        if (!tcp_listen_fd_.valid()) return error;
-        tcp_port_ = net::local_port(tcp_listen_fd_.get());
-    }
+    if (auto error = front_.listen(options_.socket_path, options_.listen_tcp,
+                                   options_.recv_timeout_ms))
+        return error;
 
     started_ = std::chrono::steady_clock::now();
     workers_.reserve(static_cast<std::size_t>(options_.workers));
@@ -80,7 +68,7 @@ std::optional<std::string> Daemon::start() {
               {{"socket", options_.socket_path},
                {"tcp", options_.listen_tcp.empty()
                            ? std::string()
-                           : "port " + std::to_string(tcp_port_)},
+                           : "port " + std::to_string(tcp_port())},
                {"shard", options_.shard_name},
                {"workers", std::to_string(options_.workers)},
                {"queue_depth", std::to_string(options_.queue_depth)}});
@@ -88,171 +76,77 @@ std::optional<std::string> Daemon::start() {
 }
 
 void Daemon::run() {
-    while (true) {
-        const int ready = net::wait_readable_any(
-            {listen_fd_.get(), tcp_listen_fd_.get(), wake_read_.get()}, -1);
-        const bool is_listener =
-            (listen_fd_.valid() && ready == listen_fd_.get()) ||
-            (tcp_listen_fd_.valid() && ready == tcp_listen_fd_.get());
-        if (!is_listener) break; // shutdown wake (or poll failure)
-        net::Fd conn = net::accept_connection(ready);
-        if (!conn.valid()) continue;
-        {
-            std::lock_guard lock(stats_mu_);
-            ++counters_.connections;
-        }
-        readers_.spawn([this, fd = std::move(conn)]() mutable {
-            serve_connection(std::move(fd));
-        });
-    }
-
-    // Drain: stop accepting, finish everything admitted, then leave no
-    // trace on disk — the smoke test asserts the socket file is gone.
-    shutting_down_.store(true);
-    listen_fd_.reset();
-    tcp_listen_fd_.reset();
-    std::error_code ec;
-    if (!options_.socket_path.empty())
-        std::filesystem::remove(options_.socket_path, ec);
-    queue_.close();
-    for (std::thread& worker : workers_) worker.join();
-    workers_.clear();
-    readers_.join_all();
+    front_.run([this] {
+        return [this](WireRequest& request, const json::Value&,
+                      const std::string&) { return handle(request); };
+    });
+    drain(); // the front end stopped accepting; finish what was admitted
     obs::info("serve", "daemon drained",
               {{"completed", std::to_string(counters().completed)}});
 }
 
-void Daemon::notify_shutdown() noexcept {
-    shutting_down_.store(true);
-    if (wake_write_.valid()) {
-        const char byte = 'q';
-        [[maybe_unused]] ssize_t rc = ::write(wake_write_.get(), &byte, 1);
-    }
-}
-
-void Daemon::serve_connection(net::Fd conn) {
-    net::set_recv_timeout(conn.get(), options_.recv_timeout_ms);
-    while (!shutting_down_.load()) {
-        const int ready =
-            net::wait_readable(conn.get(), wake_read_.get(), -1);
-        if (ready != conn.get()) break; // shutdown wake or poll failure
-
-        std::string payload;
-        const net::FrameStatus status = net::read_frame(conn.get(), payload);
-        if (status == net::FrameStatus::Eof ||
-            status == net::FrameStatus::Error)
-            break;
-        if (status != net::FrameStatus::Ok) {
-            // Torn/oversized frames get a structured complaint; the stream
-            // is unsynchronised afterwards, so the connection closes.
-            obs::warn("serve", "malformed frame, closing connection",
-                      {{"status", net::to_string(status)}});
-            const json::Value response = make_error_response(
-                ErrorKind::BadRequest,
-                std::string("malformed frame: ") + net::to_string(status));
-            (void)net::write_frame(conn.get(), json::dump(response));
-            break;
-        }
-
-        std::string parse_error;
-        const auto doc = json::parse(payload, &parse_error);
-        std::string response;
-        if (!doc.has_value()) {
-            {
-                std::lock_guard lock(stats_mu_);
-                ++counters_.requests;
-                ++counters_.bad_requests;
-            }
-            response = json::dump(make_error_response(
-                ErrorKind::BadRequest, "invalid JSON: " + parse_error));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        WireRequest request;
-        auto request_error = parse_wire_request(*doc, request);
-        if (!request_error.has_value() &&
-            request.type == RequestType::Sleep &&
-            !options_.enable_test_endpoints)
-            request_error = "unknown request type 'sleep'";
-        if (!request_error.has_value() &&
-            (request.type == RequestType::ClusterStats ||
+std::string Daemon::handle(WireRequest& request) {
+    const char* refusal = nullptr;
+    if (request.type == RequestType::Sleep && !options_.enable_test_endpoints)
+        refusal = "unknown request type 'sleep'";
+    else if (request.type == RequestType::ClusterStats ||
              request.type == RequestType::ClusterMetrics ||
-             request.type == RequestType::Drain))
-            request_error = "cluster requests are answered by "
-                            "psaflow-router, not a shard";
+             request.type == RequestType::Drain)
+        refusal = "cluster requests are answered by psaflow-router, not a "
+                  "shard";
+    else if (request.type == RequestType::Compile &&
+             escapes_root(request.compile.out_dir))
+        refusal = "\"out\" must not leave the output root";
+    if (refusal != nullptr) {
+        front_.count_bad_request();
+        return json::dump(make_error_response(ErrorKind::BadRequest, refusal));
+    }
+
+    if (request.type != RequestType::Compile &&
+        request.type != RequestType::Sleep)
+        return handle_inline(request);
+
+    // A queued job: resolve the output directory, arm the deadline at
+    // receipt (queue wait counts against it), and admit or reject.
+    auto job = std::make_shared<Job>();
+    job->request = std::move(request);
+    job->received = std::chrono::steady_clock::now();
+    std::size_t lane = 0;
+    std::uint64_t affinity = request_seq_.load();
+    if (job->request.type == RequestType::Compile) {
+        CompileRequest& compile = job->request.compile;
+        if (compile.deadline_ms == 0)
+            compile.deadline_ms = options_.default_deadline_ms;
+        // Relative (or absent) "out" lands under the output root; an
+        // absolute one replaces it (path::operator/).
+        if (compile.out_dir.empty())
+            compile.out_dir = compile.app + "-" +
+                              std::to_string(request_seq_.fetch_add(1));
+        compile.out_dir =
+            (std::filesystem::path(options_.out_root) / compile.out_dir)
+                .string();
+        if (compile.deadline_ms > 0)
+            job->token.set_deadline_after(
+                std::chrono::milliseconds(compile.deadline_ms));
+        lane = static_cast<std::size_t>(compile.priority);
+        affinity = affinity_digest(compile);
+    } else if (job->request.deadline_ms > 0) {
+        job->token.set_deadline_after(
+            std::chrono::milliseconds(job->request.deadline_ms));
+    }
+
+    std::future<std::string> done = job->response.get_future();
+    if (!queue_.try_push(job, lane, affinity)) {
         {
             std::lock_guard lock(stats_mu_);
-            ++counters_.requests;
-            if (request_error.has_value()) ++counters_.bad_requests;
+            ++counters_.rejected_overload;
         }
-        if (request_error.has_value()) {
-            response = json::dump(make_error_response(ErrorKind::BadRequest,
-                                                      *request_error));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        if (request.type == RequestType::Ping ||
-            request.type == RequestType::Stats ||
-            request.type == RequestType::Metrics ||
-            request.type == RequestType::Logs ||
-            request.type == RequestType::CasGet ||
-            request.type == RequestType::CasPut ||
-            request.type == RequestType::Flight) {
-            response = handle_inline(request);
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-
-        // A queued job: resolve the output directory, arm the deadline at
-        // receipt (queue wait counts against it), and admit or reject.
-        auto job = std::make_shared<Job>();
-        job->request = std::move(request);
-        job->received = std::chrono::steady_clock::now();
-        std::size_t lane = 0;
-        std::uint64_t affinity = request_seq_.load();
-        if (job->request.type == RequestType::Compile) {
-            CompileRequest& compile = job->request.compile;
-            if (compile.deadline_ms == 0)
-                compile.deadline_ms = options_.default_deadline_ms;
-            if (compile.out_dir.empty())
-                compile.out_dir =
-                    (std::filesystem::path(options_.out_root) /
-                     (compile.app + "-" +
-                      std::to_string(request_seq_.fetch_add(1))))
-                        .string();
-            else if (!std::filesystem::path(compile.out_dir).is_absolute())
-                compile.out_dir = (std::filesystem::path(options_.out_root) /
-                                   compile.out_dir)
-                                      .string();
-            if (compile.deadline_ms > 0)
-                job->token.set_deadline_after(
-                    std::chrono::milliseconds(compile.deadline_ms));
-            lane = static_cast<std::size_t>(compile.priority);
-            affinity = affinity_digest(compile);
-        } else if (job->request.deadline_ms > 0) {
-            job->token.set_deadline_after(
-                std::chrono::milliseconds(job->request.deadline_ms));
-        }
-
-        std::future<std::string> done = job->response.get_future();
-        if (!queue_.try_push(job, lane, affinity)) {
-            {
-                std::lock_guard lock(stats_mu_);
-                ++counters_.rejected_overload;
-            }
-            response = json::dump(make_error_response(
-                ErrorKind::Overloaded,
-                queue_.closed() ? "daemon is draining"
-                                : "admission queue is full",
-                retry_after_ms_hint()));
-            if (!net::write_frame(conn.get(), response)) break;
-            continue;
-        }
-        response = done.get();
-        if (!net::write_frame(conn.get(), response)) break;
+        return json::dump(make_error_response(
+            ErrorKind::Overloaded,
+            queue_.closed() ? "daemon is draining" : "admission queue is full",
+            retry_after_ms_hint()));
     }
+    return done.get();
 }
 
 void Daemon::worker_loop(std::size_t worker_index) {
@@ -286,94 +180,47 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
 
     // A job whose deadline expired while queued is answered without
     // running — the worker stays free for requests that can still make it.
-    if (job.token.cancelled()) {
-        {
-            std::lock_guard lock(stats_mu_);
-            ++counters_.deadline_exceeded;
-            queue_wait_us_.record(queue_wait_us);
-            request_latency_us_.record(us_since(job.received));
-        }
-        flight.set_app(job.request.type == RequestType::Compile
-                           ? job.request.compile.app
-                           : "sleep");
-        finish_flight("deadline_exceeded");
-        job.response.set_value(json::dump(make_error_response(
-            ErrorKind::DeadlineExceeded,
-            std::string("flow failed: ") + job.token.reason())));
-        return;
-    }
-
-    if (job.request.type == RequestType::Sleep) {
-        // Anchored at execution start, not receipt: the sleep models
-        // *service time* (a worker held for the full duration), so it
-        // occupies a worker even when the queue is saturated. Deadlines
-        // still count queue time — the token was armed at receipt.
+    // A sleep is anchored at execution start, not receipt: it models
+    // *service time* (a worker held for the full duration), so it occupies
+    // a worker even when the queue is saturated. Deadlines still count
+    // queue time — the token was armed at receipt.
+    const bool sleep = job.request.type == RequestType::Sleep;
+    bool expired = job.token.cancelled();
+    if (sleep || expired) {
         const auto until = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(job.request.sleep_ms);
-        bool cancelled = false;
-        while (std::chrono::steady_clock::now() < until) {
-            if (job.token.cancelled()) {
-                cancelled = true;
-                break;
-            }
+        while (sleep && !expired && std::chrono::steady_clock::now() < until &&
+               !(expired = job.token.cancelled()))
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
         {
             std::lock_guard lock(stats_mu_);
+            ++(expired ? counters_.deadline_exceeded : counters_.completed);
             queue_wait_us_.record(queue_wait_us);
             request_latency_us_.record(us_since(job.received));
-            if (cancelled)
-                ++counters_.deadline_exceeded;
-            else
-                ++counters_.completed;
         }
-        flight.set_app("sleep");
-        finish_flight(cancelled ? "deadline_exceeded" : "ok");
-        if (cancelled) {
+        flight.set_app(sleep ? "sleep" : job.request.compile.app);
+        finish_flight(expired ? "deadline_exceeded" : "ok");
+        if (expired) {
             job.response.set_value(json::dump(make_error_response(
                 ErrorKind::DeadlineExceeded,
                 std::string("flow failed: ") + job.token.reason())));
-        } else {
-            json::Value ok = json::Value::object();
-            ok.set("ok", json::Value::boolean(true));
-            ok.set("schema_version",
-                   json::Value::number(double(kSchemaVersion)));
-            ok.set("type", json::Value::string("sleep"));
-            ok.set("slept_ms",
-                   json::Value::number(double(job.request.sleep_ms)));
-            if (job.request.trace.traced()) {
-                // A traced sleep still reports its hop spans — tests use
-                // sleeps as cheap stand-ins for real service time.
-                const std::uint64_t slept_us =
-                    us_since(job.received) - queue_wait_us;
-                std::vector<trace::Span> spans;
-                trace::Span root;
-                root.name = "serve:request";
-                root.category = "serve";
-                root.id = trace::wire_span_id();
-                root.parent = job.request.trace.parent_span;
-                root.duration_us = queue_wait_us + slept_us;
-                trace::Span queue;
-                queue.name = "serve:queue-wait";
-                queue.category = "serve";
-                queue.id = trace::wire_span_id();
-                queue.parent = root.id;
-                queue.duration_us = queue_wait_us;
-                trace::Span exec;
-                exec.name = "serve:execute";
-                exec.category = "serve";
-                exec.id = trace::wire_span_id();
-                exec.parent = root.id;
-                exec.start_us = queue_wait_us;
-                exec.duration_us = slept_us;
-                spans.push_back(std::move(queue));
-                spans.push_back(std::move(exec));
-                spans.push_back(std::move(root));
-                attach_response_trace(ok, job.request.trace.trace_id,
-                                      spans);
-            }
-            job.response.set_value(json::dump(ok));
+            return;
         }
+        json::Value ok = make_ok_response("sleep");
+        ok.set("slept_ms", json::Value::number(double(job.request.sleep_ms)));
+        if (job.request.trace.traced()) {
+            // A traced sleep still reports its hop spans — tests use
+            // sleeps as cheap stand-ins for real service time.
+            RequestTrace hop;
+            hop.parent_span = job.request.trace.parent_span;
+            hop.queue_wait_us = queue_wait_us;
+            std::vector<trace::Span> spans;
+            append_hop_spans(spans, hop, trace::wire_span_id(),
+                             trace::wire_span_id(),
+                             us_since(job.received) - queue_wait_us);
+            attach_response_trace(ok, job.request.trace.trace_id, spans);
+        }
+        job.response.set_value(json::dump(ok));
         return;
     }
 
@@ -388,7 +235,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
         std::lock_guard lock(stats_mu_);
         queue_wait_us_.record(queue_wait_us);
         request_latency_us_.record(us_since(job.received));
-        record_outcome(outcome, queue_wait_us);
+        record_outcome(outcome);
     }
 
     flight.set_app(job.request.compile.app);
@@ -409,8 +256,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
 }
 
 /// Caller holds stats_mu_.
-void Daemon::record_outcome(const CompileOutcome& outcome,
-                            std::uint64_t /*queue_wait_us*/) {
+void Daemon::record_outcome(const CompileOutcome& outcome) {
     if (outcome.ok) {
         ++counters_.completed;
     } else if (outcome.error_kind == ErrorKind::DeadlineExceeded) {
@@ -438,7 +284,7 @@ std::string Daemon::handle_inline(const WireRequest& request) {
         return json::dump(make_metrics_response("metrics", metrics_text()));
     if (request.type == RequestType::Logs)
         return json::dump(
-            logs_json(request.logs_max, request.logs_min_level));
+            make_logs_response(request.logs_max, request.logs_min_level));
     if (request.type == RequestType::CasGet) {
         {
             std::lock_guard lock(stats_mu_);
@@ -489,18 +335,11 @@ long long Daemon::retry_after_ms_hint() {
         std::lock_guard lock(stats_mu_);
         p50_us = request_latency_us_.percentile(50);
     }
-    long long hint = static_cast<long long>(p50_us / 1000);
-    if (hint < 50) hint = 50;
-    if (hint > 5000) hint = 5000;
-    return hint;
+    return std::clamp(static_cast<long long>(p50_us / 1000), 50LL, 5000LL);
 }
 
 json::Value Daemon::stats_json() {
-    json::Value stats = json::Value::object();
-    stats.set("ok", json::Value::boolean(true));
-    stats.set("schema_version",
-              json::Value::number(double(kSchemaVersion)));
-    stats.set("type", json::Value::string("stats"));
+    json::Value stats = make_ok_response("stats");
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
     if (!options_.shard_name.empty())
         stats.set("shard", json::Value::string(options_.shard_name));
@@ -514,25 +353,26 @@ json::Value Daemon::stats_json() {
     stats.set("queue_lane_depths", std::move(lane_depths));
     stats.set("queue_steals", json::Value::number(double(queue_.steals())));
     stats.set("in_flight", json::Value::number(double(in_flight_.load())));
-    stats.set("draining", json::Value::boolean(shutting_down_.load()));
+    stats.set("draining", json::Value::boolean(front_.draining()));
 
+    const DaemonCounters counters = this->counters();
     std::lock_guard lock(stats_mu_);
     json::Value requests = json::Value::object();
-    requests.set("received", json::Value::number(double(counters_.requests)));
+    requests.set("received", json::Value::number(double(counters.requests)));
     requests.set("completed",
-                 json::Value::number(double(counters_.completed)));
-    requests.set("failed", json::Value::number(double(counters_.failed)));
+                 json::Value::number(double(counters.completed)));
+    requests.set("failed", json::Value::number(double(counters.failed)));
     requests.set("bad_request",
-                 json::Value::number(double(counters_.bad_requests)));
+                 json::Value::number(double(counters.bad_requests)));
     requests.set("rejected_overload",
-                 json::Value::number(double(counters_.rejected_overload)));
+                 json::Value::number(double(counters.rejected_overload)));
     requests.set("deadline_exceeded",
-                 json::Value::number(double(counters_.deadline_exceeded)));
-    requests.set("cas_gets", json::Value::number(double(counters_.cas_gets)));
-    requests.set("cas_puts", json::Value::number(double(counters_.cas_puts)));
+                 json::Value::number(double(counters.deadline_exceeded)));
+    requests.set("cas_gets", json::Value::number(double(counters.cas_gets)));
+    requests.set("cas_puts", json::Value::number(double(counters.cas_puts)));
     stats.set("requests", std::move(requests));
     stats.set("connections",
-              json::Value::number(double(counters_.connections)));
+              json::Value::number(double(counters.connections)));
 
     stats.set("request_latency_us", request_latency_us_.to_json());
     stats.set("queue_wait_us", queue_wait_us_.to_json());
@@ -547,21 +387,7 @@ json::Value Daemon::stats_json() {
         flow_counters.set(name, json::Value::number(double(value)));
     stats.set("counters", std::move(flow_counters));
 
-    const auto counter = [this](const char* name) {
-        auto it = flow_counters_.find(name);
-        return it == flow_counters_.end() ? std::uint64_t{0} : it->second;
-    };
-    json::Value cache = json::Value::object();
-    cache.set("cas_hit_rate",
-              json::Value::number(
-                  hit_rate(counter("cas.hits"), counter("cas.misses"))));
-    cache.set("profile_cache_hit_rate",
-              json::Value::number(hit_rate(counter("profile_cache.hits"),
-                                           counter("profile_cache.misses"))));
-    cache.set("remote_cas_hit_rate",
-              json::Value::number(hit_rate(counter("cas.remote_hits"),
-                                           counter("cas.remote_misses"))));
-    stats.set("cache", std::move(cache));
+    stats.set("cache", cache_hit_rates(flow_counters_));
     return stats;
 }
 
@@ -588,29 +414,30 @@ std::string Daemon::metrics_text() {
     renderer.gauge("psaflowd_in_flight", "Jobs currently executing",
                    double(in_flight_.load()));
     renderer.gauge("psaflowd_draining", "1 while shutting down",
-                   shutting_down_.load() ? 1.0 : 0.0);
+                   front_.draining() ? 1.0 : 0.0);
 
+    const DaemonCounters counters = this->counters();
     std::lock_guard lock(stats_mu_);
     const auto tally = [&](const char* label, std::uint64_t value) {
         renderer.counter("psaflowd_requests_total",
                          "Requests by outcome", double(value),
                          {{"outcome", label}});
     };
-    tally("completed", counters_.completed);
-    tally("failed", counters_.failed);
-    tally("bad_request", counters_.bad_requests);
-    tally("rejected_overload", counters_.rejected_overload);
-    tally("deadline_exceeded", counters_.deadline_exceeded);
+    tally("completed", counters.completed);
+    tally("failed", counters.failed);
+    tally("bad_request", counters.bad_requests);
+    tally("rejected_overload", counters.rejected_overload);
+    tally("deadline_exceeded", counters.deadline_exceeded);
     renderer.counter("psaflowd_requests_received_total",
-                     "Request frames received", double(counters_.requests));
+                     "Request frames received", double(counters.requests));
     renderer.counter("psaflowd_connections_total", "Connections accepted",
-                     double(counters_.connections));
+                     double(counters.connections));
     renderer.counter("psaflowd_cas_gets_total",
                      "Remote-CAS reads served to peers",
-                     double(counters_.cas_gets));
+                     double(counters.cas_gets));
     renderer.counter("psaflowd_cas_puts_total",
                      "Remote-CAS writes accepted from peers",
-                     double(counters_.cas_puts));
+                     double(counters.cas_puts));
 
     renderer.histogram("psaflowd_request_latency_us",
                        "Receipt-to-response latency, microseconds",
@@ -629,48 +456,13 @@ std::string Daemon::metrics_text() {
     return renderer.text();
 }
 
-json::Value Daemon::logs_json(long long max_records,
-                              const std::string& min_level) {
-    obs::LogLevel level = obs::LogLevel::Trace;
-    if (!min_level.empty())
-        if (auto parsed = obs::parse_log_level(min_level)) level = *parsed;
-
-    const obs::Logger& logger = obs::Logger::global();
-    const auto records = logger.recent(
-        max_records < 0 ? 0 : static_cast<std::size_t>(max_records), level);
-
-    json::Value response = json::Value::object();
-    response.set("ok", json::Value::boolean(true));
-    response.set("schema_version",
-                 json::Value::number(double(kSchemaVersion)));
-    response.set("type", json::Value::string("logs"));
-    response.set("total", json::Value::number(double(logger.total())));
-    response.set("dropped", json::Value::number(double(logger.dropped())));
-    json::Value out = json::Value::array();
-    for (const obs::LogRecord& record : records) {
-        json::Value entry = json::Value::object();
-        entry.set("seq", json::Value::number(double(record.seq)));
-        entry.set("wall_ms", json::Value::number(double(record.wall_ms)));
-        entry.set("level",
-                  json::Value::string(obs::to_string(record.level)));
-        entry.set("component", json::Value::string(record.component));
-        entry.set("message", json::Value::string(record.message));
-        if (!record.fields.empty()) {
-            json::Value fields = json::Value::object();
-            for (const auto& [key, value] : record.fields)
-                fields.set(key, json::Value::string(value));
-            entry.set("fields", std::move(fields));
-        }
-        entry.set("line", json::Value::string(record.to_line()));
-        out.push(std::move(entry));
-    }
-    response.set("records", std::move(out));
-    return response;
-}
-
 DaemonCounters Daemon::counters() const {
     std::lock_guard lock(stats_mu_);
-    return counters_;
+    DaemonCounters counters = counters_;
+    counters.connections = front_.connections();
+    counters.requests = front_.requests();
+    counters.bad_requests += front_.bad_requests();
+    return counters;
 }
 
 } // namespace psaflow::serve

@@ -1,30 +1,24 @@
-// psaflowd's engine room: accept loop, admission control, warm workers.
+// psaflowd's engine room: admission control and warm workers behind the
+// shared serving front end (serve/front_end.hpp owns the listeners, the
+// reader thread per connection, the frame loop and the drain).
 //
 // Threading model:
-//   * `run()` (the caller's thread) polls {listen socket, self-pipe};
-//     SIGTERM handlers call `notify_shutdown()` (async-signal-safe) to
-//     write the pipe.
-//   * One reader thread per live connection (support/reader_threads.hpp:
-//     a finished reader is joined when the next connection arrives). It
-//     answers `ping`/`stats` inline (so the metrics plane stays responsive
-//     while every worker is busy) and admits `compile`/`sleep` jobs into
-//     the LaneQueue; a full or closed queue yields an `overloaded`
-//     response with a retry hint derived from the observed p50 latency.
-//     The reader then blocks on the job's future — requests on one
-//     connection are served in order, concurrency comes from concurrent
-//     connections.
+//   * A connection's reader hands each parsed request to `handle()`, which
+//     refuses what a shard does not serve (`sleep` without test endpoints,
+//     the router-only types, an "out" leaving the output root), answers
+//     the metrics plane and `cas_*` inline (responsive while every worker
+//     is busy), and admits `compile`/`sleep` jobs into the LaneQueue —
+//     a full or closed queue yields `overloaded` with a retry hint from
+//     the observed p50 latency — then blocks on the job's future.
 //   * `workers` worker threads each own a warm FlowSession (engine jobs
-//     default 1: request-level parallelism, not per-request fan-out) and
-//     drain the queue. Each job's deadline token was armed at *receipt*,
-//     so time spent queued counts against the deadline; an expired job is
-//     answered without running. Failures are contained per request —
-//     execute_request never throws.
+//     default 1: request-level parallelism) and drain the queue. A job's
+//     deadline was armed at *receipt*, so queue time counts; an expired
+//     job is answered without running. execute_request never throws.
 //
-// Drain (notify_shutdown): stop accepting (close listener, unlink the
-// socket file), close the queue (admitted jobs still drain), join the
-// workers, then the readers. Every admitted request gets its response
-// before the daemon exits; the CAS needs no flush (entries are published
-// with atomic renames at write time).
+// Drain (notify_shutdown, async-signal-safe): the front end stops
+// accepting and unlinks the socket file, the queue closes (admitted jobs
+// still drain), the workers join, then the readers — every admitted
+// request is answered. The CAS needs no flush (atomic renames).
 #pragma once
 
 #include <atomic>
@@ -39,12 +33,11 @@
 #include <thread>
 #include <vector>
 
+#include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "support/cancel.hpp"
 #include "support/histogram.hpp"
-#include "support/net.hpp"
-#include "support/reader_threads.hpp"
 
 namespace psaflow::serve {
 
@@ -87,16 +80,18 @@ public:
     Daemon(const Daemon&) = delete;
     Daemon& operator=(const Daemon&) = delete;
 
-    /// Bind the socket, create the self-pipe and start the worker pool.
-    /// Returns an error message on failure (daemon unusable afterwards).
+    /// Bind the listeners and start the worker pool. Returns an error
+    /// message on failure (daemon unusable afterwards).
     [[nodiscard]] std::optional<std::string> start();
 
     /// Accept/serve until notify_shutdown(); returns after a full drain.
     void run();
 
-    /// Request shutdown. Async-signal-safe (one write(2) to the
-    /// self-pipe); callable from signal handlers and other threads.
-    void notify_shutdown() noexcept;
+    /// Request shutdown. Async-signal-safe; callable from signal handlers
+    /// and other threads.
+    void notify_shutdown() noexcept { front_.notify_shutdown(); }
+    /// The shared front end (signal wiring, the start-up line).
+    [[nodiscard]] FrontEnd& front_end() { return front_; }
 
     /// The stats-endpoint document (also handy for tests and logs).
     [[nodiscard]] json::Value stats_json();
@@ -106,27 +101,17 @@ public:
     /// per-task labels, flow counters).
     [[nodiscard]] std::string metrics_text();
 
-    /// The logs-endpoint document: recent structured-log records,
-    /// oldest first. `min_level` as in obs::parse_log_level ("" = all).
-    [[nodiscard]] static json::Value logs_json(long long max_records,
-                                               const std::string& min_level);
-
     [[nodiscard]] DaemonCounters counters() const;
     [[nodiscard]] const DaemonOptions& options() const { return options_; }
 
     /// The actual TCP port after start() — meaningful when listen_tcp
     /// asked for port 0 (tests, smoke scripts). 0 without a TCP listener.
-    [[nodiscard]] std::uint16_t tcp_port() const { return tcp_port_; }
-
-    /// Work-stealing tally of the admission queue (see serve/queue.hpp).
-    [[nodiscard]] std::uint64_t queue_steals() const {
-        return queue_.steals();
-    }
+    [[nodiscard]] std::uint16_t tcp_port() const { return front_.tcp_port(); }
 
     /// Connection reader threads not yet joined (live ones, plus those
     /// finished since the last accept).
     [[nodiscard]] std::size_t reader_threads() const {
-        return readers_.retained();
+        return front_.reader_threads();
     }
 
 private:
@@ -137,24 +122,19 @@ private:
         std::promise<std::string> response; ///< serialised response frame
     };
 
-    void serve_connection(net::Fd conn);
+    /// The front end's handler: one parsed request to its response frame.
+    [[nodiscard]] std::string handle(WireRequest& request);
+    /// Close the queue, then join the workers and the readers.
+    void drain();
     void worker_loop(std::size_t worker_index);
     void execute_job(flow::FlowSession& session, Job& job);
     [[nodiscard]] std::string handle_inline(const WireRequest& request);
     [[nodiscard]] long long retry_after_ms_hint();
-    void record_outcome(const CompileOutcome& outcome,
-                        std::uint64_t queue_wait_us);
+    void record_outcome(const CompileOutcome& outcome);
 
     DaemonOptions options_;
-    net::Fd listen_fd_;
-    net::Fd tcp_listen_fd_;
-    std::uint16_t tcp_port_ = 0;
-    net::Fd wake_read_;
-    net::Fd wake_write_;
     LaneQueue<std::shared_ptr<Job>> queue_;
     std::vector<std::thread> workers_;
-    ReaderThreads readers_;
-    std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> request_seq_{0};
     std::atomic<std::size_t> in_flight_{0};
     std::chrono::steady_clock::time_point started_;
@@ -165,6 +145,7 @@ private:
     Histogram queue_wait_us_;
     std::map<std::string, Histogram> task_latency_us_;
     std::map<std::string, std::uint64_t> flow_counters_;
+    FrontEnd front_; ///< last: its readers call into the members above
 };
 
 } // namespace psaflow::serve

@@ -40,23 +40,7 @@ CompileOutcome run_compile(flow::FlowSession& session,
     options.engine.budget.max_run_cost = req.budget;
     options.intensity_threshold_x = req.threshold_x;
     options.cancel = cancel;
-
-    // Lower the request's manifest (if any) here, at run time: the request
-    // carries validated text, so failure is a BadRequest, not an engine
-    // bug.
-    flow::ManifestFlow manifest;
-    if (!req.flow_json.empty()) {
-        try {
-            manifest = flow::parse_manifest_text(req.flow_json);
-        } catch (const Error& e) {
-            outcome.error_kind = ErrorKind::BadRequest;
-            outcome.error = e.what();
-            obs::warn("serve", "rejected compile request",
-                      {{"app", req.app}, {"error", e.what()}});
-            return outcome;
-        }
-        options.flow_manifest = &manifest;
-    }
+    options.flow_manifest = req.flow.get();
 
     flow::FlowResult result;
     try {
@@ -207,32 +191,37 @@ CompileOutcome execute_request(flow::FlowSession& session,
                                span.start_us + span.duration_us - queue_us);
         }
 
-        trace::Span queue;
-        queue.name = "serve:queue-wait";
-        queue.category = "serve";
-        queue.id = trace::wire_span_id();
-        queue.parent = root_id;
-        queue.start_us = 0;
-        queue.duration_us = queue_us;
-        trace::Span exec;
-        exec.name = "serve:execute";
-        exec.category = "serve";
-        exec.id = exec_id;
-        exec.parent = root_id;
-        exec.start_us = queue_us;
-        exec.duration_us = exec_us;
-        trace::Span root;
-        root.name = "serve:request";
-        root.category = "serve";
-        root.id = root_id;
-        root.parent = req_trace->parent_span;
-        root.start_us = 0;
-        root.duration_us = queue_us + exec_us;
-        outcome.spans.push_back(std::move(queue));
-        outcome.spans.push_back(std::move(exec));
-        outcome.spans.push_back(std::move(root));
+        append_hop_spans(outcome.spans, *req_trace, root_id, exec_id,
+                         exec_us);
     }
     return outcome;
+}
+
+void append_hop_spans(std::vector<trace::Span>& spans,
+                      const RequestTrace& trace, std::uint64_t root_id,
+                      std::uint64_t exec_id, std::uint64_t exec_us) {
+    trace::Span queue;
+    queue.name = "serve:queue-wait";
+    queue.category = "serve";
+    queue.id = trace::wire_span_id();
+    queue.parent = root_id;
+    queue.duration_us = trace.queue_wait_us;
+    trace::Span exec;
+    exec.name = "serve:execute";
+    exec.category = "serve";
+    exec.id = exec_id;
+    exec.parent = root_id;
+    exec.start_us = trace.queue_wait_us;
+    exec.duration_us = exec_us;
+    trace::Span root;
+    root.name = "serve:request";
+    root.category = "serve";
+    root.id = root_id;
+    root.parent = trace.parent_span;
+    root.duration_us = trace.queue_wait_us + exec_us;
+    spans.push_back(std::move(queue));
+    spans.push_back(std::move(exec));
+    spans.push_back(std::move(root));
 }
 
 std::uint32_t cache_hits(const CompileOutcome& outcome) {

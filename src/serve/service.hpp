@@ -74,6 +74,14 @@ struct RequestTrace {
     std::uint64_t queue_wait_us = 0; ///< admission-queue wait to account
 };
 
+/// Append a traced request's hop spans to `spans`: `serve:queue-wait`,
+/// `serve:execute` (id `exec_id`, after the queue wait, lasting
+/// `exec_us`) and their parent `serve:request` (id `root_id`, rooted on
+/// `trace.parent_span`), based at t=0.
+void append_hop_spans(std::vector<trace::Span>& spans,
+                      const RequestTrace& trace, std::uint64_t root_id,
+                      std::uint64_t exec_id, std::uint64_t exec_us);
+
 /// Compile `req` through `session`, write the design sources and the
 /// summary CSV under `req.out_dir`, and classify any failure.
 ///

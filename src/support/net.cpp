@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 
 #include <arpa/inet.h>
 #include <netdb.h>
@@ -315,16 +316,19 @@ Fd connect_tcp(const std::string& host, std::uint16_t port,
     return Fd();
 }
 
-Fd listen_endpoint(const Endpoint& ep, int backlog, std::string* error) {
-    if (ep.kind == Endpoint::Kind::Unix)
-        return listen_unix(ep.path, backlog, error);
-    return listen_tcp(ep.host, ep.port, backlog, error);
-}
-
-Fd connect_endpoint(const Endpoint& ep, std::string* error) {
-    if (ep.kind == Endpoint::Kind::Unix)
-        return connect_unix(ep.path, error);
-    return connect_tcp(ep.host, ep.port, error);
+FrameStatus round_trip(const Endpoint& endpoint, std::string_view request,
+                       long long recv_timeout_ms, std::string& response,
+                       std::string* error) {
+    Fd conn = endpoint.kind == Endpoint::Kind::Unix
+                  ? connect_unix(endpoint.path, error)
+                  : connect_tcp(endpoint.host, endpoint.port, error);
+    if (!conn.valid()) return FrameStatus::Error;
+    set_recv_timeout(conn.get(), recv_timeout_ms);
+    if (!write_frame(conn.get(), request)) {
+        if (error != nullptr) *error = "cannot send request";
+        return FrameStatus::Error;
+    }
+    return read_frame(conn.get(), response);
 }
 
 std::uint16_t local_port(int fd) {
@@ -364,26 +368,20 @@ void set_recv_timeout(int fd, long long ms) {
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
 }
 
-int wait_readable(int fd_a, int fd_b, int timeout_ms) {
-    return wait_readable_any({fd_a, fd_b}, timeout_ms);
-}
-
-int wait_readable_any(const std::vector<int>& fds, int timeout_ms) {
-    std::vector<pollfd> poll_fds;
-    poll_fds.reserve(fds.size());
+int wait_readable(std::initializer_list<int> fds, int timeout_ms) {
+    pollfd poll_fds[4];
+    nfds_t count = 0;
+    if (fds.size() > std::size(poll_fds)) return -1;
     for (int fd : fds)
-        if (fd >= 0) poll_fds.push_back(pollfd{fd, POLLIN, 0});
-    if (poll_fds.empty()) return -1;
+        if (fd >= 0) poll_fds[count++] = pollfd{fd, POLLIN, 0};
+    if (count == 0) return -1;
     for (;;) {
-        const int rc = ::poll(poll_fds.data(),
-                              static_cast<nfds_t>(poll_fds.size()),
-                              timeout_ms);
+        const int rc = ::poll(poll_fds, count, timeout_ms);
         if (rc < 0 && errno == EINTR) continue;
         if (rc <= 0) return -1;
-        for (const pollfd& pfd : poll_fds) {
-            if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0)
-                return pfd.fd;
-        }
+        for (nfds_t i = 0; i < count; ++i)
+            if ((poll_fds[i].revents & (POLLIN | POLLHUP | POLLERR)) != 0)
+                return poll_fds[i].fd;
         return -1;
     }
 }

@@ -21,10 +21,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace psaflow::net {
 
@@ -143,10 +143,17 @@ struct Endpoint {
 [[nodiscard]] Fd connect_tcp(const std::string& host, std::uint16_t port,
                              std::string* error);
 
-/// listen/connect through a parsed Endpoint (dispatches on kind).
-[[nodiscard]] Fd listen_endpoint(const Endpoint& ep, int backlog,
-                                 std::string* error);
-[[nodiscard]] Fd connect_endpoint(const Endpoint& ep, std::string* error);
+/// One request/response exchange on a fresh connection: connect, send
+/// `request` as one frame, read one frame into `response` under
+/// `recv_timeout_ms` (<= 0: no timeout). Returns the response frame's
+/// status. A failure before the response is Error with the reason (the
+/// connect error, or "cannot send request") in `*error`; a failed read
+/// leaves `*error` empty.
+[[nodiscard]] FrameStatus round_trip(const Endpoint& endpoint,
+                                     std::string_view request,
+                                     long long recv_timeout_ms,
+                                     std::string& response,
+                                     std::string* error);
 
 /// The locally bound TCP port of a listening socket (0 on error) — how a
 /// caller who asked for port 0 learns what the kernel picked.
@@ -161,14 +168,11 @@ struct Endpoint {
 /// SO_RCVTIMEO; `ms <= 0` clears the timeout.
 void set_recv_timeout(int fd, long long ms);
 
-/// Block until `fd_a` or `fd_b` (pass -1 to ignore one) is readable.
-/// Returns the readable fd, or -1 on timeout/error. `timeout_ms < 0`
-/// blocks indefinitely. EINTR retries.
-[[nodiscard]] int wait_readable(int fd_a, int fd_b, int timeout_ms);
-
-/// N-fd variant (the daemon polls {unix listener, tcp listener, self-pipe}).
-/// Entries < 0 are ignored. Same return convention as the 2-fd form.
-[[nodiscard]] int wait_readable_any(const std::vector<int>& fds,
-                                    int timeout_ms);
+/// Block until one of up to four `fds` (entries < 0 are ignored) is
+/// readable. Returns the readable fd, or -1 on timeout/error. `timeout_ms
+/// < 0` blocks indefinitely. EINTR retries. Allocates nothing: the serving
+/// front end calls it once per frame.
+[[nodiscard]] int wait_readable(std::initializer_list<int> fds,
+                                int timeout_ms);
 
 } // namespace psaflow::net

@@ -162,6 +162,22 @@ SplitResult split_kernel(Module& module, const sema::TypeInfo& types,
         spill_types = std::move(ts);
     }
 
+    // Spill parameter names: `<scalar>_spill`, numbered past any name the
+    // kernel already uses — a part split again already carries spill
+    // parameters, and two parameters of one name would alias.
+    std::unordered_set<std::string> taken;
+    for (const auto& p : kernel->params) taken.insert(p->name);
+    collect_declared(*kernel->body, taken);
+    collect_used(*kernel->body, taken);
+    std::vector<std::string> spill_params;
+    for (const auto& name : result.spilled) {
+        std::string param = name + "_spill";
+        for (int n = 2; taken.count(param) != 0; ++n)
+            param = name + "_spill" + std::to_string(n);
+        taken.insert(param);
+        spill_params.push_back(std::move(param));
+    }
+
     result.part1 = kernel_name + "_part1";
     result.part2 = kernel_name + "_part2";
     ensure(module.find_function(result.part1) == nullptr &&
@@ -177,9 +193,8 @@ SplitResult split_kernel(Module& module, const sema::TypeInfo& types,
             fn->params.push_back(build::param(p->type, p->name));
         }
         for (std::size_t i = 0; i < result.spilled.size(); ++i) {
-            fn->params.push_back(
-                build::param(ValueType{spill_types[i], true},
-                             result.spilled[i] + "_spill"));
+            fn->params.push_back(build::param(
+                ValueType{spill_types[i], true}, spill_params[i]));
         }
         return fn;
     };
@@ -192,11 +207,11 @@ SplitResult split_kernel(Module& module, const sema::TypeInfo& types,
         auto body = build::block({});
         for (std::size_t i = 0; i < cut; ++i)
             body->stmts.push_back(clone_stmt(*outer.body->stmts[i]));
-        for (const auto& name : result.spilled) {
+        for (std::size_t i = 0; i < result.spilled.size(); ++i) {
             body->stmts.push_back(
-                build::assign(build::index(name + "_spill",
+                build::assign(build::index(spill_params[i],
                                            build::ident(outer.var)),
-                              build::ident(name)));
+                              build::ident(result.spilled[i])));
         }
         part1->body = build::block({});
         part1->body->stmts.push_back(
@@ -211,8 +226,7 @@ SplitResult split_kernel(Module& module, const sema::TypeInfo& types,
         for (std::size_t i = 0; i < result.spilled.size(); ++i) {
             body->stmts.push_back(build::var_decl(
                 spill_types[i], result.spilled[i],
-                build::index(result.spilled[i] + "_spill",
-                             build::ident(outer.var))));
+                build::index(spill_params[i], build::ident(outer.var))));
         }
         for (std::size_t i = cut; i < outer.body->stmts.size(); ++i)
             body->stmts.push_back(clone_stmt(*outer.body->stmts[i]));
@@ -236,8 +250,7 @@ SplitResult split_kernel(Module& module, const sema::TypeInfo& types,
 
     auto replacement = build::block({});
     for (std::size_t i = 0; i < result.spilled.size(); ++i) {
-        const std::string array_name =
-            kernel_name + "_" + result.spilled[i] + "_spill";
+        const std::string array_name = kernel_name + "_" + spill_params[i];
         auto decl = build::array_decl(spill_types[i], array_name,
                                       clone_expr(*outer.limit));
         // The limit references kernel parameters; rewrite them in terms of
@@ -251,10 +264,8 @@ SplitResult split_kernel(Module& module, const sema::TypeInfo& types,
     auto make_call = [&](const std::string& callee) {
         std::vector<ExprPtr> args;
         for (const auto& a : call->args) args.push_back(clone_expr(*a));
-        for (const auto& name : result.spilled) {
-            args.push_back(
-                build::ident(kernel_name + "_" + name + "_spill"));
-        }
+        for (const auto& param : spill_params)
+            args.push_back(build::ident(kernel_name + "_" + param));
         return build::expr_stmt(build::call(callee, std::move(args)));
     };
     replacement->stmts.push_back(make_call(result.part1));

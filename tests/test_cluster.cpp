@@ -632,6 +632,31 @@ TEST(Router, ValidatesEveryRequestLikeTheDaemon) {
     }
 }
 
+TEST(Router, StalledClientMidFrameGetsATornFrameReply) {
+    // A client that stops mid-frame is answered and closed once the
+    // receive timeout passes, so its reader cannot hold up the drain.
+    ClusterFixture fleet("stall");
+    cluster::RouterOptions options;
+    options.recv_timeout_ms = 200;
+    fleet.start(options);
+
+    std::string error;
+    net::Fd conn = net::connect_unix(fleet.router_socket, &error);
+    ASSERT_TRUE(conn.valid()) << error;
+    const char header_start[3] = {'F', 'A', 'S'}; // 3 of 8 header bytes
+    ASSERT_TRUE(net::write_exact(conn.get(), header_start,
+                                 sizeof header_start));
+    net::set_recv_timeout(conn.get(), 3000);
+    std::string payload;
+    ASSERT_EQ(net::read_frame(conn.get(), payload), net::FrameStatus::Ok);
+    const auto doc = json::parse(payload);
+    ASSERT_TRUE(doc.has_value());
+    const auto view = serve::parse_response(*doc);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+    EXPECT_EQ(view->error.rfind("malformed frame", 0), 0u) << view->error;
+}
+
 TEST(Router, ConcurrentColdCompilesOfOneAppSpillToTheOtherShard) {
     ClusterFixture fleet("spill");
     fleet.start();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "analysis/hotspot.hpp"
 #include "apps/apps.hpp"
 #include "ast/printer.hpp"
@@ -91,6 +93,26 @@ TEST(Fission, RecursiveSplitQuartersTheKernel) {
     (void)split_kernel(*mod, types, "knl", 2);
     auto types2 = sema::check(*mod);
     (void)split_kernel(*mod, types2, "knl_part1", 1);
+    EXPECT_EQ(run_host(*mod, 64), run_host(*reference, 64));
+}
+
+TEST(Fission, SplittingAPartAgainKeepsSpillParametersDistinct) {
+    // Splitting knl_part1 again spills x a second time; the new spill
+    // parameter must not reuse the name the first split gave its own.
+    auto [reference, rtypes] = parse_and_check(kSplittable);
+    auto [mod, types] = parse_and_check(kSplittable);
+    (void)split_kernel(*mod, types, "knl", 2);
+    auto types2 = sema::check(*mod);
+    (void)split_kernel(*mod, types2, "knl_part1", 1);
+
+    const ast::Function* twice = mod->find_function("knl_part1_part1");
+    ASSERT_NE(twice, nullptr);
+    std::set<std::string> names;
+    for (const auto& p : twice->params)
+        EXPECT_TRUE(names.insert(p->name).second)
+            << "duplicate parameter " << p->name;
+    EXPECT_NE(ast::to_source(*mod).find("x_spill2"), std::string::npos);
+    EXPECT_NO_THROW((void)sema::check(*mod));
     EXPECT_EQ(run_host(*mod, 64), run_host(*reference, 64));
 }
 

@@ -162,6 +162,23 @@ TEST(Sema, RejectsDuplicateFunctions) {
     EXPECT_THROW(parse_and_check("void f() { }\nvoid f() { }"), SemaError);
 }
 
+TEST(Sema, RejectsDuplicateParameterNames) {
+    // Two parameters of one name would share one argument slot; calling
+    // such a function used to corrupt the VM's register stack.
+    try {
+        (void)parse_and_check("void g(double* a, double* a) { a[0] = 1.0; }\n"
+                              "void f(double* x, double* y) { g(x, y); }");
+        FAIL() << "duplicate parameter accepted";
+    } catch (const SemaError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "duplicate parameter 'a' in function 'g'"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.where().line, 1u);
+    }
+    EXPECT_THROW(parse_and_check("void h(int n, double n) { }"), SemaError);
+}
+
 TEST(Sema, RejectsFunctionShadowingBuiltin) {
     EXPECT_THROW(parse_and_check("double sqrt(double x) { return x; }"),
                  SemaError);

@@ -573,7 +573,28 @@ TEST(Protocol, CompileRequestCarriesAValidatedInlineFlow) {
 
     serve::WireRequest request;
     EXPECT_FALSE(serve::parse_wire_request(doc, request).has_value());
-    EXPECT_EQ(request.compile.flow_json, json::dump(manifest));
+    ASSERT_NE(request.compile.flow, nullptr);
+    EXPECT_EQ(request.compile.flow->canonical, json::dump(manifest));
+}
+
+TEST(Protocol, ManifestRequestAffinityDigestIsPinned) {
+    // Routing keys off affinity_digest, so carrying the lowered manifest
+    // instead of its text must not move it. Re-pin only on purpose: a new
+    // value re-homes every manifest compile in a fleet.
+    json::Value doc = json::Value::object();
+    doc.set("type", json::Value::string("compile"));
+    doc.set("app", json::Value::string("nbody"));
+    doc.set("flow",
+            flow::to_manifest(flow::standard_flow(flow::Mode::Informed)));
+    serve::WireRequest request;
+    ASSERT_FALSE(serve::parse_wire_request(doc, request).has_value());
+    EXPECT_EQ(hex_u64(serve::affinity_digest(request.compile)),
+              "68d7ff5029e99401");
+
+    serve::CompileRequest builtin;
+    builtin.app = "nbody";
+    EXPECT_NE(serve::affinity_digest(builtin),
+              serve::affinity_digest(request.compile));
 }
 
 TEST(Protocol, BrokenInlineFlowIsAParseErrorNotAMidRunFailure) {
@@ -624,8 +645,10 @@ TEST(Protocol, BatchEntriesMayNameTheirFlowByFilePath) {
     std::vector<serve::CompileRequest> requests;
     ASSERT_FALSE(serve::parse_manifest(doc, defaults, requests).has_value());
     ASSERT_EQ(requests.size(), 2u);
-    EXPECT_EQ(requests[0].flow_json, json::dump(manifest));
-    EXPECT_EQ(requests[1].flow_json, requests[0].flow_json);
+    ASSERT_NE(requests[0].flow, nullptr);
+    ASSERT_NE(requests[1].flow, nullptr);
+    EXPECT_EQ(requests[0].flow->canonical, json::dump(manifest));
+    EXPECT_EQ(requests[1].flow->canonical, requests[0].flow->canonical);
 
     fs::remove(path);
     requests.clear();
@@ -1091,8 +1114,8 @@ TEST(ExecuteRequest, ExportedStandardFlowMatchesTheBuiltin) {
     ASSERT_TRUE(builtin.ok) << builtin.error;
 
     req.out_dir = (dir.path / "manifest").string();
-    req.flow_json = json::dump(
-        flow::to_manifest(flow::standard_flow(flow::Mode::Informed)));
+    req.flow = std::make_shared<const flow::ManifestFlow>(flow::from_manifest(
+        flow::to_manifest(flow::standard_flow(flow::Mode::Informed))));
     const serve::CompileOutcome exported =
         serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(exported.ok) << exported.error;
@@ -1410,6 +1433,35 @@ TEST(Daemon, MalformedFramesGetStructuredErrors) {
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
     EXPECT_EQ(net::read_frame(conn2.get(), payload), net::FrameStatus::Eof);
+}
+
+TEST(Daemon, RelativeOutMayNotLeaveTheOutputRoot) {
+    DaemonFixture fixture("out-escape");
+    fixture.start();
+
+    const auto compile_into = [&](const std::string& out) {
+        return serve::parse_response(client_round_trip(
+            fixture.socket(),
+            R"({"type":"compile","app":"nbody","out":")" + out + R"("})"));
+    };
+    // A relative "out" is joined to the output root; one that climbs out
+    // of it is refused before anything runs or is written.
+    for (const char* out : {"../escaped", "a/../../escaped"}) {
+        SCOPED_TRACE(out);
+        const auto view = compile_into(out);
+        ASSERT_TRUE(view.has_value());
+        EXPECT_FALSE(view->ok);
+        EXPECT_EQ(view->error_kind, serve::ErrorKind::BadRequest);
+        EXPECT_EQ(view->error, "\"out\" must not leave the output root");
+    }
+    EXPECT_FALSE(fs::exists(fixture.dir.path / "escaped"));
+    EXPECT_EQ(fixture.daemon.counters().bad_requests, 2u);
+
+    // ".." that stays inside the root is fine.
+    const auto inside = compile_into("sub/../inside");
+    ASSERT_TRUE(inside.has_value());
+    EXPECT_TRUE(inside->ok) << inside->error;
+    EXPECT_TRUE(fs::exists(fixture.dir.path / "out" / "inside"));
 }
 
 TEST(Daemon, WireFlowPathIsABadRequestEvenForAValidManifestFile) {

@@ -61,20 +61,15 @@ namespace {
 bool round_trip(const net::Endpoint& endpoint, const json::Value& request,
                 json::Value& response) {
     std::string error;
-    net::Fd conn = net::connect_endpoint(endpoint, &error);
-    if (!conn.valid()) {
-        std::cerr << "psaflow-client: " << error << "\n";
-        return false;
-    }
-    if (!net::write_frame(conn.get(), json::dump(request))) {
-        std::cerr << "psaflow-client: cannot send request\n";
-        return false;
-    }
     std::string payload;
-    const net::FrameStatus status = net::read_frame(conn.get(), payload);
+    const net::FrameStatus status = net::round_trip(
+        endpoint, json::dump(request), /*recv_timeout_ms=*/0, payload, &error);
     if (status != net::FrameStatus::Ok) {
-        std::cerr << "psaflow-client: " << net::to_string(status)
-                  << " while reading response\n";
+        if (!error.empty())
+            std::cerr << "psaflow-client: " << error << "\n";
+        else
+            std::cerr << "psaflow-client: " << net::to_string(status)
+                      << " while reading response\n";
         return false;
     }
     std::string parse_error;
@@ -307,35 +302,28 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    json::Value request = json::Value::object();
-    request.set("schema_version",
-                json::Value::number(double(serve::kSchemaVersion)));
-    if (stats) {
-        request.set("type", json::Value::string("stats"));
-    } else if (cluster_stats) {
-        request.set("type", json::Value::string("cluster_stats"));
-    } else if (cluster_metrics) {
-        request.set("type", json::Value::string("cluster_metrics"));
-    } else if (flight) {
-        request.set("type", json::Value::string("flight"));
-        if (flight_max > 0)
-            request.set("max", json::Value::number(double(flight_max)));
-    } else if (metrics) {
-        request.set("type", json::Value::string("metrics"));
-    } else if (logs) {
-        request.set("type", json::Value::string("logs"));
+    json::Value request = serve::make_request(
+        stats             ? "stats"
+        : cluster_stats   ? "cluster_stats"
+        : cluster_metrics ? "cluster_metrics"
+        : flight          ? "flight"
+        : metrics         ? "metrics"
+        : logs            ? "logs"
+        : ping            ? "ping"
+        : sleep_ms >= 0   ? "sleep"
+                          : "compile");
+    const std::string type = request.find("type")->string_value;
+    if (type == "flight" && flight_max > 0) {
+        request.set("max", json::Value::number(double(flight_max)));
+    } else if (type == "logs") {
         request.set("max", json::Value::number(double(log_max)));
         if (!log_level.empty())
             request.set("min_level", json::Value::string(log_level));
-    } else if (ping) {
-        request.set("type", json::Value::string("ping"));
-    } else if (sleep_ms >= 0) {
-        request.set("type", json::Value::string("sleep"));
+    } else if (type == "sleep") {
         request.set("ms", json::Value::number(double(sleep_ms)));
         if (deadline_ms > 0)
             request.set("deadline_ms", json::Value::number(double(deadline_ms)));
-    } else {
-        request.set("type", json::Value::string("compile"));
+    } else if (type == "compile") {
         request.set("app", json::Value::string(app));
         request.set("mode", json::Value::string(mode));
         if (budget >= 0.0)

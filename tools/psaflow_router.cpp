@@ -18,21 +18,10 @@
 //   {"type":"drain","shard":"a","draining":true}   # any frame client
 //
 // SIGTERM/SIGINT shut down gracefully (in-flight relays finish).
-#include <csignal>
 #include <iostream>
 
 #include "cluster/router.hpp"
 #include "support/cli.hpp"
-
-namespace {
-
-psaflow::cluster::Router* g_router = nullptr;
-
-void handle_signal(int) {
-    if (g_router != nullptr) g_router->notify_shutdown();
-}
-
-} // namespace
 
 int main(int argc, char** argv) {
     using namespace psaflow;
@@ -40,11 +29,7 @@ int main(int argc, char** argv) {
     cluster::RouterOptions options;
     std::vector<std::string> shard_specs;
     long long vnodes = static_cast<long long>(cluster::HashRing::kDefaultVnodes);
-    long long health_interval_ms = 500;
     long long max_attempts = 3;
-    long long backoff_base_ms = 50;
-    long long backoff_max_ms = 2000;
-    long long recv_timeout_ms = 30000;
     long long seed = 0;
 
     cli::OptionParser parser(
@@ -67,21 +52,22 @@ int main(int argc, char** argv) {
                    "ring points per shard (default 64)", &vnodes,
                    /*min=*/1);
     parser.integer("--health-interval-ms", "<n>",
-                   "shard ping interval (default 500)", &health_interval_ms,
-                   /*min=*/1);
+                   "shard ping interval (default 500)",
+                   &options.health_interval_ms, /*min=*/1);
     parser.integer("--max-attempts", "<n>",
                    "shards tried per request before giving up (default 3)",
                    &max_attempts, /*min=*/1);
     parser.integer("--backoff-base-ms", "<n>",
                    "failover backoff window for the first retry "
                    "(default 50)",
-                   &backoff_base_ms, /*min=*/1);
+                   &options.retry.base_ms, /*min=*/1);
     parser.integer("--backoff-max-ms", "<n>",
                    "failover backoff window cap (default 2000)",
-                   &backoff_max_ms, /*min=*/1);
+                   &options.retry.max_ms, /*min=*/1);
     parser.integer("--recv-timeout-ms", "<n>",
-                   "shard response stall cap (default 30000)",
-                   &recv_timeout_ms, /*min=*/0);
+                   "stall cap on a client mid-frame and on a shard's "
+                   "response (default 30000)",
+                   &options.recv_timeout_ms, /*min=*/0);
     parser.integer("--seed", "<n>",
                    "backoff jitter seed (0 = built-in default)", &seed,
                    /*min=*/0);
@@ -102,11 +88,7 @@ int main(int argc, char** argv) {
         options.shards.push_back(std::move(*config));
     }
     options.vnodes = static_cast<std::size_t>(vnodes);
-    options.health_interval_ms = health_interval_ms;
     options.retry.max_attempts = static_cast<int>(max_attempts);
-    options.retry.base_ms = backoff_base_ms;
-    options.retry.max_ms = backoff_max_ms;
-    options.recv_timeout_ms = recv_timeout_ms;
     if (seed != 0) options.seed = static_cast<std::uint64_t>(seed);
 
     cluster::Router router(options);
@@ -115,22 +97,13 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    g_router = &router;
-    std::signal(SIGTERM, handle_signal);
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGPIPE, SIG_IGN);
+    router.front_end().shutdown_on_signals();
 
-    std::cout << "psaflow-router: serving on ";
-    if (!options.socket_path.empty()) std::cout << options.socket_path;
-    if (!options.listen_tcp.empty()) {
-        if (!options.socket_path.empty()) std::cout << " and ";
-        std::cout << "tcp port " << router.tcp_port();
-    }
-    std::cout << " for " << options.shards.size() << " shard(s)\n"
+    std::cout << "psaflow-router: serving on " << router.front_end().describe()
+              << " for " << options.shards.size() << " shard(s)\n"
               << std::flush;
     router.run();
 
     std::cout << "psaflow-router: drained\n";
-    g_router = nullptr;
     return 0;
 }

@@ -344,7 +344,8 @@ int main(int argc, char** argv) {
             // Validate up front so a broken manifest is a usage error with
             // a located diagnostic, not a mid-flow failure.
             try {
-                req.flow_json = json::dump(flow::read_manifest_file(flow_file));
+                req.flow = std::make_shared<const flow::ManifestFlow>(
+                    flow::from_manifest(flow::read_manifest_file(flow_file)));
             } catch (const Error& e) {
                 std::cerr << e.what() << "\n";
                 return 2;

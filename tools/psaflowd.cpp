@@ -18,7 +18,6 @@
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, answer everything
 // already admitted, remove the socket file, exit 0.
-#include <csignal>
 #include <iostream>
 #include <memory>
 
@@ -28,29 +27,14 @@
 #include "support/cli.hpp"
 #include "support/net.hpp"
 
-namespace {
-
-psaflow::serve::Daemon* g_daemon = nullptr;
-
-void handle_signal(int) {
-    // Async-signal-safe: one write(2) to the daemon's self-pipe.
-    if (g_daemon != nullptr) g_daemon->notify_shutdown();
-}
-
-} // namespace
-
 int main(int argc, char** argv) {
     using namespace psaflow;
 
     serve::DaemonOptions options;
     long long workers = 2;
     long long queue_depth = 16;
-    long long deadline_ms = 0;
-    long long recv_timeout_ms = 5000;
     long long session_jobs = 1;
     long long cache_max_mb = 0;
-    long long slo_ms = 0;
-    bool enable_test_endpoints = false;
 
     std::string cas_upstream;
 
@@ -80,11 +64,11 @@ int main(int argc, char** argv) {
                    "admission queue capacity (default 16)", &queue_depth,
                    /*min=*/1);
     parser.integer("--deadline-ms", "<n>",
-                   "default per-request deadline (0 = none)", &deadline_ms,
-                   /*min=*/0);
+                   "default per-request deadline (0 = none)",
+                   &options.default_deadline_ms, /*min=*/0);
     parser.integer("--recv-timeout-ms", "<n>",
                    "mid-frame peer stall cap (default 5000)",
-                   &recv_timeout_ms, /*min=*/0);
+                   &options.recv_timeout_ms, /*min=*/0);
     parser.str("--out", "<dir>",
                "output root for request-relative paths (default designs)",
                &options.out_root);
@@ -100,10 +84,10 @@ int main(int argc, char** argv) {
     parser.integer("--slo-ms", "<n>",
                    "latency SLO for the flight recorder; slower requests "
                    "log a breach (0 = PSAFLOW_SLO_MS / off)",
-                   &slo_ms, /*min=*/0);
+                   &options.slo_ms, /*min=*/0);
     parser.flag("--enable-test-endpoints",
                 "allow the test-only 'sleep' request type",
-                &enable_test_endpoints);
+                &options.enable_test_endpoints);
 
     if (!parser.parse(argc, argv)) return 2;
     if (options.socket_path.empty() && options.listen_tcp.empty()) {
@@ -113,12 +97,8 @@ int main(int argc, char** argv) {
 
     options.workers = static_cast<int>(workers);
     options.queue_depth = static_cast<std::size_t>(queue_depth);
-    options.default_deadline_ms = deadline_ms;
-    options.recv_timeout_ms = recv_timeout_ms;
     options.session_jobs = static_cast<int>(session_jobs);
     options.cache_max_bytes = static_cast<std::uint64_t>(cache_max_mb) << 20;
-    options.slo_ms = slo_ms;
-    options.enable_test_endpoints = enable_test_endpoints;
 
     serve::Daemon daemon(options);
     if (auto error = daemon.start()) {
@@ -137,26 +117,18 @@ int main(int argc, char** argv) {
             return 2;
         }
         auto client = std::make_shared<cluster::RemoteCasClient>(
-            std::move(*endpoint), recv_timeout_ms);
+            std::move(*endpoint), options.recv_timeout_ms);
         cas::configure_remote(
             cluster::RemoteCasClient::fetch_hook(client),
             cluster::RemoteCasClient::publish_hook(client));
     }
 
-    g_daemon = &daemon;
-    std::signal(SIGTERM, handle_signal);
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGPIPE, SIG_IGN);
+    daemon.front_end().shutdown_on_signals();
 
-    std::cout << "psaflowd: serving on ";
-    if (!options.socket_path.empty()) std::cout << options.socket_path;
-    if (!options.listen_tcp.empty()) {
-        if (!options.socket_path.empty()) std::cout << " and ";
-        // The resolved port matters when --listen asked for port 0; smoke
-        // scripts scrape it from this line.
-        std::cout << "tcp port " << daemon.tcp_port();
-    }
-    std::cout << " with " << options.workers << " worker(s), queue depth "
+    // The resolved port matters when --listen asked for port 0; smoke
+    // scripts scrape it from this line.
+    std::cout << "psaflowd: serving on " << daemon.front_end().describe()
+              << " with " << options.workers << " worker(s), queue depth "
               << options.queue_depth << "\n"
               << std::flush;
     daemon.run();
@@ -166,6 +138,5 @@ int main(int argc, char** argv) {
               << " request(s), " << counters.completed << " completed, "
               << counters.deadline_exceeded << " deadline-exceeded, "
               << counters.rejected_overload << " rejected\n";
-    g_daemon = nullptr;
     return 0;
 }
