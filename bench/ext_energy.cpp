@@ -18,7 +18,8 @@
 using namespace psaflow;
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     std::cout << "=== extension: energy-efficiency analysis (Section IV-D) "
                  "===\n";
     flow::CostModel model;

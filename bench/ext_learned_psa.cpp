@@ -80,7 +80,7 @@ int main() {
     // End-to-end: drive the standard flow with the learned strategy.
     std::cout << "\nend-to-end with the learned strategy at branch point A "
                  "(trained on the full corpus):\n";
-    FlowSession session;
+    FlowSession session(session_options({}, cli::load_environment()));
     for (const apps::Application* app : all) {
         DesignFlow flow = standard_flow(Mode::Informed);
         flow.branch->strategy = std::make_shared<LearnedStrategy>(corpus, 3);

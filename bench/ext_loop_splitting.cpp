@@ -42,7 +42,8 @@ struct PartEstimate {
 } // namespace
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     const auto& app = apps::rush_larsen();
     std::cout << "=== extension: loop splitting for the Rush Larsen FPGA "
                  "designs ===\n\n";
@@ -54,7 +55,8 @@ int main() {
 
         auto mod = frontend::parse_module(app.source, app.name);
         auto types = sema::check(*mod);
-        auto hotspots = analysis::detect_hotspots(*mod, types, app.workload);
+        auto hotspots = analysis::detect_hotspots(*mod, types, app.workload,
+                                                  &session.profile_cache());
         transform::extract_hotspot(*mod, types, *hotspots.top()->loop,
                                    "rl_kernel");
         types = sema::check(*mod);
@@ -109,8 +111,8 @@ int main() {
         double combined = 0.0;
         double reference_seconds = 0.0;
         for (const auto& name : fitting) {
-            auto ch = analysis::characterize_kernel(*mod, types, name,
-                                                    app.workload);
+            auto ch = analysis::characterize_kernel(
+                *mod, types, name, app.workload, &session.profile_cache());
             perf::ShapeOptions opt;
             opt.relative_scale =
                 app.workload.eval_scale / app.workload.profile_scale;

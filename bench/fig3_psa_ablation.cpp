@@ -32,7 +32,8 @@ double policy_speedup(const flow::FlowResult& all, codegen::TargetKind target,
 } // namespace
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     std::cout << "=== Fig. 3 ablation: value of the informed PSA strategy "
                  "===\n\n";
 

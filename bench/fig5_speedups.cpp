@@ -36,7 +36,8 @@ double speedup_value(const flow::FlowResult& result,
 } // namespace
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     std::cout << "=== Fig. 5: accelerated hotspot region speedups vs "
                  "single-thread CPU ===\n\n";
     const auto wall_start = std::chrono::steady_clock::now();
@@ -133,8 +134,10 @@ int main() {
             .count();
     const auto& reg = trace::Registry::global();
     std::cout << "\n=== harness cost (" << format_compact(wall_s, 4)
-              << " s wall clock, PSAFLOW_JOBS="
-              << ThreadPool::default_jobs() << ") ===\n"
+              << " s wall clock, jobs="
+              << (session.options().jobs > 0 ? session.options().jobs
+                                             : ThreadPool::default_jobs())
+              << ") ===\n"
               << "  interpreter runs: " << reg.counter("interp.runs")
               << " (" << reg.counter("interp.steps") << " steps)\n"
               << "  profile cache:    " << reg.counter("profile_cache.hits")

@@ -20,7 +20,8 @@
 using namespace psaflow;
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     std::cout << "=== Fig. 6: FPGA vs GPU cost for varying resource prices "
                  "===\n";
     std::cout << "cost(FPGA)/cost(GPU) = (t_fpga * p_fpga) / (t_gpu * "

@@ -31,7 +31,8 @@ int added_lines(const flow::DesignArtifact& d,
 } // namespace
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     std::cout << "=== Table I: added LOC per generated design vs reference "
                  "===\n\n";
 

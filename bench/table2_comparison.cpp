@@ -14,7 +14,8 @@
 using namespace psaflow;
 
 int main() {
-    flow::FlowSession session;
+    flow::FlowSession session(
+        flow::session_options({}, cli::load_environment()));
     std::cout << "=== Table II: comparison of design approaches ===\n\n";
 
     TablePrinter table(

@@ -89,8 +89,8 @@ int main() {
     auto module = frontend::parse_module(app.source, app.name);
     flow::FlowContext ctx(app.name, std::move(module), app.workload);
 
-    // FlowSession is the engine's front door; a default session inherits
-    // jobs/cache settings from the environment.
+    // FlowSession is the engine's front door; a default session runs
+    // branch paths on every hardware thread, with no persistent store.
     flow::FlowSession session;
     auto result = session.run(custom, std::move(ctx));
 

@@ -4,7 +4,9 @@
 # by the parallel engine: support (thread pool, trace, prng), interp, flow
 # and the parallel-engine determinism suite; sema and fission, whose
 # programs the VM must lower safely; and the loop-splitting bench, which
-# runs recursively split kernels end to end.
+# runs recursively split kernels end to end. Then builds the tsan preset
+# and runs the in-process fleet (a router over two daemons, each daemon's
+# workers sharing one FlowSession) and the concurrent daemon suite.
 #
 # usage: scripts/sanitize_check.sh [jobs]
 set -euo pipefail
@@ -26,5 +28,13 @@ done
 
 echo "== ext_loop_splitting (asan/ubsan) =="
 build-asan/bench/ext_loop_splitting > /dev/null
+
+cmake --preset tsan
+cmake --build --preset tsan -j "$JOBS" --target test_cluster test_serve
+
+export TSAN_OPTIONS=halt_on_error=1
+echo "== in-process fleet and shared-session daemon (tsan) =="
+build-tsan/tests/test_cluster --gtest_filter='Router.*'
+build-tsan/tests/test_serve --gtest_filter='Daemon.*'
 
 echo "sanitizer check passed"

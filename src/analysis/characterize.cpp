@@ -50,7 +50,8 @@ const LoopProfile* KernelCharacterization::loop(Node::Id id) const {
 KernelCharacterization characterize_kernel(Module& module,
                                            const sema::TypeInfo& types,
                                            const std::string& kernel,
-                                           const Workload& workload) {
+                                           const Workload& workload,
+                                           ProfileCache* cache) {
     Function* kernel_fn = module.find_function(kernel);
     ensure(kernel_fn != nullptr,
            "characterize_kernel: no function '" + kernel + "' in module");
@@ -63,8 +64,8 @@ KernelCharacterization characterize_kernel(Module& module,
         interp::InterpOptions opt;
         opt.profile = true;
         opt.focus_function = kernel;
-        return ProfileCache::global().run(module, types, workload.entry,
-                                          workload.make_args(scale), opt);
+        return profile_run(cache, module, types, workload.entry,
+                           workload.make_args(scale), opt);
     };
 
     const double s1 = workload.profile_scale;

@@ -90,11 +90,15 @@ struct KernelCharacterization {
     long long kernel_calls = 0;
 };
 
+class ProfileCache;
+
 /// Profile `module`'s function `kernel` under `workload` at two scales and
 /// fit scaling laws. The module must already contain the extracted kernel
-/// (called from the application entry).
+/// (called from the application entry). Both runs go through `cache` when
+/// one is given.
 [[nodiscard]] KernelCharacterization
 characterize_kernel(ast::Module& module, const sema::TypeInfo& types,
-                    const std::string& kernel, const Workload& workload);
+                    const std::string& kernel, const Workload& workload,
+                    ProfileCache* cache = nullptr);
 
 } // namespace psaflow::analysis

@@ -12,15 +12,15 @@ namespace psaflow::analysis {
 using namespace psaflow::ast;
 
 HotspotReport detect_hotspots(Module& module, const sema::TypeInfo& types,
-                              const Workload& workload) {
+                              const Workload& workload, ProfileCache* cache) {
     interp::InterpOptions opt;
     opt.profile = true;
     // A real interpreter run (cache miss) nests its own "interp:vm"
     // "run_function:" span under this one; a hit does not.
     trace::ScopedSpan span("detect_hotspots:" + workload.entry, "analysis");
-    const interp::ExecutionProfile profile = ProfileCache::global().run(
-        module, types, workload.entry,
-        workload.make_args(workload.profile_scale), opt);
+    const interp::ExecutionProfile profile =
+        profile_run(cache, module, types, workload.entry,
+                    workload.make_args(workload.profile_scale), opt);
     span.set_work_units(profile.total_cost);
 
     HotspotReport report;

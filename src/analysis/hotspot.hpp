@@ -32,10 +32,14 @@ struct HotspotReport {
     }
 };
 
+class ProfileCache;
+
 /// Run `workload` on `module` and rank outermost loops by cost. Loops inside
 /// the entry function and all (transitively) called functions participate.
+/// The run goes through `cache` when one is given.
 [[nodiscard]] HotspotReport detect_hotspots(ast::Module& module,
                                             const sema::TypeInfo& types,
-                                            const Workload& workload);
+                                            const Workload& workload,
+                                            ProfileCache* cache = nullptr);
 
 } // namespace psaflow::analysis

@@ -1,6 +1,5 @@
 #include "analysis/profile_cache.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "ast/printer.hpp"
@@ -28,7 +27,7 @@ void hash_double(std::uint64_t& h, double v) {
     hash_u64(h, bits);
 }
 
-/// The interpreter run behind a miss (or a disabled cache), in its own
+/// The interpreter run behind a miss (or no cache), in its own
 /// "interp:vm" span so a trace tells a real run from a cache hit.
 interp::RunResult profiled_run(const ast::Module& module,
                                const sema::TypeInfo& types,
@@ -207,25 +206,7 @@ bool parse_profile_payload(std::string_view payload,
     return r.complete();
 }
 
-ProfileCache::ProfileCache() {
-    if (const char* env = std::getenv("PSAFLOW_CACHE"))
-        enabled_ = std::string(env) != "0";
-}
-
-ProfileCache& ProfileCache::global() {
-    static ProfileCache cache;
-    return cache;
-}
-
-void ProfileCache::set_enabled(bool on) {
-    std::lock_guard lock(mu_);
-    enabled_ = on;
-}
-
-bool ProfileCache::enabled() const {
-    std::lock_guard lock(mu_);
-    return enabled_;
-}
+ProfileCache::ProfileCache(cas::CasStore* store) : store_(store) {}
 
 void ProfileCache::clear() {
     std::lock_guard lock(mu_);
@@ -266,9 +247,6 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
                   interp::InterpOptions options) {
     options.profile = true;
 
-    if (!enabled())
-        return profiled_run(module, types, entry, args, options).profile;
-
     // Keyed on the pragma-free print: pragmas never reach the interpreter,
     // so modules that differ only in pragmas share one profile.
     cas::Hasher hasher;
@@ -299,7 +277,7 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
     // In-memory miss: consult the persistent content-addressed store. A
     // disk hit is promoted into the memory map (position-keyed, exactly as
     // serialised) so later lookups in this process are memory hits.
-    cas::CasStore* disk = cas::store();
+    cas::CasStore* disk = store_;
     if (disk != nullptr) {
         if (auto payload = disk->get(key)) {
             Entry loaded;
@@ -341,6 +319,18 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
     if (disk != nullptr)
         disk->put(key, serialize_profile_payload(result.profile, loop_order));
     return std::move(result.profile);
+}
+
+interp::ExecutionProfile profile_run(ProfileCache* cache,
+                                     const ast::Module& module,
+                                     const sema::TypeInfo& types,
+                                     const std::string& entry,
+                                     const std::vector<interp::Arg>& args,
+                                     interp::InterpOptions options) {
+    if (cache != nullptr)
+        return cache->run(module, types, entry, args, std::move(options));
+    options.profile = true;
+    return profiled_run(module, types, entry, args, options).profile;
 }
 
 } // namespace psaflow::analysis

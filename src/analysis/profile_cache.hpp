@@ -26,23 +26,22 @@
 // stats onto the current module's loop ids by position (equal pragma-free
 // text guarantees the same loop structure and order).
 //
-// A miss (or a disabled cache) runs the interpreter inside its own
-// "run_function:<entry>" span in category "interp:vm", so in a trace only
-// real runs carry an "interp:*" category.
+// A miss (or a run with no cache, see profile_run) runs the interpreter
+// inside its own "run_function:<entry>" span in category "interp:vm", so in
+// a trace only real runs carry an "interp:*" category.
 //
-// When the process-wide content-addressed store (support/cas) is
-// configured — via --cache-dir or PSAFLOW_CACHE_DIR — profiles also
-// persist on disk: an in-memory miss falls back to a checksum-verified
-// disk read before recomputing, and fresh profiles are written through.
+// A cache constructed over a content-addressed store (support/cas; a
+// FlowSession passes its own) also persists profiles on disk: an
+// in-memory miss falls back to a checksum-verified disk read before
+// recomputing, and fresh profiles are written through.
 // Disk entries store loop stats keyed by *pre-order position* (not node
 // id), with bit-exact doubles, so any later process — whose clones carry
 // different node ids — can remap them onto its own module and reproduce
 // the computed profile exactly.
 //
-// Process-wide and thread-safe. Disable with PSAFLOW_CACHE=0 (or
-// set_enabled(false)); hits/misses are counted here and mirrored into the
-// trace registry as "profile_cache.hits" / "profile_cache.misses" /
-// "profile_cache.disk_hits".
+// Thread-safe; each FlowSession owns one. Hits/misses are counted here and
+// mirrored into the trace registry as "profile_cache.hits" /
+// "profile_cache.misses" / "profile_cache.disk_hits".
 #pragma once
 
 #include <cstdint>
@@ -57,6 +56,10 @@
 #include "interp/interpreter.hpp"
 #include "sema/type_check.hpp"
 
+namespace psaflow::cas {
+class CasStore;
+} // namespace psaflow::cas
+
 namespace psaflow::analysis {
 
 struct ProfileCacheStats {
@@ -67,7 +70,8 @@ struct ProfileCacheStats {
 
 class ProfileCache {
 public:
-    [[nodiscard]] static ProfileCache& global();
+    /// An empty cache; a non-null `store` (not owned) adds the disk tier.
+    explicit ProfileCache(cas::CasStore* store = nullptr);
 
     /// Run `entry(args)` on `module` under the profiling interpreter, or
     /// return the memoized profile of an identical earlier run (with loop
@@ -78,9 +82,6 @@ public:
         const std::string& entry, const std::vector<interp::Arg>& args,
         interp::InterpOptions options = {});
 
-    void set_enabled(bool on);
-    [[nodiscard]] bool enabled() const;
-
     void clear();
     [[nodiscard]] ProfileCacheStats stats() const;
 
@@ -90,8 +91,6 @@ public:
     void set_max_entries(std::size_t n);
 
 private:
-    ProfileCache();
-
     struct Entry {
         interp::ExecutionProfile profile;
         /// Pre-order For-node ids of the module the profile was computed on.
@@ -104,12 +103,20 @@ private:
     [[nodiscard]] static std::optional<interp::ExecutionProfile>
     remap_onto(const Entry& entry, const ast::Module& module);
 
+    cas::CasStore* const store_;
     mutable std::mutex mu_;
-    bool enabled_ = true;
     std::size_t max_entries_ = 4096;
     std::unordered_map<std::uint64_t, Entry> entries_;
     ProfileCacheStats stats_;
 };
+
+/// `cache->run(...)`, or an uncached profiled interpreter run when `cache`
+/// is null (a session with its profile cache off, or a caller with none).
+[[nodiscard]] interp::ExecutionProfile
+profile_run(ProfileCache* cache, const ast::Module& module,
+            const sema::TypeInfo& types, const std::string& entry,
+            const std::vector<interp::Arg>& args,
+            interp::InterpOptions options = {});
 
 /// FNV-1a digest of a top-level argument list: scalar type tags and bit
 /// patterns, buffer element types, sizes and full contents.

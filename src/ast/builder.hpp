@@ -36,12 +36,6 @@ namespace psaflow::ast::build {
     return e;
 }
 
-[[nodiscard]] inline ExprPtr bool_lit(bool v) {
-    auto e = std::make_unique<BoolLit>();
-    e->value = v;
-    return e;
-}
-
 [[nodiscard]] inline ExprPtr ident(std::string name) {
     auto e = std::make_unique<Ident>();
     e->name = std::move(name);

@@ -5,9 +5,10 @@
 //
 // Wiring (done by the psaflowd *tool*, not the serve library, so serve
 // never depends on cluster): `--cas-upstream <endpoint>` constructs a
-// RemoteCasClient and installs its hooks via cas::configure_remote. The
-// upstream can be a peer shard or a router — the router consistent-hashes
-// cas keys onto shards, which gives every artifact a home shard.
+// RemoteCasClient and installs its hooks on the daemon session's store
+// (CasStore::set_remote). The upstream can be a peer shard or a router —
+// the router consistent-hashes cas keys onto shards, which gives every
+// artifact a home shard.
 //
 // Failure policy: the remote tier is an accelerator, never a correctness
 // dependency. Any transport or protocol failure is a miss (fetch) or a
@@ -39,7 +40,7 @@ public:
     [[nodiscard]] bool publish(std::uint64_t key,
                                std::string_view payload) const;
 
-    /// Hooks for cas::configure_remote. They share ownership of this
+    /// Hooks for CasStore::set_remote. They share ownership of this
     /// client, so the daemon can install them and forget.
     [[nodiscard]] static cas::RemoteFetch
     fetch_hook(std::shared_ptr<RemoteCasClient> client);

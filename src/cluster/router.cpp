@@ -45,7 +45,10 @@ std::optional<ShardConfig> parse_shard_spec(const std::string& spec,
     return config;
 }
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {
+Router::Router(RouterOptions options)
+    : options_(std::move(options)),
+      flight_(options_.flight_capacity,
+              static_cast<std::uint64_t>(options_.slo_ms) * 1000) {
     for (const ShardConfig& config : options_.shards) {
         auto shard = std::make_unique<Shard>();
         shard->config = config;
@@ -245,7 +248,7 @@ std::string Router::relay(const serve::WireRequest& request,
         status = serve::to_string(view->error_kind);
     }
     flight.set_status(status);
-    obs::FlightRecorder::global().record(flight);
+    flight_.record(flight);
 
     if (!traced || !response_doc.has_value()) return outcome.response;
 
@@ -339,8 +342,8 @@ Router::answer_inline(const serve::WireRequest& request,
     case serve::RequestType::Drain:
         return handle_admin(doc);
     case serve::RequestType::Flight:
-        return json::dump(serve::make_flight_response(
-            obs::FlightRecorder::global(), request.flight_max));
+        return json::dump(
+            serve::make_flight_response(flight_, request.flight_max));
     case serve::RequestType::ClusterStats:
         return json::dump(cluster_stats_json());
     case serve::RequestType::ClusterMetrics:
@@ -417,6 +420,7 @@ json::Value Router::stats_json() {
     stats.set("role", json::Value::string("router"));
     stats.set("uptime_us", json::Value::number(double(us_since(started_))));
     stats.set("requests", json::Value::number(double(front_.requests())));
+    stats.set("pings", json::Value::number(double(front_.pings())));
     stats.set("relayed", json::Value::number(double(relayed_.load())));
     stats.set("retries", json::Value::number(double(retries_.load())));
     stats.set("no_shard", json::Value::number(double(no_shard_.load())));
@@ -448,8 +452,11 @@ std::string Router::metrics_text() {
                    "Seconds since router start",
                    double(us_since(started_)) / 1e6);
     renderer.counter("psaflow_router_requests_total",
-                     "Frames received from clients",
+                     "Frames received from clients, pings excluded",
                      double(front_.requests()));
+    renderer.counter("psaflow_router_pings_total",
+                     "Ping frames received from clients",
+                     double(front_.pings()));
     renderer.counter("psaflow_router_relayed_total",
                      "Requests forwarded and answered by a shard",
                      double(relayed_.load()));

@@ -49,6 +49,7 @@
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/retry.hpp"
+#include "obs/flight.hpp"
 #include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
@@ -76,6 +77,8 @@ struct RouterOptions {
     long long recv_timeout_ms = 30000; ///< client mid-frame and shard
                                        ///< response stall cap
     std::uint64_t seed = 0x8a5cd789635d2dffULL; ///< backoff jitter seed
+    long long slo_ms = 0; ///< flight-recorder latency SLO (0 = disabled)
+    std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 /// Per-shard monotonic tallies, readable while serving.
@@ -216,6 +219,7 @@ private:
     [[nodiscard]] bool usable(const std::string& name) const;
 
     RouterOptions options_;
+    obs::FlightRecorder flight_; ///< one digest per relayed request
     HashRing ring_; ///< immutable after start(); health is a predicate
     std::vector<std::unique_ptr<Shard>> shards_;
     std::thread health_thread_;

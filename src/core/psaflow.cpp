@@ -62,7 +62,7 @@ flow::FlowResult compile(flow::FlowSession& session,
     // cheaper than a round trip on every miss and a second write per
     // compile. A flow built in code rather than lowered from a document
     // has no canonical text to key on, so it always runs.
-    cas::CasStore* disk = cas::store();
+    cas::CasStore* disk = session.store();
     const bool tiered = disk != nullptr && (manifest == nullptr ||
                                             !manifest->canonical.empty());
     std::uint64_t key = 0;

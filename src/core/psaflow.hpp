@@ -26,7 +26,7 @@
 namespace psaflow {
 
 /// What one compile runs. The session (flow::SessionOptions) owns how it
-/// runs: worker count and persistent store.
+/// runs: worker pool, profile cache and persistent store.
 struct RunOptions {
     flow::Mode mode = flow::Mode::Informed;
     double intensity_threshold_x = 4.0; ///< Fig. 3's tunable X (FLOPs/B)
@@ -47,10 +47,10 @@ struct RunOptions {
 };
 
 /// Run a PSA-flow on `app` through `session`, so many compiles share one
-/// pool/cache/trace wiring. `app.workload` drives the dynamic analyses;
+/// pool, profile cache and store. `app.workload` drives the dynamic analyses;
 /// `app.allow_single_precision` gates the SP transforms.
 ///
-/// With a persistent store (cas::store()), every compile first looks up
+/// With a persistent store (session.store()), every compile first looks up
 /// the flow-result tier (local entries only, never a remote tier), keyed
 /// on everything the flow reads: app name and source, workload digest,
 /// allow_single_precision, the effective threshold_x, budget, cost model

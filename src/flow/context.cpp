@@ -64,6 +64,8 @@ FlowContext FlowContext::fork() const {
     out.workload_digest_ = workload_digest_;
     out.log_ = log_;
     out.cancel = cancel;
+    out.profile_cache = profile_cache;
+    out.store = store;
     if (ch_.has_value()) out.ch_ = remap_loops(*ch_, *module_, *out.module_);
     // outer_dep_ is keyed by node ids, which the clone regenerated:
     // recomputed lazily on demand.
@@ -90,8 +92,8 @@ void FlowContext::invalidate() {
 
 const analysis::KernelCharacterization& FlowContext::characterization() {
     if (!ch_.has_value()) {
-        ch_ = analysis::characterize_kernel(*module_, types_,
-                                            spec.kernel_name, workload_);
+        ch_ = analysis::characterize_kernel(
+            *module_, types_, spec.kernel_name, workload_, profile_cache);
     }
     return *ch_;
 }

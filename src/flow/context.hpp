@@ -22,6 +22,14 @@ namespace psaflow {
 class CancelToken;
 } // namespace psaflow
 
+namespace psaflow::analysis {
+class ProfileCache;
+} // namespace psaflow::analysis
+
+namespace psaflow::cas {
+class CasStore;
+} // namespace psaflow::cas
+
 namespace psaflow::flow {
 
 /// Content digest of `workload` (see FlowContext::workload_digest); never
@@ -123,6 +131,13 @@ public:
     /// periodic poll sees it too; forks inherit the pointer, so one
     /// request's deadline covers all of its paths.
     const CancelToken* cancel = nullptr;
+
+    /// The session's profile cache and persistent store (not owned; null
+    /// = none). FlowSession::run stamps them; forks inherit them. The
+    /// dynamic analyses profile through the cache, finalize looks designs
+    /// up in the store.
+    analysis::ProfileCache* profile_cache = nullptr;
+    cas::CasStore* store = nullptr;
 
 private:
     std::string app_name_;

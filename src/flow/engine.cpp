@@ -90,7 +90,7 @@ DesignArtifact finalize(FlowContext ctx, double reference_seconds,
     // (and with it the characterisation's interpreter runs), device-model
     // pricing and design emission — and replays the cold run's note, so
     // the restored artifact is byte-identical to a cold finalize.
-    cas::CasStore* disk = cas::store();
+    cas::CasStore* disk = ctx.store;
     std::uint64_t key = 0;
     if (disk != nullptr) {
         key = detail::artifact_key(ctx, reference_seconds, signature);
@@ -445,10 +445,29 @@ void run_branches(const BranchPoint& root, FlowContext& ctx,
 
 } // namespace
 
+SessionOptions session_options(const cli::FlowFlags& flags,
+                                const cli::Environment& env) {
+    SessionOptions options;
+    options.jobs = static_cast<int>(flags.jobs > 0 ? flags.jobs : env.jobs);
+    options.cache_dir = flags.cache_dir.empty() ? env.cache_dir
+                                                : flags.cache_dir;
+    const long long mb =
+        flags.cache_max_mb > 0 ? flags.cache_max_mb : env.cache_max_mb;
+    options.cache_max_bytes = static_cast<std::uint64_t>(mb) << 20;
+    options.profile_cache = env.profile_cache;
+    return options;
+}
+
 FlowSession::FlowSession(SessionOptions options)
-    : options_(std::move(options)) {
-    if (!options_.cache_dir.empty())
-        cas::configure(options_.cache_dir, options_.cache_max_bytes);
+    : options_(std::move(options)),
+      store_(options_.cache_dir.empty()
+                 ? nullptr
+                 : std::make_unique<cas::CasStore>(options_.cache_dir,
+                                                   options_.cache_max_bytes)),
+      cache_(store_.get()) {
+    const int jobs =
+        options_.jobs > 0 ? options_.jobs : ThreadPool::default_jobs();
+    if (jobs > 1) pool_.emplace(jobs);
 }
 
 FlowResult FlowSession::run(const DesignFlow& flow, FlowContext ctx,
@@ -458,11 +477,11 @@ FlowResult FlowSession::run(const DesignFlow& flow, FlowContext ctx,
     {
         trace::ScopedSpan flow_span("run_flow:" + ctx.app_name(), "flow");
         CancelScope cancel_scope(ctx.cancel);
+        ctx.profile_cache = options_.profile_cache ? &cache_ : nullptr;
+        ctx.store = store_.get();
 
-        const int jobs =
-            options_.jobs > 0 ? options_.jobs : ThreadPool::default_jobs();
         Scheduler scheduler;
-        if (jobs > 1) scheduler.pool = &ThreadPool::shared();
+        if (pool_.has_value()) scheduler.pool = &*pool_;
         scheduler.cost_model = &engine.cost_model;
 
         std::string signature = "prologue";

@@ -145,11 +145,13 @@ LearnedStrategy::select_explained(FlowContext& ctx, const BranchPoint& branch,
 std::vector<TrainingExample>
 train_from_oracle(const std::vector<const apps::Application*>& training_apps) {
     std::vector<TrainingExample> out;
+    FlowSession session;
     for (const apps::Application* app : training_apps) {
         FlowContext ctx(app->name,
                         frontend::parse_module(app->source, app->name),
                         app->workload);
         ctx.allow_single_precision = app->allow_single_precision;
+        ctx.profile_cache = &session.profile_cache();
 
         // Run the target-independent prologue once, capture features, then
         // label by running the branch on a fork with the select-all
@@ -162,7 +164,6 @@ train_from_oracle(const std::vector<const apps::Application*>& training_apps) {
 
         DesignFlow branch_only;
         branch_only.branch = flow.branch;
-        FlowSession session;
         auto result = session.run(branch_only, ctx.fork());
         const DesignArtifact* best = result.best();
         ensure(best != nullptr, "train_from_oracle: no synthesizable design "

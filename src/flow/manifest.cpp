@@ -357,20 +357,16 @@ ManifestFlow parse_manifest_text(std::string_view text) {
     return from_manifest(*doc);
 }
 
-json::Value read_manifest_file(const std::string& path) {
+ManifestFlow read_manifest_file(const std::string& path) {
     std::ifstream file(path);
     if (!file) throw Error("flow manifest: cannot read '" + path + "'");
     std::stringstream buffer;
     buffer << file.rdbuf();
-    std::string error;
-    auto doc = json::parse(buffer.str(), &error);
     try {
-        if (!doc.has_value()) throw Error("flow manifest: " + error);
-        (void)from_manifest(*doc);
+        return parse_manifest_text(buffer.str());
     } catch (const Error& e) {
         throw Error(std::string(e.what()) + " [" + path + "]");
     }
-    return std::move(*doc);
 }
 
 json::Value to_manifest(const DesignFlow& flow, const std::string& name) {

@@ -76,13 +76,13 @@ struct ManifestFlow {
 /// offset; schema errors the JSON path.
 [[nodiscard]] ManifestFlow parse_manifest_text(std::string_view text);
 
-/// Read the manifest file at `path`, validate it and return the parsed
-/// document (what a compile request carries as its "flow" member). Throws
+/// Read the manifest file at `path` and lower it (its `canonical` text is
+/// what a compile request carries as its "flow" member). Throws
 /// psaflow::Error: "flow manifest: cannot read '<path>'", or the JSON
 /// syntax / schema diagnostic with " [<path>]" appended. The file form is
 /// for the operator's own files (`psaflowc --flow`, `--batch` entries,
 /// `psaflow-client --flow`); a wire request only carries inline documents.
-[[nodiscard]] json::Value read_manifest_file(const std::string& path);
+[[nodiscard]] ManifestFlow read_manifest_file(const std::string& path);
 
 /// Export `flow` as a manifest document — the inverse of from_manifest for
 /// flows built from registered tasks and manifest-expressible strategies

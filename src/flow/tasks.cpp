@@ -67,8 +67,8 @@ public:
     std::string name() const override { return "Identify Hotspot Loops"; }
 
     void run(FlowContext& ctx) override {
-        auto report = analysis::detect_hotspots(ctx.module(), ctx.types(),
-                                                ctx.workload());
+        auto report = analysis::detect_hotspots(
+            ctx.module(), ctx.types(), ctx.workload(), ctx.profile_cache);
         const auto* top = report.top();
         ensure(top != nullptr,
                "Identify Hotspot Loops: no loop executed under the workload");

@@ -33,7 +33,6 @@
 #include "meta/query.hpp"
 #include "obs/decision.hpp"
 #include "sema/type_check.hpp"
-#include "support/cas/cas.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/prng.hpp"
@@ -480,7 +479,7 @@ OracleOutcome run_oracles(const std::string& source,
     // The profile cache keys on the pragma-free print, so a clone that
     // differs only in pragmas must hit the entry of the original, and the
     // profile it is served must equal an uncached run of the clone.
-    if (options.check_cache && analysis::ProfileCache::global().enabled()) {
+    if (options.check_cache) {
         ++out.oracles_run;
         try {
             const LoopTarget target = first_outer_loop(*module);
@@ -492,8 +491,7 @@ OracleOutcome run_oracles(const std::string& source,
             add_random_pragmas(*edited, rng);
             const sema::TypeInfo edited_types = sema::check(*edited);
 
-            auto& cache = analysis::ProfileCache::global();
-            cache.clear();
+            analysis::ProfileCache cache;
             (void)cache.run(*module, types, workload.entry,
                             workload.make_args(1.0), io);
             const auto cached = cache.run(*edited, edited_types,
@@ -767,7 +765,8 @@ OracleOutcome run_oracles(const std::string& source,
         app.name = "fuzz";
         app.source = source;
         app.workload = workload;
-        auto run_flow_at = [&](int jobs, bool untiered = false) {
+        auto run_flow_at = [&](int jobs, bool untiered = false,
+                               const std::string& cache_dir = {}) {
             struct FlowCapture {
                 bool threw = false;
                 bool crash = false; ///< non-psaflow exception
@@ -778,11 +777,11 @@ OracleOutcome run_oracles(const std::string& source,
             trace::Registry registry; // this run's counters only
             try {
                 // A fresh session per run keeps the comparisons honest:
-                // nothing is shared between the jobs=1 and jobs=N runs
-                // beyond the process-wide caches the oracle controls.
+                // runs share nothing but the store directory they name.
                 trace::ScopedRegistry scope(registry);
                 flow::SessionOptions session_options;
                 session_options.jobs = jobs;
+                session_options.cache_dir = cache_dir;
                 flow::FlowSession session(session_options);
                 flow::FlowResult result;
                 if (untiered) {
@@ -855,8 +854,8 @@ OracleOutcome run_oracles(const std::string& source,
         // Four states must agree byte for byte: no disk cache (seq,
         // above), a cold run that populates an empty store, a warm run the
         // flow-result tier answers, and a warm run of the flow itself
-        // served from the profile and design-artifact tiers, the
-        // in-memory caches dropped before each warm run.
+        // served from the profile and design-artifact tiers, each run in
+        // a fresh session (so with empty in-memory caches).
         if (options.check_cache && !seq.crash) {
             ++out.oracles_run;
             namespace fs = std::filesystem;
@@ -869,14 +868,10 @@ OracleOutcome run_oracles(const std::string& source,
                                std::to_string(++cache_serial))
                         : fs::path(options.cache_dir);
 
-            cas::configure(root.string());
-            analysis::ProfileCache::global().clear();
-            const auto cold = run_flow_at(1);
-            analysis::ProfileCache::global().clear();
-            const auto warm = run_flow_at(1);
-            analysis::ProfileCache::global().clear();
-            const auto lower = run_flow_at(1, /*untiered=*/true);
-            cas::configure("");
+            const std::string dir = root.string();
+            const auto cold = run_flow_at(1, /*untiered=*/false, dir);
+            const auto warm = run_flow_at(1, /*untiered=*/false, dir);
+            const auto lower = run_flow_at(1, /*untiered=*/true, dir);
             if (own_dir) {
                 std::error_code ec;
                 fs::remove_all(root, ec);

@@ -1,37 +1,14 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/log.hpp"
 #include "support/string_util.hpp"
 
 namespace psaflow::obs {
 
-namespace {
-
-std::size_t capacity_from_env() {
-    if (const char* env = std::getenv("PSAFLOW_FLIGHT_CAPACITY")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
-    return FlightRecorder::kDefaultCapacity;
-}
-
-} // namespace
-
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : slots_(std::max<std::size_t>(capacity, 1)) {
-    if (const char* env = std::getenv("PSAFLOW_SLO_MS")) {
-        const long long ms = std::strtoll(env, nullptr, 10);
-        if (ms > 0) slo_us_.store(static_cast<std::uint64_t>(ms) * 1000);
-    }
-}
-
-FlightRecorder& FlightRecorder::global() {
-    static FlightRecorder recorder(capacity_from_env());
-    return recorder;
-}
+FlightRecorder::FlightRecorder(std::size_t capacity, std::uint64_t slo_us)
+    : slots_(std::max<std::size_t>(capacity, 1)), slo_us_(slo_us) {}
 
 void FlightRecorder::set_slo_us(std::uint64_t us) {
     slo_us_.store(us, std::memory_order_relaxed);

@@ -19,9 +19,8 @@
 // discards the torn snapshot. Steady-state cost per request is one
 // record copy; there is no lock anywhere on the record path.
 //
-// Knobs: PSAFLOW_SLO_MS seeds the SLO threshold (0/unset = disabled;
-// psaflowd --slo-ms overrides), PSAFLOW_FLIGHT_CAPACITY sizes the global
-// ring (default 256 records).
+// Each serving process owns its recorder (serve::Daemon, cluster::Router,
+// psaflowc), sized and given its SLO threshold at construction.
 #pragma once
 
 #include <algorithm>
@@ -70,13 +69,12 @@ class FlightRecorder {
 public:
     static constexpr std::size_t kDefaultCapacity = 256;
 
-    explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
-
-    /// The process-wide recorder (capacity from PSAFLOW_FLIGHT_CAPACITY).
-    [[nodiscard]] static FlightRecorder& global();
+    /// A ring of `capacity` records (at least 1) with a latency SLO of
+    /// `slo_us` microseconds (0 disables breach detection).
+    explicit FlightRecorder(std::size_t capacity = kDefaultCapacity,
+                            std::uint64_t slo_us = 0);
 
     /// Latency SLO in microseconds; 0 disables breach detection.
-    /// Constructed from PSAFLOW_SLO_MS (milliseconds).
     void set_slo_us(std::uint64_t us);
     [[nodiscard]] std::uint64_t slo_us() const;
 

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 
 namespace psaflow::obs {
@@ -14,13 +13,6 @@ std::int64_t wall_now_ms() {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::system_clock::now().time_since_epoch())
         .count();
-}
-
-LogLevel env_level(const char* var, LogLevel fallback) {
-    const char* env = std::getenv(var);
-    if (env == nullptr) return fallback;
-    if (auto parsed = parse_log_level(env)) return *parsed;
-    return fallback;
 }
 
 bool needs_quoting(const std::string& value) {
@@ -122,8 +114,6 @@ std::string LogRecord::to_line() const {
 
 Logger::Logger(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
-    level_ = env_level("PSAFLOW_LOG", LogLevel::Info);
-    echo_ = env_level("PSAFLOW_LOG_STDERR", LogLevel::Warn);
     ring_.reserve(capacity_ < 64 ? capacity_ : 64);
 }
 

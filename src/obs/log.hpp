@@ -6,12 +6,9 @@
 // level, a component tag ("serve", "cas", "flow", ...), a message and
 // key=value fields; records land in a fixed-capacity ring buffer (the
 // daemon serves the ring over its socket as {"type":"logs"}) and are
-// echoed to stderr when at or above the echo threshold.
-//
-// Environment:
-//   PSAFLOW_LOG        capture level for the ring: trace|debug|info|warn|
-//                      error|off (default info)
-//   PSAFLOW_LOG_STDERR echo-to-stderr level (default warn; "off" silences)
+// echoed to stderr when at or above the echo threshold (capture level
+// info and echo level warn by default; a tool's main sets the global
+// logger's levels).
 //
 // The logger never writes to stdout, so tool output stays byte-identical
 // whatever the log level — the obs_smoke test pins this down.
@@ -53,7 +50,7 @@ class Logger {
 public:
     static constexpr std::size_t kDefaultCapacity = 1024;
 
-    /// A private logger (tests). Levels start from the environment.
+    /// A private logger (tests).
     explicit Logger(std::size_t capacity = kDefaultCapacity);
 
     /// The process-wide logger every component records through.

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "platform/cpu.hpp"
 #include "platform/fpga.hpp"
@@ -37,12 +36,5 @@ enum class DeviceId {
 
 [[nodiscard]] const GpuSpec& gpu_spec(DeviceId id);
 [[nodiscard]] const FpgaSpec& fpga_spec(DeviceId id);
-
-[[nodiscard]] inline std::vector<DeviceId> all_gpus() {
-    return {DeviceId::Gtx1080Ti, DeviceId::Rtx2080Ti};
-}
-[[nodiscard]] inline std::vector<DeviceId> all_fpgas() {
-    return {DeviceId::Arria10, DeviceId::Stratix10};
-}
 
 } // namespace psaflow::platform

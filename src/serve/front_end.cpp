@@ -159,15 +159,19 @@ FrontEnd::Next FrontEnd::next_request(int fd, std::string& payload,
         return Next::Close;
     }
 
-    requests_.fetch_add(1);
     std::string error;
     doc = json::parse(payload, &error);
-    if (!doc.has_value())
+    if (!doc.has_value()) {
         error = "invalid JSON: " + error;
-    else if (auto request_error = parse_wire_request(*doc, request))
+    } else if (auto request_error = parse_wire_request(*doc, request)) {
         error = std::move(*request_error);
-    else
+    } else {
+        // Pings are liveness probes (a router's health loop sends one per
+        // shard per interval), not client traffic: tallied apart.
+        (request.type == RequestType::Ping ? pings_ : requests_).fetch_add(1);
         return Next::Request;
+    }
+    requests_.fetch_add(1);
     bad_requests_.fetch_add(1);
     return net::write_frame(fd, json::dump(make_error_response(
                                     ErrorKind::BadRequest, error)))

@@ -92,8 +92,11 @@ public:
     [[nodiscard]] std::uint64_t connections() const {
         return connections_.load();
     }
-    /// Well-framed requests, and those refused as bad requests.
+    /// Well-framed requests other than pings, and those refused as bad
+    /// requests.
     [[nodiscard]] std::uint64_t requests() const { return requests_.load(); }
+    /// Ping frames (liveness probes, counted apart from requests()).
+    [[nodiscard]] std::uint64_t pings() const { return pings_.load(); }
     [[nodiscard]] std::uint64_t bad_requests() const {
         return bad_requests_.load();
     }
@@ -149,6 +152,7 @@ private:
     std::atomic<bool> shutting_down_{false};
     std::atomic<std::uint64_t> connections_{0};
     std::atomic<std::uint64_t> requests_{0};
+    std::atomic<std::uint64_t> pings_{0};
     std::atomic<std::uint64_t> bad_requests_{0};
     mutable std::mutex readers_mu_; ///< guards readers_
     std::list<Reader> readers_; ///< a list, so `done` never moves; last:

@@ -11,8 +11,9 @@
 // It has K priority lanes (lane 0 drains strictly before lane 1, so
 // interactive requests overtake batch backfill), and per-worker sub-queues
 // inside each lane keyed by the request's affinity digest, so repeat
-// requests for the same module land on the worker whose warm FlowSession
-// already profiled it. An idle worker whose own sub-queues are empty
+// requests for the same module run one after another on one worker and
+// the later ones find what the first put in the shared session's caches,
+// instead of racing it cold. An idle worker whose own sub-queues are empty
 // *steals* the oldest job from the longest sibling sub-queue of the
 // highest non-empty lane — affinity is a hint, head-of-line blocking is
 // not allowed to grow the queue-wait tail.

@@ -116,23 +116,27 @@ std::optional<std::string> parse_manifest(const json::Value& doc,
 
     for (std::size_t i = 0; i < list->elements.size(); ++i) {
         // The operator owns the batch file, so an entry may name its flow
-        // by file path; it is read here and parsed as the inline form.
+        // by file path; it is read and lowered here, once.
         const json::Value* entry = &list->elements[i];
         json::Value resolved;
+        std::shared_ptr<const flow::ManifestFlow> file_flow;
         if (const json::Value* flow = entry->find("flow");
             flow != nullptr && flow->is_string()) {
-            resolved = *entry;
             try {
-                resolved.set("flow",
-                             flow::read_manifest_file(flow->string_value));
+                file_flow = std::make_shared<const flow::ManifestFlow>(
+                    flow::read_manifest_file(flow->string_value));
             } catch (const Error& e) {
                 return "request " + std::to_string(i) + ": " + e.what();
             }
+            resolved = json::Value::object();
+            for (const auto& [key, value] : entry->members)
+                if (key != "flow") resolved.set(key, value);
             entry = &resolved;
         }
         CompileRequest req;
         if (auto error = parse_compile_request(*entry, req))
             return "request " + std::to_string(i) + ": " + *error;
+        if (file_flow != nullptr) req.flow = std::move(file_flow);
         if (req.out_dir.empty())
             req.out_dir = (std::filesystem::path(defaults.out_root) /
                            (req.app + "-" + std::to_string(i)))

@@ -30,7 +30,9 @@ bool escapes_root(const std::string& out) {
 } // namespace
 
 Daemon::Daemon(DaemonOptions options)
-    : options_(normalized(std::move(options))),
+    : options_(normalized(std::move(options))), session_(options_.session),
+      flight_(options_.flight_capacity,
+              static_cast<std::uint64_t>(options_.slo_ms) * 1000),
       queue_(options_.queue_depth == 0 ? 1 : options_.queue_depth,
              kPriorityLanes, static_cast<std::size_t>(options_.workers)) {}
 
@@ -49,12 +51,6 @@ void Daemon::drain() {
 }
 
 std::optional<std::string> Daemon::start() {
-    if (!options_.cache_dir.empty())
-        cas::configure(options_.cache_dir, options_.cache_max_bytes);
-    if (options_.slo_ms > 0)
-        obs::FlightRecorder::global().set_slo_us(
-            static_cast<std::uint64_t>(options_.slo_ms) * 1000);
-
     if (auto error = front_.listen(options_.socket_path, options_.listen_tcp,
                                    options_.recv_timeout_ms))
         return error;
@@ -150,19 +146,16 @@ std::string Daemon::handle(WireRequest& request) {
 }
 
 void Daemon::worker_loop(std::size_t worker_index) {
-    flow::SessionOptions session_options;
-    session_options.jobs = options_.session_jobs;
-    flow::FlowSession session(session_options);
     while (true) {
         auto popped = queue_.pop(worker_index);
         if (!popped.has_value()) break; // queue closed and drained
         in_flight_.fetch_add(1);
-        execute_job(session, *popped->item);
+        execute_job(*popped->item);
         in_flight_.fetch_sub(1);
     }
 }
 
-void Daemon::execute_job(flow::FlowSession& session, Job& job) {
+void Daemon::execute_job(Job& job) {
     const std::uint64_t queue_wait_us = us_since(job.received);
 
     // Per-request digest for the flight recorder; every exit from this
@@ -175,7 +168,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
         flight.set_status(status);
         flight.exec_us = us_since(job.received) - queue_wait_us;
         flight.total_us = us_since(job.received);
-        obs::FlightRecorder::global().record(flight);
+        flight_.record(flight);
     };
 
     // A job whose deadline expired while queued is answered without
@@ -229,7 +222,7 @@ void Daemon::execute_job(flow::FlowSession& session, Job& job) {
     req_trace.parent_span = job.request.trace.parent_span;
     req_trace.queue_wait_us = queue_wait_us;
     const CompileOutcome outcome =
-        execute_request(session, job.request.compile, &job.token,
+        execute_request(session_, job.request.compile, &job.token,
                         /*merge_into=*/nullptr, &req_trace);
     {
         std::lock_guard lock(stats_mu_);
@@ -291,7 +284,7 @@ std::string Daemon::handle_inline(const WireRequest& request) {
             ++counters_.cas_gets;
         }
         const auto started = std::chrono::steady_clock::now();
-        cas::CasStore* store = cas::store();
+        cas::CasStore* store = session_.store();
         // get_local: serving a peer's fetch must never recurse into this
         // daemon's own remote tier (see protocol.hpp).
         std::optional<std::string> payload;
@@ -314,14 +307,14 @@ std::string Daemon::handle_inline(const WireRequest& request) {
         return json::dump(response);
     }
     if (request.type == RequestType::Flight)
-        return json::dump(make_flight_response(
-            obs::FlightRecorder::global(), request.flight_max));
+        return json::dump(
+            make_flight_response(flight_, request.flight_max));
     if (request.type == RequestType::CasPut) {
         {
             std::lock_guard lock(stats_mu_);
             ++counters_.cas_puts;
         }
-        cas::CasStore* store = cas::store();
+        cas::CasStore* store = session_.store();
         if (store != nullptr)
             store->put_local(request.cas_key, request.cas_payload);
         return json::dump(make_cas_put_response(store != nullptr));
@@ -359,6 +352,7 @@ json::Value Daemon::stats_json() {
     std::lock_guard lock(stats_mu_);
     json::Value requests = json::Value::object();
     requests.set("received", json::Value::number(double(counters.requests)));
+    requests.set("pings", json::Value::number(double(counters.pings)));
     requests.set("completed",
                  json::Value::number(double(counters.completed)));
     requests.set("failed", json::Value::number(double(counters.failed)));
@@ -429,7 +423,10 @@ std::string Daemon::metrics_text() {
     tally("rejected_overload", counters.rejected_overload);
     tally("deadline_exceeded", counters.deadline_exceeded);
     renderer.counter("psaflowd_requests_received_total",
-                     "Request frames received", double(counters.requests));
+                     "Request frames received, pings excluded",
+                     double(counters.requests));
+    renderer.counter("psaflowd_pings_received_total",
+                     "Ping frames received", double(counters.pings));
     renderer.counter("psaflowd_connections_total", "Connections accepted",
                      double(counters.connections));
     renderer.counter("psaflowd_cas_gets_total",
@@ -461,6 +458,7 @@ DaemonCounters Daemon::counters() const {
     DaemonCounters counters = counters_;
     counters.connections = front_.connections();
     counters.requests = front_.requests();
+    counters.pings = front_.pings();
     counters.bad_requests += front_.bad_requests();
     return counters;
 }

@@ -10,10 +10,11 @@
 //     is busy), and admits `compile`/`sleep` jobs into the LaneQueue —
 //     a full or closed queue yields `overloaded` with a retry hint from
 //     the observed p50 latency — then blocks on the job's future.
-//   * `workers` worker threads each own a warm FlowSession (engine jobs
-//     default 1: request-level parallelism) and drain the queue. A job's
-//     deadline was armed at *receipt*, so queue time counts; an expired
-//     job is answered without running. execute_request never throws.
+//   * `workers` worker threads drain the queue through the daemon's one
+//     FlowSession (engine jobs default 1: request-level parallelism), so
+//     they share its profile cache and store. A job's deadline was armed
+//     at *receipt*, so queue time counts; an expired job is answered
+//     without running. execute_request never throws.
 //
 // Drain (notify_shutdown, async-signal-safe): the front end stops
 // accepting and unlinks the socket file, the queue closes (admitted jobs
@@ -33,6 +34,8 @@
 #include <thread>
 #include <vector>
 
+#include "flow/session.hpp"
+#include "obs/flight.hpp"
 #include "serve/front_end.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
@@ -51,12 +54,17 @@ struct DaemonOptions {
     long long default_deadline_ms = 0;  ///< applied when a request has none
     long long recv_timeout_ms = 5000;   ///< cap on mid-frame peer stalls
     std::string out_root = "designs";   ///< root for relative/absent "out"
-    int session_jobs = 1;               ///< engine jobs per worker session
-    std::string cache_dir;              ///< CAS root ("" = env/default)
-    std::uint64_t cache_max_bytes = 0;
+    /// The workers' shared session: engine jobs per request (default 1:
+    /// request-level parallelism), store, profile cache.
+    flow::SessionOptions session = [] {
+        flow::SessionOptions options;
+        options.jobs = 1;
+        return options;
+    }();
     bool enable_test_endpoints = false; ///< allow the "sleep" request type
     long long slo_ms = 0;               ///< flight-recorder latency SLO
-                                        ///< (0 = PSAFLOW_SLO_MS / disabled)
+                                        ///< (0 = disabled)
+    std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 /// Monotonic request/connection tallies, readable while serving.
@@ -68,6 +76,7 @@ struct DaemonCounters {
     std::uint64_t bad_requests = 0;
     std::uint64_t rejected_overload = 0;
     std::uint64_t deadline_exceeded = 0;
+    std::uint64_t pings = 0;            ///< ping frames (not in `requests`)
     std::uint64_t cas_gets = 0;         ///< remote-CAS reads served
     std::uint64_t cas_puts = 0;         ///< remote-CAS writes accepted
 };
@@ -103,6 +112,9 @@ public:
 
     [[nodiscard]] DaemonCounters counters() const;
     [[nodiscard]] const DaemonOptions& options() const { return options_; }
+    /// The session every worker runs through (its store takes the remote
+    /// tier hooks of --cas-upstream).
+    [[nodiscard]] flow::FlowSession& session() { return session_; }
 
     /// The actual TCP port after start() — meaningful when listen_tcp
     /// asked for port 0 (tests, smoke scripts). 0 without a TCP listener.
@@ -127,12 +139,14 @@ private:
     /// Close the queue, then join the workers and the readers.
     void drain();
     void worker_loop(std::size_t worker_index);
-    void execute_job(flow::FlowSession& session, Job& job);
+    void execute_job(Job& job);
     [[nodiscard]] std::string handle_inline(const WireRequest& request);
     [[nodiscard]] long long retry_after_ms_hint();
     void record_outcome(const CompileOutcome& outcome);
 
     DaemonOptions options_;
+    flow::FlowSession session_;
+    obs::FlightRecorder flight_;
     LaneQueue<std::shared_ptr<Job>> queue_;
     std::vector<std::thread> workers_;
     std::atomic<std::uint64_t> request_seq_{0};

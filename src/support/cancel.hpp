@@ -47,10 +47,6 @@ public:
                            std::memory_order_relaxed);
     }
 
-    [[nodiscard]] bool has_deadline() const noexcept {
-        return deadline_ns_.load(std::memory_order_relaxed) != 0;
-    }
-
     /// True once cancel() was called or the deadline passed.
     [[nodiscard]] bool cancelled() const noexcept {
         if (cancelled_.load(std::memory_order_relaxed)) return true;

@@ -1,11 +1,9 @@
 #include "support/cas/cas.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <sstream>
 
 #include "obs/log.hpp"
@@ -423,68 +421,6 @@ void CasStore::set_remote(RemoteFetch fetch, RemotePublish publish) {
 bool CasStore::has_remote() const {
     std::lock_guard lock(remote_mu_);
     return static_cast<bool>(remote_fetch_);
-}
-
-// ------------------------------------------------------------ global store --
-
-namespace {
-
-struct GlobalStore {
-    std::mutex mu;
-    bool initialised = false;
-    std::unique_ptr<CasStore> store;
-};
-
-GlobalStore& global_store() {
-    static GlobalStore g;
-    return g;
-}
-
-std::uint64_t env_max_bytes() {
-    if (const char* env = std::getenv("PSAFLOW_CACHE_MAX_MB")) {
-        char* end = nullptr;
-        const unsigned long long mb = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && mb > 0 &&
-            mb <= static_cast<unsigned long long>(kMaxCacheMb))
-            return mb << 20;
-    }
-    return CasStore::kDefaultMaxBytes;
-}
-
-} // namespace
-
-CasStore* store() {
-    GlobalStore& g = global_store();
-    std::lock_guard lock(g.mu);
-    if (!g.initialised) {
-        g.initialised = true;
-        if (const char* dir = std::getenv("PSAFLOW_CACHE_DIR")) {
-            if (dir[0] != '\0')
-                g.store = std::make_unique<CasStore>(dir, env_max_bytes());
-        }
-    }
-    return g.store.get();
-}
-
-void configure(const std::string& dir, std::uint64_t max_bytes) {
-    GlobalStore& g = global_store();
-    std::lock_guard lock(g.mu);
-    g.initialised = true;
-    if (dir.empty()) {
-        g.store.reset();
-        return;
-    }
-    const std::uint64_t cap = max_bytes == 0 ? env_max_bytes() : max_bytes;
-    if (g.store != nullptr && g.store->root() == std::filesystem::path(dir)) {
-        g.store->set_max_bytes(cap);
-        return;
-    }
-    g.store = std::make_unique<CasStore>(dir, cap);
-}
-
-void configure_remote(RemoteFetch fetch, RemotePublish publish) {
-    if (CasStore* s = store())
-        s->set_remote(std::move(fetch), std::move(publish));
 }
 
 } // namespace psaflow::cas

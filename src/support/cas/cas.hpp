@@ -220,26 +220,8 @@ private:
     CasStats stats_;
 };
 
-/// Largest accepted size cap in MiB (--cache-max-mb, PSAFLOW_CACHE_MAX_MB):
-/// the largest count whose byte total still fits in 64 bits.
+/// Largest accepted size cap in MiB: the largest count whose byte total
+/// still fits in 64 bits.
 inline constexpr long long kMaxCacheMb = (1LL << 44) - 1;
-
-/// The process-wide store, or nullptr when disk caching is disabled. On
-/// first use, initialises itself from the PSAFLOW_CACHE_DIR (root) and
-/// PSAFLOW_CACHE_MAX_MB (size cap; a value outside 1..kMaxCacheMb keeps
-/// the built-in cap) environment variables; without PSAFLOW_CACHE_DIR the
-/// store stays disabled until `configure()`.
-[[nodiscard]] CasStore* store();
-
-/// (Re)configure the process-wide store: empty `dir` disables disk
-/// caching, `max_bytes == 0` keeps the env/default cap. Reconfiguring with
-/// the store's current root and cap is a no-op (sessions share the warm
-/// index).
-void configure(const std::string& dir, std::uint64_t max_bytes = 0);
-
-/// Attach a remote artifact tier to the process-wide store (no-op while
-/// disk caching is disabled — the disk tier is the remote tier's
-/// read-through cache, so there is nowhere to cache into without it).
-void configure_remote(RemoteFetch fetch, RemotePublish publish);
 
 } // namespace psaflow::cas

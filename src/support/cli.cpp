@@ -1,11 +1,14 @@
 #include "support/cli.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
+#include "obs/log.hpp"
 #include "support/cas/cas.hpp"
 #include "support/string_util.hpp"
+#include "support/trace.hpp"
 
 namespace psaflow::cli {
 
@@ -166,6 +169,45 @@ void add_flow_flags(OptionParser& parser, FlowFlags& flags) {
                    "disk cache size cap in MiB (0 = PSAFLOW_CACHE_MAX_MB / "
                    "256)",
                    &flags.cache_max_mb, /*min=*/0, cas::kMaxCacheMb);
+}
+
+namespace {
+
+/// The leading integer of variable `name` (strtoll), 0 when unset.
+long long env_leading_int(const char* name) {
+    const char* raw = std::getenv(name);
+    return raw == nullptr ? 0 : std::strtoll(raw, nullptr, 10);
+}
+
+void env_log_level(const char* name, void (obs::Logger::*set)(obs::LogLevel)) {
+    if (const char* raw = std::getenv(name))
+        if (const auto level = obs::parse_log_level(raw))
+            (obs::Logger::global().*set)(*level);
+}
+
+} // namespace
+
+Environment load_environment() {
+    if (const char* raw = std::getenv("PSAFLOW_TRACE"))
+        trace::Registry::global().set_enabled(std::string(raw) != "0");
+    env_log_level("PSAFLOW_LOG", &obs::Logger::set_level);
+    env_log_level("PSAFLOW_LOG_STDERR", &obs::Logger::set_echo_level);
+
+    Environment env;
+    if (const long long jobs = env_leading_int("PSAFLOW_JOBS"); jobs >= 1)
+        env.jobs = std::min(jobs, 256LL);
+    if (const char* raw = std::getenv("PSAFLOW_CACHE"))
+        env.profile_cache = std::string(raw) != "0";
+    if (const char* raw = std::getenv("PSAFLOW_CACHE_DIR")) env.cache_dir = raw;
+    if (const char* raw = std::getenv("PSAFLOW_CACHE_MAX_MB")) {
+        const auto mb = parse_int(raw);
+        if (mb && *mb > 0 && *mb <= cas::kMaxCacheMb) env.cache_max_mb = *mb;
+    }
+    if (const long long capacity = env_leading_int("PSAFLOW_FLIGHT_CAPACITY");
+        capacity > 0)
+        env.flight_capacity = static_cast<std::size_t>(capacity);
+    env.slo_ms = std::max(env_leading_int("PSAFLOW_SLO_MS"), 0LL);
+    return env;
 }
 
 } // namespace psaflow::cli

@@ -17,6 +17,7 @@
 // print the banner and return false.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
@@ -89,5 +90,25 @@ struct FlowFlags {
 };
 
 void add_flow_flags(OptionParser& parser, FlowFlags& flags);
+
+/// The PSAFLOW_* environment (README "Environment" lists each variable
+/// with its default and overriding flag). This is the only place that
+/// reads it: the library takes every setting as an argument. A malformed
+/// or non-positive value reads as unset.
+struct Environment {
+    long long jobs = 0;         ///< PSAFLOW_JOBS, at most 256 (0 = unset)
+    bool profile_cache = true;  ///< PSAFLOW_CACHE ("0" disables)
+    std::string cache_dir;      ///< PSAFLOW_CACHE_DIR ("" = unset)
+    long long cache_max_mb = 0; ///< PSAFLOW_CACHE_MAX_MB (0 = unset)
+    std::size_t flight_capacity = 256; ///< PSAFLOW_FLIGHT_CAPACITY
+    long long slo_ms = 0;       ///< PSAFLOW_SLO_MS (0 = no SLO)
+};
+
+/// Read every PSAFLOW_* variable, once, from a tool's main. The
+/// process-wide sinks take theirs here: PSAFLOW_TRACE ("0" disables span
+/// collection) sets trace::Registry::global(), PSAFLOW_LOG and
+/// PSAFLOW_LOG_STDERR set obs::Logger::global()'s capture and echo
+/// levels. The rest are returned for the tool to pass on.
+[[nodiscard]] Environment load_environment();
 
 } // namespace psaflow::cli

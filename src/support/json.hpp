@@ -32,7 +32,6 @@ public:
     [[nodiscard]] bool is_array() const { return kind == Kind::Array; }
     [[nodiscard]] bool is_string() const { return kind == Kind::String; }
     [[nodiscard]] bool is_number() const { return kind == Kind::Number; }
-    [[nodiscard]] bool is_bool() const { return kind == Kind::Bool; }
 
     // Construction helpers for the write side.
     [[nodiscard]] static Value null();

@@ -2,24 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "support/trace.hpp"
 
 namespace psaflow {
 
 int ThreadPool::default_jobs() {
-    if (const char* env = std::getenv("PSAFLOW_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1) return static_cast<int>(std::min(parsed, 256L));
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-ThreadPool& ThreadPool::shared() {
-    static ThreadPool pool(default_jobs());
-    return pool;
 }
 
 ThreadPool::ThreadPool(int threads) {

@@ -27,15 +27,8 @@ public:
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    /// Worker count configured for this process: the PSAFLOW_JOBS
-    /// environment variable if set (clamped to [1, 256]), otherwise
-    /// std::thread::hardware_concurrency().
+    /// std::thread::hardware_concurrency(), at least 1.
     [[nodiscard]] static int default_jobs();
-
-    /// The process-wide pool, created on first use with default_jobs()
-    /// workers. Callers that want strictly sequential execution simply do
-    /// not submit to it.
-    [[nodiscard]] static ThreadPool& shared();
 
     [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 

@@ -78,11 +78,7 @@ thread_local std::uint64_t tl_trace_id = 0;
 
 } // namespace
 
-Registry::Registry() {
-    epoch_ns_ = steady_ns();
-    if (const char* env = std::getenv("PSAFLOW_TRACE"))
-        enabled_ = std::string(env) != "0";
-}
+Registry::Registry() { epoch_ns_ = steady_ns(); }
 
 Registry& Registry::global() {
     static Registry registry;

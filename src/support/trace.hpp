@@ -5,8 +5,9 @@
 // clock, work units) and named *counters* (interpreter steps, profile-cache
 // hits/misses, ...). psaflowc exports the registry as JSON (--trace-out);
 // the fig5/fig6 harnesses print a summary. Span collection can be disabled
-// with PSAFLOW_TRACE=0; counters are always live (they are a handful of
-// relaxed atomics per run, and tests assert on them).
+// (set_enabled); counters are always live (they are a handful of relaxed
+// atomics per run, and tests assert on them). The registry reads no
+// environment: a tool's main sets the global one's toggle.
 //
 // Spans are *causal*: every span carries a process-unique id and the id of
 // its parent — the span that was active on the recording thread when it
@@ -65,8 +66,7 @@ public:
     /// sink on the pool thread — lands in that request's registry.
     [[nodiscard]] static Registry& current();
 
-    /// Span collection toggle (counters stay on). Initialised from the
-    /// PSAFLOW_TRACE environment variable ("0" disables).
+    /// Span collection toggle (counters stay on; on by default).
     void set_enabled(bool on);
     [[nodiscard]] bool enabled() const;
 

@@ -499,8 +499,7 @@ void run(int n, double* a) {
         return args;
     };
 
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const auto before = cache.stats();
 
     const auto first = cache.run(*mod, types, "run", make_args());

@@ -15,6 +15,7 @@
 #include "analysis/profile_cache.hpp"
 #include "interp/profile.hpp"
 #include "support/cas/cas.hpp"
+#include "support/cli.hpp"
 
 using namespace psaflow;
 namespace fs = std::filesystem;
@@ -353,36 +354,21 @@ TEST(CasStore, ConcurrentWritersAndReaders) {
     EXPECT_EQ(store.stats().corrupt, 0u);
 }
 
-TEST(CasStore, ConfigureGlobalStore) {
-    TempRoot root("global");
-    cas::configure(root.path.string());
-    ASSERT_NE(cas::store(), nullptr);
-    EXPECT_EQ(cas::store()->root(), root.path);
-    cas::store()->put(31, "via-global");
-    const auto got = cas::store()->get(31);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, "via-global");
-
-    cas::configure(""); // disable again so later tests see no disk cache
-    EXPECT_EQ(cas::store(), nullptr);
-}
-
 TEST(CasStore, EnvCapAboveBoundKeepsDefault) {
     // 2^44 + 1 MiB overflows 64 bits as bytes; the cap must not wrap to
-    // 1 MiB but fall back to the default like any other invalid value.
-    TempRoot root("env-cap");
+    // 1 MiB but fall back to the default (reads as unset) like any other
+    // invalid value.
     ::setenv("PSAFLOW_CACHE_MAX_MB", "17592186044417", 1);
-    cas::configure(root.path.string());
-    ASSERT_NE(cas::store(), nullptr);
-    EXPECT_EQ(cas::store()->max_bytes(), cas::CasStore::kDefaultMaxBytes);
+    EXPECT_EQ(cli::load_environment().cache_max_mb, 0);
 
     ::setenv("PSAFLOW_CACHE_MAX_MB", "17592186044415", 1); // the bound
-    cas::configure(root.path.string());
-    EXPECT_EQ(cas::store()->max_bytes(),
-              static_cast<std::uint64_t>(cas::kMaxCacheMb) << 20);
+    EXPECT_EQ(cli::load_environment().cache_max_mb, cas::kMaxCacheMb);
+
+    ::setenv("PSAFLOW_CACHE_MAX_MB", "12abc", 1);
+    EXPECT_EQ(cli::load_environment().cache_max_mb, 0);
 
     ::unsetenv("PSAFLOW_CACHE_MAX_MB");
-    cas::configure("");
+    EXPECT_EQ(cli::load_environment().cache_max_mb, 0);
 }
 
 // -------------------------------------------------- profile payload codec --

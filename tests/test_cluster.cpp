@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <latch>
@@ -329,16 +330,19 @@ json::Value round_trip(const std::string& socket_path,
 }
 
 /// Two in-process psaflowd shards ("a", "b") on Unix sockets behind a live
-/// Router on a third socket — the whole fleet in one address space.
+/// Router on a third socket — the whole fleet in one address space. The
+/// shards share one cache directory unless `own_caches` gives each its own.
 struct ClusterFixture {
     ScratchDir dir;
+    bool own_caches;
     std::unique_ptr<serve::Daemon> shard_a;
     std::unique_ptr<serve::Daemon> shard_b;
     std::unique_ptr<cluster::Router> router;
     std::string router_socket;
     std::thread run_a, run_b, run_router;
 
-    explicit ClusterFixture(const std::string& name) : dir(name) {
+    explicit ClusterFixture(const std::string& name, bool own_caches = false)
+        : dir(name), own_caches(own_caches) {
         shard_a = make_shard("a");
         shard_b = make_shard("b");
     }
@@ -348,7 +352,8 @@ struct ClusterFixture {
         options.socket_path = (dir.path / (name + ".sock")).string();
         options.shard_name = name;
         options.out_root = (dir.path / ("out-" + name)).string();
-        options.cache_dir = (dir.path / "cache").string();
+        options.session.cache_dir =
+            (dir.path / (own_caches ? "cache-" + name : "cache")).string();
         options.enable_test_endpoints = true;
         return std::make_unique<serve::Daemon>(std::move(options));
     }
@@ -468,6 +473,69 @@ TEST(Router, RoutedCompilesAreByteIdenticalToDirectOnes) {
             EXPECT_GE(view.routed, 1u);
         }
     }
+}
+
+TEST(Router, ShardsInOneProcessShareNoCache) {
+    // Each shard's session owns its profile cache and store, so the same
+    // compile on a second shard of the same process starts cold: no
+    // profile-cache hit, no flow-result hit. (kmeans' informed flow has
+    // no profile hits of its own when cold.)
+    ClusterFixture fleet("isolation", /*own_caches=*/true);
+    fleet.start();
+    const std::string app = "kmeans";
+    const std::string first = owner_of(*fleet.router, app);
+    const std::string second = first == "a" ? "b" : "a";
+    serve::Daemon& shard_first = first == "a" ? *fleet.shard_a : *fleet.shard_b;
+    serve::Daemon& shard_second =
+        first == "a" ? *fleet.shard_b : *fleet.shard_a;
+
+    const auto compile_via_router = [&](const std::string& out) {
+        const json::Value response = round_trip(
+            fleet.router_socket, compile_json(app, fleet.dir.path / out));
+        auto parsed = serve::parse_response(response);
+        ASSERT_TRUE(parsed.has_value() && parsed->ok) << json::dump(response);
+    };
+    compile_via_router("first");
+    ASSERT_TRUE(fleet.router->set_drain(first, true));
+    ASSERT_EQ(owner_of(*fleet.router, app), second);
+    compile_via_router("second");
+
+    const auto counter = [](serve::Daemon& shard, const char* name) {
+        const json::Value stats = shard.stats_json();
+        const json::Value* value = stats.find("counters")->find(name);
+        return value != nullptr ? value->number_value : 0.0;
+    };
+    EXPECT_EQ(counter(shard_first, "flow_cache.misses"), 1.0);
+    EXPECT_EQ(counter(shard_second, "flow_cache.misses"), 1.0);
+    EXPECT_EQ(counter(shard_second, "flow_cache.hits"), 0.0);
+    EXPECT_EQ(counter(shard_second, "profile_cache.hits"), 0.0);
+    EXPECT_EQ(counter(shard_second, "profile_cache.disk_hits"), 0.0);
+    EXPECT_EQ(counter(shard_second, "artifact_cache.hits"), 0.0);
+    EXPECT_EQ(counter(shard_second, "profile_cache.misses"),
+              counter(shard_first, "profile_cache.misses"));
+    EXPECT_GT(counter(shard_second, "interp.runs"), 0.0);
+}
+
+TEST(Router, HealthPingsAreNotShardRequests) {
+    // The router pings every shard each health interval; a shard tallies
+    // those apart, so its request count follows client traffic, not
+    // fleet uptime.
+    ClusterFixture fleet("pings");
+    fleet.start();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fleet.shard_a->counters().pings < 3 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_GE(fleet.shard_a->counters().pings, 3u);
+    EXPECT_EQ(fleet.shard_a->counters().requests, 0u);
+
+    const json::Value stats = round_trip(fleet.shard_a->options().socket_path,
+                                         R"({"type":"stats"})");
+    const json::Value* requests = stats.find("requests");
+    ASSERT_NE(requests, nullptr);
+    EXPECT_EQ(requests->find("received")->number_value, 1.0); // this stats
+    EXPECT_GE(requests->find("pings")->number_value, 3.0);
 }
 
 TEST(Router, DeeplyNestedFrameIsABadRequestAndTheFleetKeepsServing) {

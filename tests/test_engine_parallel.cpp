@@ -36,13 +36,20 @@ using psaflow::testing::parse_and_check;
 
 interp::Arg integer(long long v) { return interp::Value::of_int(v); }
 
-/// compile() through a fresh session with `jobs` workers (0: the process
-/// default).
-flow::FlowResult compile_at(int jobs, const apps::Application& app,
-                            const RunOptions& options = {}) {
+/// A session with `jobs` workers (0: the hardware concurrency) over the
+/// store at `cache_dir` ("" = none).
+flow::SessionOptions session_at(int jobs, const std::string& cache_dir = {}) {
     flow::SessionOptions session_options;
     session_options.jobs = jobs;
-    flow::FlowSession session(session_options);
+    session_options.cache_dir = cache_dir;
+    return session_options;
+}
+
+/// compile() through a fresh session_at(jobs, cache_dir).
+flow::FlowResult compile_at(int jobs, const apps::Application& app,
+                            const RunOptions& options = {},
+                            const std::string& cache_dir = {}) {
+    flow::FlowSession session(session_at(jobs, cache_dir));
     return compile(session, app, options);
 }
 
@@ -139,27 +146,33 @@ INSTANTIATE_TEST_SUITE_P(AllApps, EngineDeterminism,
                          });
 
 TEST(EngineParallel, RepeatedRunsIdenticalUnderSharedCache) {
-    // Back-to-back runs share the process-wide profile cache; the second
-    // run (mostly cache hits) must still produce the identical result.
+    // Back-to-back runs through one session share its profile cache; the
+    // second run (mostly cache hits) must still produce the identical
+    // result.
     const apps::Application& app = apps::application_by_name("nbody");
-    const auto first = compile_at(4, app);
-    const auto second = compile_at(4, app);
+    flow::FlowSession session(session_at(4));
+    const auto first = compile(session, app);
+    const auto second = compile(session, app);
+    EXPECT_GT(session.profile_cache().stats().hits, 0u);
     expect_identical(first, second, "nbody repeat");
 }
 
 /// The standard flow run through FlowSession::run, which never consults
 /// the flow-result tier: with a store configured, only the profile and
 /// design-artifact tiers can serve it.
-flow::FlowResult run_untiered(const apps::Application& app, flow::Mode mode,
-                              int jobs) {
+flow::FlowResult run_untiered(flow::FlowSession& session,
+                              const apps::Application& app, flow::Mode mode) {
     flow::FlowContext ctx(app.name,
                           frontend::parse_module(app.source, app.name),
                           app.workload);
     ctx.allow_single_precision = app.allow_single_precision;
-    flow::SessionOptions session_options;
-    session_options.jobs = jobs;
-    flow::FlowSession session(session_options);
     return session.run(flow::standard_flow(mode), std::move(ctx));
+}
+
+flow::FlowResult run_untiered(const apps::Application& app, flow::Mode mode,
+                              int jobs, const std::string& cache_dir = {}) {
+    flow::FlowSession session(session_at(jobs, cache_dir));
+    return run_untiered(session, app, mode);
 }
 
 TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
@@ -170,27 +183,26 @@ TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
     const fs::path root =
         fs::path(::testing::TempDir()) / "psaflow-engine-warm-cache";
     fs::remove_all(root);
-    cas::configure(root.string());
-    ProfileCache::global().clear();
 
     const apps::Application& app = apps::application_by_name("nbody");
-    const auto cold = compile_at(1, app);
+    const auto cold = compile_at(1, app, {}, root.string());
 
-    // Drop the in-memory tier so the rerun can only warm up from disk, and
-    // run the flow itself: compile() would answer from the flow-result tier.
-    ProfileCache::global().clear();
+    // A fresh session has an empty in-memory tier, so the rerun can only
+    // warm up from disk; run the flow itself: compile() would answer from
+    // the flow-result tier.
     trace::Registry warm_registry;
     flow::FlowResult warm_seq;
+    flow::FlowSession warm(session_at(1, root.string()));
     {
         trace::ScopedRegistry scope(warm_registry);
-        warm_seq = run_untiered(app, flow::Mode::Informed, 1);
+        warm_seq = run_untiered(warm, app, flow::Mode::Informed);
     }
     expect_identical(cold, warm_seq, "nbody cold vs warm jobs=1");
-    EXPECT_GT(ProfileCache::global().stats().disk_hits, 0u);
+    EXPECT_GT(warm.profile_cache().stats().disk_hits, 0u);
     EXPECT_GT(warm_registry.counter("artifact_cache.hits"), 0u);
 
-    ProfileCache::global().clear();
-    const auto warm_par = run_untiered(app, flow::Mode::Informed, 4);
+    const auto warm_par =
+        run_untiered(app, flow::Mode::Informed, 4, root.string());
     expect_identical(cold, warm_par, "nbody cold vs warm jobs=4");
 
     // The flow-result tier answers at any jobs setting, identically.
@@ -198,33 +210,39 @@ TEST(EngineParallel, WarmDiskCacheIdenticalAcrossJobCounts) {
     flow::FlowResult hit;
     {
         trace::ScopedRegistry scope(hit_registry);
-        hit = compile_at(4, app);
+        hit = compile_at(4, app, {}, root.string());
     }
     expect_identical(cold, hit, "nbody cold vs flow-result hit jobs=4");
     EXPECT_EQ(hit_registry.counter("flow_cache.hits"), 1u);
 
-    cas::configure(""); // disable disk caching for the remaining tests
     std::error_code ec;
     fs::remove_all(root, ec);
 }
 
 // ---------------------------------------------------- flow-result tier ----
 
-/// A fresh process-wide store under the test temp dir; disabled and
-/// removed again on destruction.
+/// An empty store directory under the test temp dir, removed again on
+/// destruction.
 struct ScratchStore {
     std::filesystem::path root;
 
     explicit ScratchStore(const std::string& name)
         : root(std::filesystem::path(::testing::TempDir()) / name) {
         std::filesystem::remove_all(root);
-        cas::configure(root.string());
-        ProfileCache::global().clear();
     }
     ~ScratchStore() {
-        cas::configure("");
         std::error_code ec;
         std::filesystem::remove_all(root, ec);
+    }
+
+    /// compile() through a fresh session over this store with `jobs`
+    /// workers, recording into `registry` only.
+    flow::FlowResult compile_into(trace::Registry& registry,
+                                  const apps::Application& app,
+                                  const RunOptions& options = {},
+                                  int jobs = 0) const {
+        trace::ScopedRegistry scope(registry);
+        return compile_at(jobs, app, options, root.string());
     }
 
     [[nodiscard]] std::set<std::filesystem::path> entries() const {
@@ -236,19 +254,12 @@ struct ScratchStore {
     }
 };
 
-/// compile() through a fresh session with `jobs` workers, recording into
-/// `registry` only.
-flow::FlowResult compile_into(trace::Registry& registry,
-                              const apps::Application& app,
-                              const RunOptions& options = {}, int jobs = 0) {
-    trace::ScopedRegistry scope(registry);
-    return compile_at(jobs, app, options);
-}
-
 TEST(FlowResultTier, OffWithoutAStore) {
-    cas::configure("");
     trace::Registry registry;
-    (void)compile_into(registry, apps::application_by_name("adpredictor"));
+    {
+        trace::ScopedRegistry scope(registry);
+        (void)compile_at(0, apps::application_by_name("adpredictor"));
+    }
     EXPECT_EQ(registry.counter("flow_cache.hits"), 0u);
     EXPECT_EQ(registry.counter("flow_cache.misses"), 0u);
     EXPECT_EQ(registry.counter("flow.runs"), 1u);
@@ -310,14 +321,15 @@ TEST(FlowResultTier, EveryInputTheFlowReadsIsInTheKey) {
     for (const Variant& v : variants) {
         SCOPED_TRACE(v.what);
         trace::Registry registry;
-        first.push_back(compile_into(registry, *v.app, v.options, 1));
+        first.push_back(store.compile_into(registry, *v.app, v.options, 1));
         EXPECT_EQ(registry.counter("flow_cache.misses"), 1u);
         EXPECT_EQ(registry.counter("flow_cache.hits"), 0u);
     }
     for (std::size_t i = 0; i < variants.size(); ++i) {
         const Variant& v = variants[i];
         trace::Registry registry;
-        const auto again = compile_into(registry, *v.app, v.options, 1);
+        const auto again =
+            store.compile_into(registry, *v.app, v.options, 1);
         EXPECT_EQ(registry.counter("flow_cache.hits"), 1u) << v.what;
         EXPECT_EQ(registry.counter("flow.runs"), 0u) << v.what;
         expect_identical(first[i], again, v.what + " miss vs hit");
@@ -325,7 +337,7 @@ TEST(FlowResultTier, EveryInputTheFlowReadsIsInTheKey) {
 
     // Results are identical at any jobs, so jobs is not in the key.
     trace::Registry registry;
-    (void)compile_into(registry, app, base, 3);
+    (void)store.compile_into(registry, app, base, 3);
     EXPECT_EQ(registry.counter("flow_cache.hits"), 1u);
 }
 
@@ -333,11 +345,12 @@ TEST(FlowResultTier, AMissWritesOneEntryAndBadEntriesRecompute) {
     ScratchStore store("psaflow-flow-tier-repair");
     const apps::Application& app = apps::application_by_name("kmeans");
     // Fill the profile and design-artifact tiers only.
-    const auto cold = run_untiered(app, flow::Mode::Informed, 1);
+    const auto cold =
+        run_untiered(app, flow::Mode::Informed, 1, store.root.string());
     const auto lower_tiers = store.entries();
 
     trace::Registry miss;
-    expect_identical(cold, compile_into(miss, app), "first compile");
+    expect_identical(cold, store.compile_into(miss, app), "first compile");
     EXPECT_EQ(miss.counter("flow_cache.misses"), 1u);
     EXPECT_EQ(miss.counter("cas.writes"), 1u); // the flow-result entry only
     std::vector<std::filesystem::path> added;
@@ -354,12 +367,13 @@ TEST(FlowResultTier, AMissWritesOneEntryAndBadEntriesRecompute) {
                                        std::uint64_t corrupt) {
         SCOPED_TRACE(what);
         trace::Registry registry;
-        expect_identical(cold, compile_into(registry, app), what);
+        expect_identical(cold, store.compile_into(registry, app), what);
         EXPECT_EQ(registry.counter("flow_cache.misses"), 1u);
         EXPECT_EQ(registry.counter("flow.runs"), 1u);
         EXPECT_EQ(registry.counter("cas.corrupt"), corrupt);
         trace::Registry after;
-        expect_identical(cold, compile_into(after, app), what + ", repaired");
+        expect_identical(cold, store.compile_into(after, app),
+                         what + ", repaired");
         EXPECT_EQ(after.counter("flow_cache.hits"), 1u);
     };
 
@@ -377,10 +391,13 @@ TEST(FlowResultTier, AMissWritesOneEntryAndBadEntriesRecompute) {
     expect_recomputed("bit flip", 1);
 
     // A well-framed entry of another payload version reads as a miss.
-    auto payload = cas::store()->get_local(key);
-    ASSERT_TRUE(payload.has_value());
-    (*payload)[0] = static_cast<char>((*payload)[0] + 1);
-    cas::store()->put_local(key, *payload);
+    {
+        cas::CasStore direct(store.root);
+        auto payload = direct.get_local(key);
+        ASSERT_TRUE(payload.has_value());
+        (*payload)[0] = static_cast<char>((*payload)[0] + 1);
+        direct.put_local(key, *payload);
+    }
     expect_recomputed("payload version", 0);
 }
 
@@ -389,10 +406,11 @@ TEST(FlowResultTier, StaysOffTheRemoteTier) {
     // after it must neither fetch from nor publish to a remote tier.
     ScratchStore store("psaflow-flow-tier-remote");
     const apps::Application& app = apps::application_by_name("bezier");
-    (void)run_untiered(app, flow::Mode::Uninformed, 1);
+    (void)run_untiered(app, flow::Mode::Uninformed, 1, store.root.string());
     int fetches = 0;
     int publishes = 0;
-    cas::configure_remote(
+    flow::FlowSession session(session_at(0, store.root.string()));
+    session.store()->set_remote(
         [&](std::uint64_t) -> std::optional<std::string> {
             ++fetches;
             return std::nullopt;
@@ -404,10 +422,15 @@ TEST(FlowResultTier, StaysOffTheRemoteTier) {
     RunOptions uninformed;
     uninformed.mode = flow::Mode::Uninformed;
     trace::Registry miss;
-    (void)compile_into(miss, app, uninformed);
+    {
+        trace::ScopedRegistry scope(miss);
+        (void)compile(session, app, uninformed);
+    }
     trace::Registry hit;
-    (void)compile_into(hit, app, uninformed);
-    cas::configure_remote({}, {});
+    {
+        trace::ScopedRegistry scope(hit);
+        (void)compile(session, app, uninformed);
+    }
     EXPECT_EQ(miss.counter("flow_cache.misses"), 1u);
     EXPECT_EQ(miss.counter("cas.writes"), 1u);
     EXPECT_EQ(hit.counter("flow_cache.hits"), 1u);
@@ -416,7 +439,6 @@ TEST(FlowResultTier, StaysOffTheRemoteTier) {
 }
 
 TEST(FlowResultTier, PayloadRoundTripsAndRejectsDamage) {
-    cas::configure("");
     const auto result = run_untiered(apps::application_by_name("nbody"),
                                      flow::Mode::Uninformed, 1);
     const std::string payload = flow::serialize_flow_result(result);
@@ -439,8 +461,7 @@ TEST(FlowResultTier, PayloadRoundTripsAndRejectsDamage) {
 
 TEST(ProfileCacheTest, SecondIdenticalRunHits) {
     auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const analysis::Workload w = small_workload();
 
     const auto before = cache.stats();
@@ -455,8 +476,7 @@ TEST(ProfileCacheTest, SecondIdenticalRunHits) {
 
 TEST(ProfileCacheTest, CloneHitsAndLoopStatsRemapOntoFreshNodeIds) {
     auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const analysis::Workload w = small_workload();
 
     const auto p1 = cache.run(*mod, types, w.entry, w.make_args(1.0));
@@ -484,8 +504,7 @@ TEST(ProfileCacheTest, CloneHitsAndLoopStatsRemapOntoFreshNodeIds) {
 
 TEST(ProfileCacheTest, MutatedModuleMisses) {
     auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const analysis::Workload w = small_workload();
 
     (void)cache.run(*mod, types, w.entry, w.make_args(1.0));
@@ -542,18 +561,13 @@ void expect_same_profile(const interp::ExecutionProfile& got,
 interp::ExecutionProfile uncached_run(const ast::Module& module,
                                       const sema::TypeInfo& types,
                                       const analysis::Workload& w) {
-    auto& cache = ProfileCache::global();
-    cache.set_enabled(false);
-    auto profile =
-        cache.run(module, types, w.entry, w.make_args(1.0), focused_on_app());
-    cache.set_enabled(true);
-    return profile;
+    return analysis::profile_run(nullptr, module, types, w.entry,
+                                 w.make_args(1.0), focused_on_app());
 }
 
 TEST(ProfileCacheTest, PragmaOnlyEditHitsInMemory) {
     auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const analysis::Workload w = small_workload();
     (void)cache.run(*mod, types, w.entry, w.make_args(1.0), focused_on_app());
 
@@ -573,11 +587,10 @@ TEST(ProfileCacheTest, PragmaOnlyEditHitsThroughTheDiskStore) {
     const fs::path root =
         fs::path(::testing::TempDir()) / "psaflow-pragma-disk-cache";
     fs::remove_all(root);
-    cas::configure(root.string());
+    cas::CasStore store(root);
 
     auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache(&store);
     const analysis::Workload w = small_workload();
     (void)cache.run(*mod, types, w.entry, w.make_args(1.0), focused_on_app());
 
@@ -592,7 +605,6 @@ TEST(ProfileCacheTest, PragmaOnlyEditHitsThroughTheDiskStore) {
     expect_same_profile(cached, uncached_run(*edited, edited_types, w),
                         *edited);
 
-    cas::configure("");
     std::error_code ec;
     fs::remove_all(root, ec);
 }
@@ -606,8 +618,7 @@ void app(int n, double* a) {
     }
 }
 )");
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const analysis::Workload w = small_workload();
     (void)cache.run(*mod, types, w.entry, w.make_args(1.0));
 
@@ -639,8 +650,7 @@ TEST(ProfileCacheTest, DesignArtifactKeyStillSeesPragmas) {
 
 TEST(ProfileCacheTest, DifferentArgsMiss) {
     auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
+    ProfileCache cache;
     const analysis::Workload w = small_workload();
 
     (void)cache.run(*mod, types, w.entry, w.make_args(1.0));
@@ -650,16 +660,26 @@ TEST(ProfileCacheTest, DifferentArgsMiss) {
 }
 
 TEST(ProfileCacheTest, DisabledCacheNeverHits) {
-    auto [mod, types] = parse_and_check(kSmallApp);
-    auto& cache = ProfileCache::global();
-    cache.clear();
-    cache.set_enabled(false);
-    const analysis::Workload w = small_workload();
-
-    (void)cache.run(*mod, types, w.entry, w.make_args(1.0));
-    (void)cache.run(*mod, types, w.entry, w.make_args(1.0));
-    EXPECT_EQ(cache.stats().hits, 0u);
-    cache.set_enabled(true);
+    // A session with its profile cache off runs every profile: the forked
+    // uninformed paths re-characterise without a single hit, and the
+    // designs do not change.
+    const apps::Application& app = apps::application_by_name("nbody");
+    RunOptions uninformed;
+    uninformed.mode = flow::Mode::Uninformed;
+    flow::SessionOptions off = session_at(1);
+    off.profile_cache = false;
+    flow::FlowSession session(off);
+    trace::Registry registry;
+    flow::FlowResult result;
+    {
+        trace::ScopedRegistry scope(registry);
+        result = compile(session, app, uninformed);
+    }
+    EXPECT_EQ(registry.counter("profile_cache.hits"), 0u);
+    EXPECT_EQ(registry.counter("profile_cache.misses"), 0u);
+    EXPECT_EQ(session.profile_cache().stats().misses, 0u);
+    EXPECT_GT(registry.counter("interp.runs"), 5u);
+    expect_identical(compile_at(1, app, uninformed), result, "cache off");
 }
 
 // ---------------------------------------------------------------- trace ----
@@ -668,7 +688,6 @@ TEST(TraceIntegration, BranchedFlowEmitsSpansAndCacheHits) {
     auto& registry = trace::Registry::global();
     registry.set_enabled(true);
     registry.clear();
-    ProfileCache::global().clear();
 
     RunOptions options;
     options.mode = flow::Mode::Uninformed; // 5 designs: branched flow
@@ -722,10 +741,6 @@ TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
         {"kmeans", {3, 5118546, 6387502}, {5, 8955954, 11175864}},
         {"rushlarsen", {3, 9088356, 20545327}, {3, 9088356, 20545327}},
         {"bezier", {3, 3641102, 7282246}, {3, 3641102, 7282246}}};
-    cas::configure("");
-    auto& cache = ProfileCache::global();
-    const bool was_enabled = cache.enabled();
-    cache.set_enabled(true);
     for (const Expected& row : table) {
         for (flow::Mode mode : {flow::Mode::Informed, flow::Mode::Uninformed}) {
             const bool informed = mode == flow::Mode::Informed;
@@ -733,7 +748,6 @@ TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
                          (informed ? "/informed" : "/uninformed"));
             trace::Registry registry;
             registry.set_enabled(true);
-            cache.clear();
             {
                 trace::ScopedRegistry install(registry);
                 RunOptions options;
@@ -760,7 +774,6 @@ TEST(TraceIntegration, ColdCompileProfilesEachDistinctProgramOnce) {
             EXPECT_EQ(interp_spans, runs);
         }
     }
-    cache.set_enabled(was_enabled);
 }
 
 TEST(TraceIntegration, ParallelFlowKeepsASingleRootedSpanTree) {
@@ -769,7 +782,6 @@ TEST(TraceIntegration, ParallelFlowKeepsASingleRootedSpanTree) {
     // other span's parent resolving to a recorded span, and no cycles.
     trace::Registry registry;
     registry.set_enabled(true);
-    ProfileCache::global().clear();
 
     {
         trace::ScopedRegistry install(registry);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <set>
 
 #include "analysis/characterize.hpp"
 #include "flow/engine.hpp"
@@ -10,6 +12,7 @@
 #include "flow/task_registry.hpp"
 #include "flow/tasks.hpp"
 #include "support/error.hpp"
+#include "support/trace.hpp"
 #include "ast/printer.hpp"
 #include "frontend/parser.hpp"
 #include "meta/instrument.hpp"
@@ -567,6 +570,74 @@ TEST(Session, JobsDefaultFromSessionOptions) {
         EXPECT_EQ(parallel.designs[i].source, sequential.designs[i].source);
         EXPECT_EQ(parallel.designs[i].log, sequential.designs[i].log);
     }
+}
+
+TEST(Session, JobsBoundTheBranchPathThreads) {
+    // jobs = 2 runs branch paths on the session's own two pool threads
+    // plus the calling thread (which helps while it waits), never on a
+    // pool sized by the hardware.
+    SessionOptions options;
+    options.jobs = 2;
+    FlowSession session(options);
+    trace::Registry registry;
+    registry.set_enabled(true);
+    {
+        trace::ScopedRegistry scope(registry);
+        for (int i = 0; i < 3; ++i)
+            (void)session.run(standard_flow(Mode::Uninformed),
+                              make_ctx(kGpuish, gpuish_workload()));
+    }
+    std::set<std::uint64_t> threads;
+    for (const trace::Span& span : registry.spans())
+        threads.insert(span.thread);
+    EXPECT_LE(threads.size(), 3u);
+}
+
+TEST(Session, CacheDirOpensTheSessionsOwnStore) {
+    // Each session owns the store its cache_dir names; a session without
+    // one has none, whatever other sessions in the process opened.
+    const auto root =
+        std::filesystem::path(::testing::TempDir()) / "psaflow-session-store";
+    std::filesystem::remove_all(root);
+    SessionOptions options;
+    options.cache_dir = root.string();
+    options.cache_max_bytes = 1 << 20;
+    FlowSession session(options);
+    ASSERT_NE(session.store(), nullptr);
+    EXPECT_EQ(session.store()->root(), root);
+    EXPECT_EQ(session.store()->max_bytes(), 1u << 20);
+    session.store()->put(31, "via-session");
+    EXPECT_EQ(session.store()->get(31).value_or(""), "via-session");
+    EXPECT_EQ(FlowSession().store(), nullptr);
+    std::filesystem::remove_all(root);
+}
+
+TEST(Session, FlagsWinOverTheEnvironment) {
+    const SessionOptions defaults = session_options({}, {});
+    EXPECT_EQ(defaults.jobs, 0);
+    EXPECT_EQ(defaults.cache_dir, "");
+    EXPECT_EQ(defaults.cache_max_bytes, 0u);
+    EXPECT_TRUE(defaults.profile_cache);
+
+    cli::Environment env;
+    env.jobs = 3;
+    env.cache_dir = "env-dir";
+    env.cache_max_mb = 7;
+    env.profile_cache = false;
+    const SessionOptions from_env = session_options({}, env);
+    EXPECT_EQ(from_env.jobs, 3);
+    EXPECT_EQ(from_env.cache_dir, "env-dir");
+    EXPECT_EQ(from_env.cache_max_bytes, 7u << 20);
+    EXPECT_FALSE(from_env.profile_cache);
+
+    cli::FlowFlags flags;
+    flags.jobs = 2;
+    flags.cache_dir = "flag-dir";
+    flags.cache_max_mb = 5;
+    const SessionOptions from_flags = session_options(flags, env);
+    EXPECT_EQ(from_flags.jobs, 2);
+    EXPECT_EQ(from_flags.cache_dir, "flag-dir");
+    EXPECT_EQ(from_flags.cache_max_bytes, 5u << 20);
 }
 
 } // namespace

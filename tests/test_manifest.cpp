@@ -265,11 +265,9 @@ TEST(ManifestFile, InlineAndFileSpellingsLoadOneDocument) {
     const std::string text =
         R"({"psaflow_manifest":1,"name":"mine",
             "prologue":["identify-hotspot-loops"]})";
-    const json::Value doc = read_manifest_file(
+    const ManifestFlow file_flow = read_manifest_file(
         write_manifest("psaflow-test-manifest-inline.json", text));
     const ManifestFlow inline_flow = parse_manifest_text(text);
-    EXPECT_EQ(json::dump(doc), inline_flow.canonical);
-    const ManifestFlow file_flow = from_manifest(doc);
     EXPECT_EQ(file_flow.name, "mine");
     EXPECT_EQ(file_flow.flow.prologue.size(), 1u);
     EXPECT_EQ(file_flow.canonical, inline_flow.canonical);

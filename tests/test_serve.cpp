@@ -942,8 +942,9 @@ TEST(ExecuteRequest, FlowResultHitKeepsPerRequestCounters) {
     // The same isolation with a store: the second request is answered by
     // the flow-result tier, and its counters show that request alone.
     ScratchDir dir("executor-tier");
-    cas::configure((dir.path / "cache").string());
-    flow::FlowSession session;
+    flow::SessionOptions session_options;
+    session_options.cache_dir = (dir.path / "cache").string();
+    flow::FlowSession session(session_options);
 
     serve::CompileRequest req;
     req.app = "adpredictor";
@@ -955,7 +956,6 @@ TEST(ExecuteRequest, FlowResultHitKeepsPerRequestCounters) {
     const serve::CompileOutcome second =
         serve::execute_request(session, req, nullptr, nullptr);
     ASSERT_TRUE(second.ok) << second.error;
-    cas::configure("");
 
     EXPECT_EQ(first.counters.at("flow.runs"), 1u);
     EXPECT_EQ(first.counters.at("flow_cache.misses"), 1u);
@@ -1279,12 +1279,13 @@ TEST(Daemon, RequestsLeaveTheGlobalTraceRegistryAlone) {
 }
 
 TEST(Daemon, FlowResultHitsReachStatsAndFlightRecords) {
-    DaemonFixture fixture("flow-tier", [] {
+    ScratchDir cache("flow-tier-cache");
+    DaemonFixture fixture("flow-tier", [&] {
         serve::DaemonOptions options;
         options.workers = 1;
+        options.session.cache_dir = cache.path.string();
         return options;
     }());
-    cas::configure((fixture.dir.path / "cache").string());
     fixture.start();
     for (int i = 0; i < 2; ++i) {
         const json::Value response = client_round_trip(
@@ -1310,7 +1311,6 @@ TEST(Daemon, FlowResultHitsReachStatsAndFlightRecords) {
     ASSERT_NE(records, nullptr);
     ASSERT_EQ(records->elements.size(), 1u);
     EXPECT_GE(records->elements[0].find("cache_hits")->number_value, 1.0);
-    cas::configure("");
 }
 
 TEST(Daemon, FullQueueRejectsWithRetryHint) {

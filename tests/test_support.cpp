@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/cli.hpp"
@@ -163,7 +165,39 @@ TEST(StringUtil, ParseIntAcceptsAndRejects) {
 }
 
 TEST(ThreadPool, DefaultJobsRespectsEnv) {
+    // The pool's own default is the hardware; PSAFLOW_JOBS reaches a
+    // session through the tools' environment reader, clamped to 1..256.
     EXPECT_GE(ThreadPool::default_jobs(), 1);
+    const char* saved = std::getenv("PSAFLOW_JOBS");
+    const std::string restore = saved != nullptr ? saved : "";
+    ::setenv("PSAFLOW_JOBS", "3", 1);
+    EXPECT_EQ(cli::load_environment().jobs, 3);
+    ::setenv("PSAFLOW_JOBS", "1000", 1);
+    EXPECT_EQ(cli::load_environment().jobs, 256);
+    ::setenv("PSAFLOW_JOBS", "0", 1);
+    EXPECT_EQ(cli::load_environment().jobs, 0);
+    ::unsetenv("PSAFLOW_JOBS");
+    EXPECT_EQ(cli::load_environment().jobs, 0);
+    if (saved != nullptr) ::setenv("PSAFLOW_JOBS", restore.c_str(), 1);
+}
+
+TEST(Environment, SinksTakeTheirVariables) {
+    auto& registry = trace::Registry::global();
+    const bool was_enabled = registry.enabled();
+    ::setenv("PSAFLOW_TRACE", "0", 1);
+    ::setenv("PSAFLOW_SLO_MS", "250", 1);
+    ::setenv("PSAFLOW_FLIGHT_CAPACITY", "8", 1);
+    const cli::Environment env = cli::load_environment();
+    EXPECT_FALSE(registry.enabled());
+    EXPECT_EQ(env.slo_ms, 250);
+    EXPECT_EQ(env.flight_capacity, 8u);
+    ::unsetenv("PSAFLOW_TRACE");
+    ::unsetenv("PSAFLOW_SLO_MS");
+    ::unsetenv("PSAFLOW_FLIGHT_CAPACITY");
+    registry.set_enabled(was_enabled);
+    const cli::Environment unset = cli::load_environment();
+    EXPECT_EQ(unset.slo_ms, 0);
+    EXPECT_EQ(unset.flight_capacity, 256u);
 }
 
 TEST(ThreadPool, TaskGroupRunsAllJobs) {

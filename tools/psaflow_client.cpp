@@ -178,6 +178,7 @@ void print_flight(const json::Value& response) {
 } // namespace
 
 int main(int argc, char** argv) {
+    (void)cli::load_environment(); // the trace and log sinks' variables
     std::string socket_path;
     std::string app;
     std::string mode = "informed";
@@ -335,9 +336,12 @@ int main(int argc, char** argv) {
             request.set("deadline_ms", json::Value::number(double(deadline_ms)));
         if (!flow_file.empty()) {
             // Validate client-side so a broken manifest never leaves the
-            // machine; the daemon re-validates on receipt regardless.
+            // machine; the daemon re-validates on receipt regardless. The
+            // wire carries the lowered flow's canonical document.
             try {
-                request.set("flow", flow::read_manifest_file(flow_file));
+                request.set("flow", *json::parse(
+                                        flow::read_manifest_file(flow_file)
+                                            .canonical));
             } catch (const Error& e) {
                 std::cerr << "psaflow-client: " << e.what() << "\n";
                 return 2;

@@ -40,6 +40,7 @@ void print_failure(std::uint64_t seed, const fuzz::OracleFailure& f) {
 } // namespace
 
 int main(int argc, char** argv) {
+    (void)cli::load_environment(); // the trace and log sinks' variables
     long long seed = 1;
     long long runs = 100;
     bool shrink = false;

@@ -26,7 +26,10 @@
 int main(int argc, char** argv) {
     using namespace psaflow;
 
+    const cli::Environment env = cli::load_environment();
     cluster::RouterOptions options;
+    options.slo_ms = env.slo_ms;
+    options.flight_capacity = env.flight_capacity;
     std::vector<std::string> shard_specs;
     long long vnodes = static_cast<long long>(cluster::HashRing::kDefaultVnodes);
     long long max_attempts = 3;

@@ -87,7 +87,8 @@ bool write_text_file(const std::string& path, const std::string& content) {
 /// Drop a flight-recorder digest for one locally executed request, so the
 /// PSAFLOW_SLO_MS slow-request forensics behave in the CLI driver exactly
 /// as they do in psaflowd (a breach logs a warn, echoed to stderr).
-void record_flight(const serve::CompileRequest& req,
+void record_flight(obs::FlightRecorder& recorder,
+                   const serve::CompileRequest& req,
                    const serve::CompileOutcome& outcome) {
     obs::FlightRecord flight;
     flight.set_app(req.app);
@@ -99,7 +100,7 @@ void record_flight(const serve::CompileRequest& req,
         !outcome.decisions.front().selected.empty())
         flight.set_winner(outcome.decisions.front().selected.front());
     flight.set_status(outcome.ok ? "ok" : to_string(outcome.error_kind));
-    obs::FlightRecorder::global().record(flight);
+    recorder.record(flight);
 }
 
 /// Read + parse the batch manifest; returns false (message on stderr) on
@@ -129,26 +130,24 @@ bool load_batch(const std::string& path,
     return true;
 }
 
-/// `session_options` holds the CLI flags, which override the manifest's
-/// session settings.
-int run_batch(const std::string& manifest_path,
-              flow::SessionOptions session_options, std::string out_dir,
-              bool out_dir_given) {
+/// The manifest's session settings apply where `flags` left theirs unset,
+/// ahead of the environment.
+int run_batch(const std::string& manifest_path, cli::FlowFlags flags,
+              const cli::Environment& env, obs::FlightRecorder& recorder,
+              std::string out_dir, bool out_dir_given) {
     serve::ManifestDefaults defaults;
     if (out_dir_given) defaults.out_root = out_dir;
     std::vector<serve::CompileRequest> requests;
     if (!load_batch(manifest_path, defaults, requests)) return 2;
-    if (session_options.jobs == 0)
-        session_options.jobs = static_cast<int>(defaults.jobs);
-    if (session_options.cache_dir.empty())
-        session_options.cache_dir = defaults.cache_dir;
+    if (flags.jobs == 0) flags.jobs = defaults.jobs;
+    if (flags.cache_dir.empty()) flags.cache_dir = defaults.cache_dir;
     if (requests.empty()) {
         std::cerr << "batch manifest '" << manifest_path
                   << "': no requests\n";
         return 2;
     }
 
-    flow::FlowSession session(session_options);
+    flow::FlowSession session(flow::session_options(flags, env));
 
     std::cout << "running " << requests.size()
               << " batch request(s) through one flow session...\n";
@@ -160,7 +159,7 @@ int run_batch(const std::string& manifest_path,
         const serve::CompileOutcome outcome =
             serve::execute_request(session, req, /*cancel=*/nullptr,
                                    &trace::Registry::global());
-        record_flight(req, outcome);
+        record_flight(recorder, req, outcome);
         if (!outcome.ok) {
             ++failures;
             std::cerr << "request " << i << " (" << req.app
@@ -183,6 +182,7 @@ int run_batch(const std::string& manifest_path,
 } // namespace
 
 int main(int argc, char** argv) {
+    const cli::Environment env = cli::load_environment();
     bool list = false;
     bool cache_clear = false;
     std::string app_name;
@@ -249,11 +249,6 @@ int main(int argc, char** argv) {
     cli::add_flow_flags(parser, flow_flags);
 
     if (!parser.parse(argc, argv)) return 2;
-    flow::SessionOptions session_options;
-    session_options.jobs = static_cast<int>(flow_flags.jobs);
-    session_options.cache_dir = flow_flags.cache_dir;
-    session_options.cache_max_bytes =
-        static_cast<std::uint64_t>(flow_flags.cache_max_mb) << 20;
     if (trace_format != "json" && trace_format != "chrome") {
         std::cerr << "--trace-format must be 'json' or 'chrome'\n";
         return 2;
@@ -297,10 +292,8 @@ int main(int argc, char** argv) {
     }
 
     if (cache_clear) {
-        if (!session_options.cache_dir.empty())
-            cas::configure(session_options.cache_dir,
-                           session_options.cache_max_bytes);
-        if (cas::CasStore* store = cas::store()) {
+        flow::FlowSession session(flow::session_options(flow_flags, env));
+        if (cas::CasStore* store = session.store()) {
             store->clear();
             std::cout << "cleared cache at " << store->root().string()
                       << "\n";
@@ -315,9 +308,11 @@ int main(int argc, char** argv) {
     if (!flow_flags.trace_out.empty())
         trace::Registry::global().set_enabled(true);
 
+    obs::FlightRecorder recorder(
+        env.flight_capacity, static_cast<std::uint64_t>(env.slo_ms) * 1000);
     int status = 0;
     if (!batch_manifest.empty()) {
-        status = run_batch(batch_manifest, session_options, out_dir,
+        status = run_batch(batch_manifest, flow_flags, env, recorder, out_dir,
                            /*out_dir_given=*/out_dir != "designs");
         if (status == 2) {
             std::cerr << parser.usage();
@@ -345,21 +340,21 @@ int main(int argc, char** argv) {
             // a located diagnostic, not a mid-flow failure.
             try {
                 req.flow = std::make_shared<const flow::ManifestFlow>(
-                    flow::from_manifest(flow::read_manifest_file(flow_file)));
+                    flow::read_manifest_file(flow_file));
             } catch (const Error& e) {
                 std::cerr << e.what() << "\n";
                 return 2;
             }
         }
 
-        flow::FlowSession session(session_options);
+        flow::FlowSession session(flow::session_options(flow_flags, env));
 
         std::cout << "running the " << mode << " PSA-flow on '" << app_name
                   << "'...\n";
         const serve::CompileOutcome outcome =
             serve::execute_request(session, req, /*cancel=*/nullptr,
                                    &trace::Registry::global());
-        record_flight(req, outcome);
+        record_flight(recorder, req, outcome);
         if (!outcome.ok) {
             std::cerr << outcome.error << "\n";
             return outcome.error.rfind("flow failed:", 0) == 0 ? 1 : 2;

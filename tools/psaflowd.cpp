@@ -30,11 +30,12 @@
 int main(int argc, char** argv) {
     using namespace psaflow;
 
+    const cli::Environment env = cli::load_environment();
     serve::DaemonOptions options;
     long long workers = 2;
     long long queue_depth = 16;
-    long long session_jobs = 1;
-    long long cache_max_mb = 0;
+    cli::FlowFlags session_flags;
+    session_flags.jobs = 1;
 
     std::string cas_upstream;
 
@@ -73,14 +74,14 @@ int main(int argc, char** argv) {
                "output root for request-relative paths (default designs)",
                &options.out_root);
     parser.integer("--jobs", "<n>",
-                   "engine jobs per worker session (default 1)",
-                   &session_jobs, /*min=*/1);
+                   "engine jobs per request (default 1)",
+                   &session_flags.jobs, /*min=*/1);
     parser.str("--cache-dir", "<dir>",
                "persistent cache root (default PSAFLOW_CACHE_DIR)",
-               &options.cache_dir);
+               &session_flags.cache_dir);
     parser.integer("--cache-max-mb", "<n>",
                    "persistent cache size cap (0 = env / default)",
-                   &cache_max_mb, /*min=*/0, cas::kMaxCacheMb);
+                   &session_flags.cache_max_mb, /*min=*/0, cas::kMaxCacheMb);
     parser.integer("--slo-ms", "<n>",
                    "latency SLO for the flight recorder; slower requests "
                    "log a breach (0 = PSAFLOW_SLO_MS / off)",
@@ -97,8 +98,9 @@ int main(int argc, char** argv) {
 
     options.workers = static_cast<int>(workers);
     options.queue_depth = static_cast<std::size_t>(queue_depth);
-    options.session_jobs = static_cast<int>(session_jobs);
-    options.cache_max_bytes = static_cast<std::uint64_t>(cache_max_mb) << 20;
+    options.session = flow::session_options(session_flags, env);
+    if (options.slo_ms == 0) options.slo_ms = env.slo_ms;
+    options.flight_capacity = env.flight_capacity;
 
     serve::Daemon daemon(options);
     if (auto error = daemon.start()) {
@@ -108,7 +110,8 @@ int main(int argc, char** argv) {
 
     // Remote-CAS wiring lives in the tool, not the serve library: serve's
     // own cas_get/cas_put handlers use only the local tier, so pointing
-    // shards at each other (or at a router) can never recurse.
+    // shards at each other (or at a router) can never recurse. Without a
+    // local store there is nowhere to cache into, so no remote tier.
     if (!cas_upstream.empty()) {
         std::string error;
         auto endpoint = net::parse_endpoint(cas_upstream, &error);
@@ -118,9 +121,9 @@ int main(int argc, char** argv) {
         }
         auto client = std::make_shared<cluster::RemoteCasClient>(
             std::move(*endpoint), options.recv_timeout_ms);
-        cas::configure_remote(
-            cluster::RemoteCasClient::fetch_hook(client),
-            cluster::RemoteCasClient::publish_hook(client));
+        if (cas::CasStore* store = daemon.session().store())
+            store->set_remote(cluster::RemoteCasClient::fetch_hook(client),
+                              cluster::RemoteCasClient::publish_hook(client));
     }
 
     daemon.front_end().shutdown_on_signals();
