@@ -4,19 +4,22 @@
 #   1. start two psaflowd shards on ephemeral TCP ports with separate
 #      cache/output trees; shard b uses shard a as its remote-CAS
 #      upstream, so its disk cache is a read-through over the wire,
-#   2. start psaflow-router in front of both and fire 20 concurrent
-#      clients at it — compiles across four apps (retrying on
+#   2. start psaflow-router in front of both; first, with compiles sent
+#      straight to one shard, prove the flow-result tier crosses the
+#      upstream both ways: a's compile is a remote hit on b that runs
+#      nothing, and b's compile, published to a, is a local hit on a,
+#   3. fire 20 concurrent clients at the router — compiles across four apps (retrying on
 #      backpressure) plus stats probes,
-#   3. SIGKILL shard b while the router waits on it: every client must
+#   4. SIGKILL shard b while the router waits on it: every client must
 #      still exit 0 (the router detects the transport failure and
 #      retries the survivor inside the same request — zero corrupt or
 #      lost responses),
-#   4. require routed designs to be byte-identical to single-shot
+#   5. require routed designs to be byte-identical to single-shot
 #      psaflowc, require the router to have marked shard b unhealthy,
 #      to export a compile-spill counter for each shard (a frozen shard b
 #      sits at its load bound, so new compiles it owns spill to a), and
 #      shard a to have received remote-CAS traffic from shard b,
-#   5. SIGTERM the router and the surviving shard and require clean
+#   6. SIGTERM the router and the surviving shard and require clean
 #      drains: exit status 0, no orphan socket files.
 #
 # usage: scripts/cluster_smoke.sh [psaflowd] [psaflow-router]
@@ -60,11 +63,47 @@ wait_ready "$CLIENT" "$ROUTER_SOCK"
 echo "fleet up: shard a tcp:$PORT_A, shard b tcp:$PORT_B, router on" \
      "$ROUTER_SOCK"
 
-# Prove the remote tier deterministically before the chaos: a compile
-# served directly by shard b runs against a cold local cache, so its
-# lookups read through to shard a over the wire (and publishes flow back).
-"$CLIENT" --socket "127.0.0.1:$PORT_B" --app nbody \
-    --out "$WORK/warm-b" > /dev/null
+# Prove the remote tier deterministically before the chaos, in both
+# directions, on compiles sent straight to one shard.
+# counter <port> <name>: the shard's counter from --stats --json (0 if
+# absent).
+counter() {
+    local value
+    value=$("$CLIENT" --socket "127.0.0.1:$1" --stats --json |
+        sed -n "s/.*\"counters\":{[^}]*\"$2\":\([0-9]*\).*/\1/p")
+    echo "${value:-0}"
+}
+# compile_on <port> <app> <out>
+compile_on() {
+    "$CLIENT" --socket "127.0.0.1:$1" --app "$2" --out "$3" > /dev/null
+}
+# b reads a's flow result through its upstream: a hit that runs nothing.
+compile_on "$PORT_A" bezier "$WORK/direct/a-bezier"
+runs_b=$(counter "$PORT_B" interp.runs)
+compile_on "$PORT_B" bezier "$WORK/direct/b-bezier"
+if [ "$(counter "$PORT_B" flow_cache.hits)" != 1 ] ||
+   [ "$(counter "$PORT_B" interp.runs)" != "$runs_b" ]; then
+    echo "FAIL: shard b did not answer a's compile from a's flow result" >&2
+    "$CLIENT" --socket "127.0.0.1:$PORT_B" --stats --json >&2
+    exit 1
+fi
+# b publishes what it computes, so a's repeat is a local hit.
+compile_on "$PORT_B" kmeans "$WORK/direct/b-kmeans"
+hits_a=$(counter "$PORT_A" flow_cache.hits)
+compile_on "$PORT_A" kmeans "$WORK/direct/a-kmeans"
+if [ "$(counter "$PORT_A" flow_cache.hits)" != $((hits_a + 1)) ]; then
+    echo "FAIL: shard a missed the flow result shard b published" >&2
+    "$CLIENT" --socket "127.0.0.1:$PORT_A" --stats --json >&2
+    exit 1
+fi
+for app in bezier kmeans; do
+    diff -r "$WORK/direct/a-$app" "$WORK/direct/b-$app" > /dev/null || {
+        echo "FAIL: shards a and b wrote different $app designs" >&2
+        exit 1
+    }
+done
+echo "flow results cross the upstream both ways: remote hit on b, local" \
+     "hit on a from b's publish, identical designs"
 
 # 20 concurrent clients through the router: 16 compiles (4 apps x 4, out
 # dirs absolute so the designs land in one place whichever shard serves

@@ -57,11 +57,10 @@ flow::FlowResult compile(flow::FlowSession& session,
     }
 
     // Flow-result tier: with a store, a compile whose inputs were all seen
-    // before is one local store read. The tier stays off any remote tier:
-    // a miss rebuilds the entry from the shared lower tiers, which is
-    // cheaper than a round trip on every miss and a second write per
-    // compile. A flow built in code rather than lowered from a document
-    // has no canonical text to key on, so it always runs.
+    // before is one store read, local first and then the remote tier, and
+    // a computed result is published like every other tier's entry. A
+    // flow built in code rather than lowered from a document has no
+    // canonical text to key on, so it always runs.
     cas::CasStore* disk = session.store();
     const bool tiered = disk != nullptr && (manifest == nullptr ||
                                             !manifest->canonical.empty());
@@ -74,7 +73,7 @@ flow::FlowResult compile(flow::FlowSession& session,
         key = flow_result_key(app.name, app.source, digest,
                               app.allow_single_precision, threshold_x, engine,
                               manifest, options.mode);
-        if (auto payload = disk->get_local(key)) {
+        if (auto payload = disk->get(key)) {
             flow::FlowResult cached;
             if (flow::parse_flow_result(*payload, cached)) {
                 trace::Registry::current().count("flow_cache.hits", 1);
@@ -97,7 +96,7 @@ flow::FlowResult compile(flow::FlowSession& session,
     const flow::DesignFlow& design_flow =
         manifest != nullptr ? manifest->flow : *builtin;
     flow::FlowResult result = session.run(design_flow, std::move(ctx), engine);
-    if (tiered) disk->put_local(key, flow::serialize_flow_result(result));
+    if (tiered) disk->put(key, flow::serialize_flow_result(result));
     return result;
 }
 

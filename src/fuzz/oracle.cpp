@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "meta/query.hpp"
 #include "obs/decision.hpp"
 #include "sema/type_check.hpp"
+#include "support/cas/cas.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 #include "support/prng.hpp"
@@ -765,8 +767,11 @@ OracleOutcome run_oracles(const std::string& source,
         app.name = "fuzz";
         app.source = source;
         app.workload = workload;
+        // `remote_dir` names a store that serves as the session store's
+        // remote tier, through the local-only calls the wire handlers use.
         auto run_flow_at = [&](int jobs, bool untiered = false,
-                               const std::string& cache_dir = {}) {
+                               const std::string& cache_dir = {},
+                               const std::string& remote_dir = {}) {
             struct FlowCapture {
                 bool threw = false;
                 bool crash = false; ///< non-psaflow exception
@@ -782,7 +787,20 @@ OracleOutcome run_oracles(const std::string& source,
                 flow::SessionOptions session_options;
                 session_options.jobs = jobs;
                 session_options.cache_dir = cache_dir;
+                std::optional<cas::CasStore> remote;
                 flow::FlowSession session(session_options);
+                if (!remote_dir.empty()) {
+                    remote.emplace(remote_dir);
+                    session.store()->set_remote(
+                        [&remote](std::uint64_t key) {
+                            return remote->get_local(key);
+                        },
+                        [&remote](std::uint64_t key,
+                                  std::string_view payload) {
+                            remote->put_local(key, payload);
+                            return true;
+                        });
+                }
                 flow::FlowResult result;
                 if (untiered) {
                     flow::FlowContext ctx(
@@ -851,11 +869,12 @@ OracleOutcome run_oracles(const std::string& source,
         }
 
         // ---- cold vs warm persistent cache (flow:cache) --------------
-        // Four states must agree byte for byte: no disk cache (seq,
+        // Five states must agree byte for byte: no disk cache (seq,
         // above), a cold run that populates an empty store, a warm run the
-        // flow-result tier answers, and a warm run of the flow itself
-        // served from the profile and design-artifact tiers, each run in
-        // a fresh session (so with empty in-memory caches).
+        // flow-result tier answers, a warm run of the flow itself served
+        // from the profile and design-artifact tiers, and a compile over
+        // an empty store whose remote tier is the cold run's store, each
+        // run in a fresh session (so with empty in-memory caches).
         if (options.check_cache && !seq.crash) {
             ++out.oracles_run;
             namespace fs = std::filesystem;
@@ -872,17 +891,24 @@ OracleOutcome run_oracles(const std::string& source,
             const auto cold = run_flow_at(1, /*untiered=*/false, dir);
             const auto warm = run_flow_at(1, /*untiered=*/false, dir);
             const auto lower = run_flow_at(1, /*untiered=*/true, dir);
-            if (own_dir) {
-                std::error_code ec;
-                fs::remove_all(root, ec);
-            }
+            const std::string reader_dir = dir + ".reader";
+            const auto remote =
+                run_flow_at(1, /*untiered=*/false, reader_dir, dir);
+            std::error_code ec;
+            fs::remove_all(reader_dir, ec);
+            if (own_dir) fs::remove_all(root, ec);
 
-            // A flow that completed is stored, so the warm compile must be
-            // a flow-result hit (a failed flow is never stored).
+            // A flow that completed is stored, so the warm compile and the
+            // compile over the remote tier must be flow-result hits (a
+            // failed flow is never stored).
             if (!cold.threw && !warm.threw && warm.flow_cache_hits != 1)
                 fail("flow:cache",
                      "warm compile of a stored flow result missed the "
                      "flow-result tier");
+            if (!cold.threw && !remote.threw && remote.flow_cache_hits != 1)
+                fail("flow:cache",
+                     "compile over an empty store missed the flow result "
+                     "stored in its remote tier");
 
             auto check_against = [&](const char* label,
                                      const decltype(seq)& run) {
@@ -910,6 +936,7 @@ OracleOutcome run_oracles(const std::string& source,
             check_against("cold", cold);
             check_against("warm", warm);
             check_against("lower-tier", lower);
+            check_against("remote-tier", remote);
         }
     }
 

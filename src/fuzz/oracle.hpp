@@ -28,9 +28,10 @@
 //               byte-identical results (designs, logs, predictions and
 //               decision records), or fails with the identical error; with
 //               check_cache, a cold run against an empty content-addressed
-//               store, a warm compile the flow-result tier answers and a
-//               warm run of the flow served by the lower tiers must all
-//               match exactly
+//               store, a warm compile the flow-result tier answers, a warm
+//               run of the flow served by the lower tiers and a compile
+//               over an empty store whose remote tier holds the cold run's
+//               entries must all match exactly
 //
 // A reported failure means a toolchain bug (or an unsound generated
 // program, which is a generator bug): there are no known false positives.
@@ -66,8 +67,10 @@ struct OracleOptions {
     /// once against an empty content-addressed store, then twice with only
     /// the disk entries carried over: a compile the flow-result tier must
     /// answer, and a run of the flow itself that only the profile and
-    /// design-artifact tiers can serve. All four results (no cache, cold,
-    /// and both warm runs) must be byte-identical, decision records
+    /// design-artifact tiers can serve. A last compile over another empty
+    /// store, whose remote tier is the cold run's store, must be a
+    /// flow-result hit. All five results (no cache, cold, both warm runs
+    /// and the remote one) must be byte-identical, decision records
     /// included. Also enables the "profile:pragma" oracle. Off by default
     /// — it multiplies the flow oracle's work and touches the filesystem.
     bool check_cache = false;

@@ -60,6 +60,9 @@ CompileOutcome run_compile(flow::FlowSession& session,
     }
     outcome.decisions = std::move(result.decisions);
 
+    // File creation is its own layer of a request; work units are bytes.
+    trace::ScopedSpan write_span("write_designs", "io");
+    std::size_t bytes_written = 0;
     std::filesystem::create_directories(req.out_dir);
     CsvWriter summary({"design", "target", "device", "synthesizable",
                        "hotspot_seconds", "speedup_vs_1t", "loc_delta",
@@ -82,6 +85,7 @@ CompileOutcome run_compile(flow::FlowSession& session,
             return outcome;
         }
         file << design.source;
+        bytes_written += design.source.size();
 
         summary.add_row({design.name(),
                          codegen::to_string(design.spec.target),
@@ -109,8 +113,11 @@ CompileOutcome run_compile(flow::FlowSession& session,
 
     const std::filesystem::path summary_path =
         std::filesystem::path(req.out_dir) / (app->name + "-summary.csv");
+    const std::string summary_text = summary.to_string();
     std::ofstream summary_file(summary_path);
-    summary_file << summary.to_string();
+    summary_file << summary_text;
+    bytes_written += summary_text.size();
+    write_span.set_work_units(static_cast<double>(bytes_written));
 
     outcome.ok = true;
     outcome.error_kind = ErrorKind::None;

@@ -1,5 +1,7 @@
 #include "support/cas/cas.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 #include <fstream>
@@ -152,6 +154,8 @@ void count(const char* name, std::uint64_t delta) {
 
 CasStore::CasStore(fs::path root, std::uint64_t max_bytes)
     : root_(std::move(root)),
+      tmp_prefix_(".tmp-" + std::to_string(::getpid()) + "-" +
+                  hex16(reinterpret_cast<std::uintptr_t>(this)) + "-"),
       max_bytes_(max_bytes == 0 ? kDefaultMaxBytes : max_bytes) {
     std::error_code ec;
     fs::create_directories(root_, ec);
@@ -353,12 +357,13 @@ void CasStore::put_local(std::uint64_t key, std::string_view payload) {
     std::error_code ec;
     fs::create_directories(path.parent_path(), ec);
 
-    // Unique temp name per store instance; the final rename is atomic, so
-    // two racing writers of the same key both succeed and (being content-
-    // addressed) publish identical bytes.
+    // A temp name no other live store can pick, in this process or
+    // another; the final rename is atomic, so two racing writers of the
+    // same key both succeed and (being content-addressed) publish
+    // identical bytes.
     const fs::path tmp =
         path.parent_path() /
-        (".tmp-" + hex16(key) + "-" + std::to_string(++tmp_counter_));
+        (tmp_prefix_ + hex16(key) + "-" + std::to_string(++tmp_counter_));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) return; // unwritable cache dir: silently skip persisting

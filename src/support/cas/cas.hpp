@@ -10,10 +10,11 @@
 // Layout and guarantees:
 //   * Entries live under `<root>/<2-hex>/<14-hex>.cas`, sharded by the top
 //     byte of the 64-bit content key so no directory grows unbounded.
-//   * Writes go to a temp file in the shard directory and are published
-//     with an atomic rename: readers never observe a half-written entry,
-//     and concurrent writers of the same key are harmless (content-
-//     addressed entries with equal keys have equal payloads).
+//   * Writes go to a temp file in the shard directory, named per process
+//     and store, and are published with an atomic rename: readers never
+//     observe a half-written entry, and concurrent writers of the same
+//     key, in one store or in several stores on one root, are harmless
+//     (content-addressed entries with equal keys have equal payloads).
 //   * Every entry is framed with a magic tag, format version, its own key
 //     and an FNV-1a payload checksum. A truncated, bit-flipped or
 //     version-mismatched entry is treated as a miss: it is counted under
@@ -24,6 +25,11 @@
 //   * hit/miss/write/evict/corrupt counts are kept per store and mirrored
 //     into the trace registry as "cas.hits", "cas.misses", "cas.writes",
 //     "cas.evictions", "cas.corrupt".
+//   * Every tier (profile, design-artifact, flow-result) reads with get()
+//     and writes with put(), so with a remote tier attached each reads
+//     through it and publishes to it. Only the wire cas_get/cas_put
+//     handlers use get_local()/put_local(): a store serving its peers
+//     never asks its own remote tier, so no chain of stores can recurse.
 //
 // Cache keys are built with `Hasher`, seeded with `engine_version()` so a
 // key never aliases across incompatible engine revisions, plus a domain
@@ -208,6 +214,8 @@ private:
     void remove_entry_file(std::uint64_t key);
 
     std::filesystem::path root_;
+    /// ".tmp-<pid>-<this>-": stores sharing a root never share temp files.
+    std::string tmp_prefix_;
     mutable std::mutex mu_;
     mutable std::mutex remote_mu_; ///< guards the hook pair only
     RemoteFetch remote_fetch_;

@@ -1,14 +1,17 @@
 // Tests for the disk-backed content-addressed store (support/cas): key
 // hashing, payload serialisation, frame integrity under corruption, LRU
-// eviction, concurrent writers, and the profile-payload round trip that
-// underpins warm-run byte-identity.
+// eviction, concurrent writers (also two stores on one root), and the
+// profile-payload round trip that underpins warm-run byte-identity.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -352,6 +355,52 @@ TEST(CasStore, ConcurrentWritersAndReaders) {
         EXPECT_EQ(*got, "payload-" + std::to_string(key));
     }
     EXPECT_EQ(store.stats().corrupt, 0u);
+}
+
+TEST(CasStore, StoresSharingARootNeverShareATempFile) {
+    // Two stores on one root (two sessions of one process, or a batch run
+    // beside a daemon) rewrite the same keys while a third store reads:
+    // every put lands and no reader ever sees a torn entry.
+    TempRoot root("shared-root");
+    cas::CasStore first(root.path);
+    cas::CasStore second(root.path);
+    cas::CasStore reader(root.path);
+    constexpr int kKeys = 4;
+    constexpr int kRounds = 150;
+    std::vector<std::string> payloads;
+    for (int k = 0; k < kKeys; ++k)
+        payloads.push_back(std::string(256 << 10, static_cast<char>('a' + k)));
+
+    // The writers start each round together, so they write the same key
+    // at the same moment.
+    std::barrier round_start(2);
+    std::atomic<bool> writing{true};
+    const auto write_all = [&](cas::CasStore& store) {
+        for (int round = 0; round < kRounds; ++round) {
+            round_start.arrive_and_wait();
+            for (int k = 0; k < kKeys; ++k)
+                store.put_local(static_cast<std::uint64_t>(k + 1),
+                                payloads[k]);
+        }
+    };
+    std::thread reads([&] {
+        while (writing.load())
+            for (int k = 0; k < kKeys; ++k)
+                (void)reader.get_local(static_cast<std::uint64_t>(k + 1));
+    });
+    std::thread writes_first(write_all, std::ref(first));
+    std::thread writes_second(write_all, std::ref(second));
+    writes_first.join();
+    writes_second.join();
+    writing.store(false);
+    reads.join();
+
+    EXPECT_EQ(first.stats().writes, std::uint64_t{kKeys * kRounds});
+    EXPECT_EQ(second.stats().writes, std::uint64_t{kKeys * kRounds});
+    EXPECT_EQ(reader.stats().corrupt, 0u);
+    for (int k = 0; k < kKeys; ++k)
+        EXPECT_EQ(reader.get_local(static_cast<std::uint64_t>(k + 1)),
+                  payloads[k]);
 }
 
 TEST(CasStore, EnvCapAboveBoundKeepsDefault) {

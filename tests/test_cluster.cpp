@@ -3,7 +3,8 @@
 // two-shard fleet behind a live Router — byte-identity of routed versus
 // direct designs, drain and rejoin, transport-failure failover, compile
 // spills and CAS home routing under load, request validation, reader-thread
-// reaping, and the remote-CAS wire round trip.
+// reaping, the remote-CAS wire round trip, and flow results shared
+// through a shard's upstream.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -885,6 +886,65 @@ TEST(RemoteCas, PublishThenFetchRoundTripsOverTheWire) {
     cluster::RemoteCasClient unreachable(std::move(*dead));
     EXPECT_FALSE(unreachable.fetch(key).has_value());
     EXPECT_FALSE(unreachable.publish(key, payload));
+}
+
+TEST(RemoteCas, FlowResultsCrossShardsThroughTheUpstream) {
+    // Shard b's store reads through and publishes to shard a's over the
+    // wire, as `psaflowd --cas-upstream` wires it; each has its own disk.
+    ClusterFixture fleet("flow-upstream", /*own_caches=*/true);
+    std::string error;
+    auto upstream = net::parse_endpoint(
+        "unix:" + fleet.shard_a->options().socket_path, &error);
+    ASSERT_TRUE(upstream.has_value()) << error;
+    auto client =
+        std::make_shared<cluster::RemoteCasClient>(std::move(*upstream));
+    fleet.shard_b->session().store()->set_remote(
+        cluster::RemoteCasClient::fetch_hook(client),
+        cluster::RemoteCasClient::publish_hook(client));
+    fleet.start();
+
+    const auto counter = [](serve::Daemon& shard, const char* name) {
+        const json::Value stats = shard.stats_json();
+        const json::Value* value = stats.find("counters")->find(name);
+        return value != nullptr ? value->number_value : 0.0;
+    };
+    const auto compile_on = [&](serve::Daemon& shard, const std::string& app,
+                                const std::string& out) {
+        const json::Value response =
+            round_trip(shard.options().socket_path,
+                       compile_json(app, fleet.dir.path / out));
+        auto parsed = serve::parse_response(response);
+        ASSERT_TRUE(parsed.has_value() && parsed->ok) << json::dump(response);
+    };
+    const auto expect_same_designs = [&](const std::string& left,
+                                         const std::string& right) {
+        const std::vector<fs::path> files = files_under(fleet.dir.path / left);
+        ASSERT_FALSE(files.empty());
+        ASSERT_EQ(files, files_under(fleet.dir.path / right));
+        for (const fs::path& file : files)
+            EXPECT_EQ(slurp(fleet.dir.path / left / file),
+                      slurp(fleet.dir.path / right / file))
+                << file;
+    };
+    serve::Daemon& a = *fleet.shard_a;
+    serve::Daemon& b = *fleet.shard_b;
+
+    // a computes; b's compile is a remote flow-result hit that runs
+    // nothing.
+    compile_on(a, "bezier", "a-first");
+    compile_on(b, "bezier", "b-second");
+    EXPECT_EQ(counter(b, "flow_cache.hits"), 1.0);
+    EXPECT_EQ(counter(b, "cas.remote_hits"), 1.0);
+    EXPECT_EQ(counter(b, "interp.runs"), 0.0);
+    expect_same_designs("a-first", "b-second");
+
+    // b computes and publishes; a's compile is a local flow-result hit.
+    compile_on(b, "kmeans", "b-first");
+    const double a_runs = counter(a, "interp.runs");
+    compile_on(a, "kmeans", "a-second");
+    EXPECT_EQ(counter(a, "flow_cache.hits"), 1.0);
+    EXPECT_EQ(counter(a, "interp.runs"), a_runs);
+    expect_same_designs("b-first", "a-second");
 }
 
 } // namespace

@@ -401,41 +401,132 @@ TEST(FlowResultTier, AMissWritesOneEntryAndBadEntriesRecompute) {
     expect_recomputed("payload version", 0);
 }
 
-TEST(FlowResultTier, StaysOffTheRemoteTier) {
-    // With every lower-tier entry local, a flow-result miss and the hit
-    // after it must neither fetch from nor publish to a remote tier.
-    ScratchStore store("psaflow-flow-tier-remote");
-    const apps::Application& app = apps::application_by_name("bezier");
-    (void)run_untiered(app, flow::Mode::Uninformed, 1, store.root.string());
+/// An in-process remote tier for a session's store: its hooks count every
+/// fetch and publish and serve them from the store at `root` through
+/// get_local/put_local, as the wire handlers do, recording into a registry
+/// of their own (the upstream is another process). `fetch_override`, when
+/// set, answers every fetch instead.
+struct RemoteTier {
+    ScratchStore upstream;
+    cas::CasStore store;
     int fetches = 0;
     int publishes = 0;
-    flow::FlowSession session(session_at(0, store.root.string()));
-    session.store()->set_remote(
-        [&](std::uint64_t) -> std::optional<std::string> {
-            ++fetches;
-            return std::nullopt;
-        },
-        [&](std::uint64_t, std::string_view) {
-            ++publishes;
-            return true;
-        });
+    std::vector<std::uint64_t> published;
+    std::optional<std::string> fetch_override;
+
+    explicit RemoteTier(const std::string& name)
+        : upstream(name), store(upstream.root) {}
+
+    void attach(flow::FlowSession& session) {
+        session.store()->set_remote(
+            [this](std::uint64_t key) -> std::optional<std::string> {
+                ++fetches;
+                if (fetch_override.has_value()) return fetch_override;
+                trace::Registry elsewhere;
+                trace::ScopedRegistry scope(elsewhere);
+                return store.get_local(key);
+            },
+            [this](std::uint64_t key, std::string_view payload) {
+                ++publishes;
+                published.push_back(key);
+                trace::Registry elsewhere;
+                trace::ScopedRegistry scope(elsewhere);
+                store.put_local(key, payload);
+                return true;
+            });
+    }
+};
+
+/// compile() through `session`, recording into `registry` only.
+flow::FlowResult compile_in(flow::FlowSession& session,
+                            trace::Registry& registry,
+                            const apps::Application& app,
+                            const RunOptions& options = {}) {
+    trace::ScopedRegistry scope(registry);
+    return compile(session, app, options);
+}
+
+TEST(FlowResultTier, ReadsThroughAndPublishesToTheRemoteTier) {
+    // Every lower-tier entry is local to the first store, so the only
+    // remote traffic is the flow-result tier's.
+    RemoteTier remote("psaflow-flow-tier-upstream");
+    ScratchStore first_root("psaflow-flow-tier-first");
+    const apps::Application& app = apps::application_by_name("bezier");
+    (void)run_untiered(app, flow::Mode::Uninformed, 1,
+                       first_root.root.string());
     RunOptions uninformed;
     uninformed.mode = flow::Mode::Uninformed;
+
+    // A local miss fetches once; the computed result is published once.
+    flow::FlowSession first(session_at(0, first_root.root.string()));
+    remote.attach(first);
     trace::Registry miss;
-    {
-        trace::ScopedRegistry scope(miss);
-        (void)compile(session, app, uninformed);
-    }
-    trace::Registry hit;
-    {
-        trace::ScopedRegistry scope(hit);
-        (void)compile(session, app, uninformed);
-    }
+    const auto computed = compile_in(first, miss, app, uninformed);
     EXPECT_EQ(miss.counter("flow_cache.misses"), 1u);
-    EXPECT_EQ(miss.counter("cas.writes"), 1u);
+    EXPECT_EQ(miss.counter("cas.remote_misses"), 1u);
+    EXPECT_EQ(miss.counter("cas.remote_puts"), 1u);
+    EXPECT_EQ(miss.counter("flow.runs"), 1u);
+    EXPECT_EQ(remote.fetches, 1);
+    ASSERT_EQ(remote.publishes, 1);
+    const std::uint64_t key = remote.published.front();
+
+    // A session over an empty store reads the entry through: no flow, no
+    // interpreter run, written locally and not republished.
+    ScratchStore second_root("psaflow-flow-tier-second");
+    flow::FlowSession second(session_at(0, second_root.root.string()));
+    remote.attach(second);
+    trace::Registry hit;
+    expect_identical(computed, compile_in(second, hit, app, uninformed),
+                     "computed vs remote hit");
     EXPECT_EQ(hit.counter("flow_cache.hits"), 1u);
-    EXPECT_EQ(fetches, 0);
-    EXPECT_EQ(publishes, 0);
+    EXPECT_EQ(hit.counter("cas.remote_hits"), 1u);
+    EXPECT_EQ(hit.counter("flow.runs"), 0u);
+    EXPECT_EQ(hit.counter("interp.runs"), 0u);
+    for (const trace::Span& span : hit.spans())
+        EXPECT_EQ(span.name, "flow_cache");
+    EXPECT_EQ(remote.fetches, 2);
+    EXPECT_EQ(remote.publishes, 1);
+    EXPECT_TRUE(second.store()->get_local(key).has_value());
+
+    // The written-through entry answers the next compile locally.
+    trace::Registry local;
+    (void)compile_in(second, local, app, uninformed);
+    EXPECT_EQ(local.counter("flow_cache.hits"), 1u);
+    EXPECT_EQ(remote.fetches, 2);
+}
+
+TEST(FlowResultTier, AMalformedRemoteEntryIsAMissAndIsReplaced) {
+    RemoteTier remote("psaflow-flow-tier-bad-upstream");
+    remote.fetch_override = std::string("not a flow result");
+    ScratchStore root("psaflow-flow-tier-bad");
+    const apps::Application& app = apps::application_by_name("kmeans");
+    const auto cold =
+        run_untiered(app, flow::Mode::Informed, 1, root.root.string());
+
+    flow::FlowSession session(session_at(0, root.root.string()));
+    remote.attach(session);
+    trace::Registry registry;
+    expect_identical(cold, compile_in(session, registry, app),
+                     "malformed remote entry");
+    EXPECT_EQ(registry.counter("cas.remote_hits"), 1u);
+    EXPECT_EQ(registry.counter("flow_cache.misses"), 1u);
+    EXPECT_EQ(registry.counter("flow.runs"), 1u);
+    EXPECT_EQ(remote.fetches, 1);
+    ASSERT_EQ(remote.publishes, 1);
+
+    // The run's entry replaced the bad one, locally and upstream.
+    const std::uint64_t key = remote.published.front();
+    for (cas::CasStore* store : {session.store(), &remote.store}) {
+        const auto payload = store->get_local(key);
+        ASSERT_TRUE(payload.has_value());
+        flow::FlowResult stored;
+        ASSERT_TRUE(flow::parse_flow_result(*payload, stored));
+        expect_identical(cold, stored, "replaced entry");
+    }
+    trace::Registry again;
+    (void)compile_in(session, again, app);
+    EXPECT_EQ(again.counter("flow_cache.hits"), 1u);
+    EXPECT_EQ(remote.fetches, 1);
 }
 
 TEST(FlowResultTier, PayloadRoundTripsAndRejectsDamage) {

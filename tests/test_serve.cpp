@@ -1038,6 +1038,20 @@ TEST(ExecuteRequest, TracedRequestYieldsOneRootedHopTree) {
     }
     EXPECT_TRUE(saw_queue_wait);
     EXPECT_TRUE(saw_execute);
+
+    // Writing the designs and the summary is one io span whose work units
+    // are the bytes of every file written.
+    double bytes = 0.0;
+    for (const auto& file : fs::directory_iterator(req.out_dir))
+        bytes += static_cast<double>(file.file_size());
+    std::size_t writes = 0;
+    for (const trace::Span& span : outcome.spans) {
+        if (span.name != "write_designs") continue;
+        ++writes;
+        EXPECT_EQ(span.category, "io");
+        EXPECT_EQ(span.work_units, bytes);
+    }
+    EXPECT_EQ(writes, 1u);
 }
 
 TEST(ExecuteRequest, UntracedRequestSynthesizesNoHopSpans) {

@@ -84,6 +84,15 @@ bool write_text_file(const std::string& path, const std::string& content) {
     return true;
 }
 
+/// Run one request in this process. Its spans, the flow's and the design
+/// writer's, hang under one root span, so each request is one span tree.
+serve::CompileOutcome execute_locally(flow::FlowSession& session,
+                                      const serve::CompileRequest& req) {
+    trace::ScopedSpan request_span("psaflowc:" + req.app, "cli");
+    return serve::execute_request(session, req, /*cancel=*/nullptr,
+                                  &trace::Registry::global());
+}
+
 /// Drop a flight-recorder digest for one locally executed request, so the
 /// PSAFLOW_SLO_MS slow-request forensics behave in the CLI driver exactly
 /// as they do in psaflowd (a breach logs a warn, echoed to stderr).
@@ -156,9 +165,7 @@ int run_batch(const std::string& manifest_path, cli::FlowFlags flags,
     int failures = 0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const serve::CompileRequest& req = requests[i];
-        const serve::CompileOutcome outcome =
-            serve::execute_request(session, req, /*cancel=*/nullptr,
-                                   &trace::Registry::global());
+        const serve::CompileOutcome outcome = execute_locally(session, req);
         record_flight(recorder, req, outcome);
         if (!outcome.ok) {
             ++failures;
@@ -351,9 +358,7 @@ int main(int argc, char** argv) {
 
         std::cout << "running the " << mode << " PSA-flow on '" << app_name
                   << "'...\n";
-        const serve::CompileOutcome outcome =
-            serve::execute_request(session, req, /*cancel=*/nullptr,
-                                   &trace::Registry::global());
+        const serve::CompileOutcome outcome = execute_locally(session, req);
         record_flight(recorder, req, outcome);
         if (!outcome.ok) {
             std::cerr << outcome.error << "\n";
