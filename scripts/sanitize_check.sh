@@ -6,7 +6,9 @@
 # programs the VM must lower safely; and the loop-splitting bench, which
 # runs recursively split kernels end to end. Then builds the tsan preset
 # and runs the in-process fleet (a router over two daemons, each daemon's
-# workers sharing one FlowSession) and the concurrent daemon suite.
+# workers sharing one FlowSession), the concurrent daemon suite, the
+# flight recorder (writers lapping the ring while a reader snapshots) and
+# the trace registry (pool jobs recording into a shared sink, merges).
 #
 # usage: scripts/sanitize_check.sh [jobs]
 set -euo pipefail
@@ -30,11 +32,15 @@ echo "== ext_loop_splitting (asan/ubsan) =="
 build-asan/bench/ext_loop_splitting > /dev/null
 
 cmake --preset tsan
-cmake --build --preset tsan -j "$JOBS" --target test_cluster test_serve
+cmake --build --preset tsan -j "$JOBS" --target test_cluster test_serve \
+    test_obs test_support
 
 export TSAN_OPTIONS=halt_on_error=1
 echo "== in-process fleet and shared-session daemon (tsan) =="
 build-tsan/tests/test_cluster --gtest_filter='Router.*'
 build-tsan/tests/test_serve --gtest_filter='Daemon.*'
+echo "== flight recorder and trace registry (tsan) =="
+build-tsan/tests/test_obs --gtest_filter='Flight.*'
+build-tsan/tests/test_support --gtest_filter='Trace.*'
 
 echo "sanitizer check passed"

@@ -12,7 +12,7 @@ namespace psaflow::analysis {
 namespace {
 
 void hash_bytes(std::uint64_t& h, const void* data, std::size_t size) {
-    h = fnv1a(data, size, h);
+    h = cas::fnv1a(data, size, h);
 }
 
 void hash_u64(std::uint64_t& h, std::uint64_t v) {
@@ -52,16 +52,6 @@ std::vector<ast::Node::Id> loop_id_order(const ast::Module& module) {
 }
 
 } // namespace
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    std::uint64_t h = seed;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 std::uint64_t digest_args(const std::vector<interp::Arg>& args) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -219,11 +209,6 @@ ProfileCacheStats ProfileCache::stats() const {
     return stats_;
 }
 
-void ProfileCache::set_max_entries(std::size_t n) {
-    std::lock_guard lock(mu_);
-    max_entries_ = n;
-}
-
 std::optional<interp::ExecutionProfile>
 ProfileCache::remap_onto(const Entry& entry, const ast::Module& module) {
     const std::vector<ast::Node::Id> current = loop_id_order(module);
@@ -289,8 +274,7 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
                 if (auto profile = remap_onto(loaded, module)) {
                     std::lock_guard lock(mu_);
                     ++stats_.disk_hits;
-                    if (max_entries_ != 0 && entries_.size() >= max_entries_)
-                        entries_.clear();
+                    if (entries_.size() >= kMaxEntries) entries_.clear();
                     entries_[key] = std::move(loaded);
                     trace::Registry::current().count(
                         "profile_cache.disk_hits", 1);
@@ -309,8 +293,7 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
     {
         std::lock_guard lock(mu_);
         ++stats_.misses;
-        if (max_entries_ != 0 && entries_.size() >= max_entries_)
-            entries_.clear();
+        if (entries_.size() >= kMaxEntries) entries_.clear();
         Entry& slot = entries_[key];
         slot.profile = result.profile;
         slot.loop_order = loop_order;

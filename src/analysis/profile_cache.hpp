@@ -85,12 +85,12 @@ public:
     void clear();
     [[nodiscard]] ProfileCacheStats stats() const;
 
-    /// Entry cap: when the cache grows past this many distinct runs it is
-    /// flushed wholesale (profiles are small; the cap only bounds pathological
-    /// DSE sweeps over ever-changing modules). 0 means unbounded.
-    void set_max_entries(std::size_t n);
-
 private:
+    /// Entry cap: when the cache grows past this many distinct runs it is
+    /// flushed wholesale (profiles are small; the cap only bounds
+    /// pathological DSE sweeps over ever-changing modules).
+    static constexpr std::size_t kMaxEntries = 4096;
+
     struct Entry {
         interp::ExecutionProfile profile;
         /// Pre-order For-node ids of the module the profile was computed on.
@@ -105,7 +105,6 @@ private:
 
     cas::CasStore* const store_;
     mutable std::mutex mu_;
-    std::size_t max_entries_ = 4096;
     std::unordered_map<std::uint64_t, Entry> entries_;
     ProfileCacheStats stats_;
 };
@@ -121,10 +120,6 @@ profile_run(ProfileCache* cache, const ast::Module& module,
 /// FNV-1a digest of a top-level argument list: scalar type tags and bit
 /// patterns, buffer element types, sizes and full contents.
 [[nodiscard]] std::uint64_t digest_args(const std::vector<interp::Arg>& args);
-
-/// FNV-1a digest of arbitrary bytes, exposed for tests.
-[[nodiscard]] std::uint64_t fnv1a(const void* data, std::size_t size,
-                                  std::uint64_t seed = 0xcbf29ce484222325ULL);
 
 /// Serialise a profile for the content-addressed store. Loop stats are
 /// keyed by their position in `loop_order` (the pre-order For-node ids of

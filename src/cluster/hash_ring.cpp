@@ -3,29 +3,30 @@
 #include <algorithm>
 #include <cmath>
 
+#include "support/cas/cas.hpp"
+
 namespace psaflow::cluster {
 
 std::uint64_t ring_hash(const std::string& label) {
     // FNV-1a, then the splitmix64 finaliser: FNV alone clusters labels
     // that share a long prefix ("shard-a#1", "shard-a#2"), and clustered
-    // points defeat the whole load-spreading purpose of vnodes.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : label) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
+    // points defeat the whole load-spreading purpose of vnodes. The seed
+    // is not FNV's offset basis (14695981039346656037, one digit longer);
+    // it is kept because it fixes every ring position and so every
+    // fleet's routing (HashRing.RingPositionsArePinned).
+    std::uint64_t h =
+        cas::fnv1a(label.data(), label.size(), 1469598103934665603ULL);
     h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
     h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
     return h ^ (h >> 31);
 }
 
-void HashRing::add(const std::string& shard, std::size_t vnodes) {
+void HashRing::add(const std::string& shard) {
     if (std::find(shards_.begin(), shards_.end(), shard) != shards_.end())
         return;
-    if (vnodes == 0) vnodes = 1;
     shards_.push_back(shard);
-    points_.reserve(points_.size() + vnodes);
-    for (std::size_t i = 0; i < vnodes; ++i)
+    points_.reserve(points_.size() + kVnodes);
+    for (std::size_t i = 0; i < kVnodes; ++i)
         points_.emplace_back(ring_hash(shard + '#' + std::to_string(i)),
                              shard);
     std::sort(points_.begin(), points_.end());

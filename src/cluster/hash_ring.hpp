@@ -1,6 +1,6 @@
 // Consistent-hash ring for shard routing.
 //
-// Each shard contributes `vnodes` points on a 64-bit ring (hashes of
+// Each shard contributes kVnodes points on a 64-bit ring (hashes of
 // "name#i"); a key is owned by the first point clockwise from the key's
 // position. The classic properties the router leans on:
 //
@@ -38,10 +38,10 @@ public:
     /// Points per shard. Enough that the largest/smallest shard load
     /// ratio stays near 1 for the shard counts psaflow clusters run
     /// (2..16); cheap enough that ring build time is irrelevant.
-    static constexpr std::size_t kDefaultVnodes = 64;
+    static constexpr std::size_t kVnodes = 64;
 
     /// Add a shard (no-op if already present).
-    void add(const std::string& shard, std::size_t vnodes = kDefaultVnodes);
+    void add(const std::string& shard);
 
     /// Remove a shard and all its points (no-op if absent).
     void remove(const std::string& shard);

@@ -1,6 +1,5 @@
 // Jittered retry backoff, shared by everything that re-sends a request:
-// psaflow-client (overloaded responses), the router (shard failover) and
-// the load generator.
+// psaflow-client (overloaded responses) and the router (shard failover).
 //
 // Full jitter over an exponentially growing window: attempt k draws
 // uniformly from [base/2, cap(base * 2^k)). The half-floor keeps retries
@@ -11,8 +10,8 @@
 // base for that attempt (the server knows its queue better than we do)
 // but is still jittered for the same reason.
 //
-// Deterministic: delays come from a caller-owned SplitMix64, so tests and
-// the load generator replay identical schedules from a seed.
+// Deterministic: delays come from a caller-owned SplitMix64, so tests
+// replay identical schedules from a seed.
 #pragma once
 
 #include <cstdint>

@@ -27,6 +27,15 @@ namespace {
 /// property of the routing rule, not of a deployment.
 constexpr double kLoadBound = 1.0;
 
+/// Failover: at most 3 shards per request, jittered backoff from a 50 ms
+/// window up to 2 s (BackoffPolicy's defaults), each connection's jitter
+/// stream seeded from kJitterSeed and the connection sequence.
+constexpr BackoffPolicy kFailover{};
+constexpr std::uint64_t kJitterSeed = 0x8a5cd789635d2dffULL;
+
+/// Consecutive failed health pings that take a shard out of the ring.
+constexpr int kPingFailuresToEject = 2;
+
 } // namespace
 
 std::optional<ShardConfig> parse_shard_spec(const std::string& spec,
@@ -74,7 +83,7 @@ std::optional<std::string> Router::start() {
         return error;
 
     for (const auto& shard : shards_)
-        ring_.add(shard->config.name, options_.vnodes);
+        ring_.add(shard->config.name);
 
     started_ = std::chrono::steady_clock::now();
     health_thread_ = std::thread([this] { health_loop(); });
@@ -89,10 +98,10 @@ std::optional<std::string> Router::start() {
 
 void Router::run() {
     front_.run([this] {
-        // Per-connection jitter stream: seeded from the global seed and
-        // the connection sequence so concurrent readers never share RNG
+        // Per-connection jitter stream: seeded from kJitterSeed and the
+        // connection sequence so concurrent readers never share RNG
         // state yet a single-connection test replays exactly.
-        return [this, rng = SplitMix64(options_.seed ^
+        return [this, rng = SplitMix64(kJitterSeed ^
                                        request_seq_.fetch_add(1))](
                    const serve::WireRequest& request, const json::Value& doc,
                    const std::string& payload) mutable {
@@ -153,18 +162,16 @@ Router::ForwardOutcome Router::forward(std::uint64_t key, bool bounded,
     // owner's load bound, the next shard under it), then deterministic
     // failover successors. The attempt budget spans candidates — a dead
     // shard costs one attempt, the re-pick among the rest gets the next.
-    const int budget =
-        options_.retry.max_attempts < 1 ? 1 : options_.retry.max_attempts;
     ForwardOutcome outcome;
     Shard* owner = nullptr;
-    for (int attempt = 0; attempt < budget; ++attempt) {
+    for (int attempt = 0; attempt < kFailover.max_attempts; ++attempt) {
         const Reservation picked = reserve(key, bounded);
         Shard* shard = picked.shard;
         if (shard == nullptr) break; // nothing usable right now
         if (owner == nullptr) owner = picked.owner;
         if (attempt > 0) {
             retries_.fetch_add(1);
-            const long long delay = options_.retry.delay_ms(attempt - 1, rng);
+            const long long delay = kFailover.delay_ms(attempt - 1, rng);
             std::this_thread::sleep_for(std::chrono::milliseconds(delay));
         }
         ++outcome.attempts;
@@ -194,7 +201,7 @@ Router::ForwardOutcome Router::forward(std::uint64_t key, bool bounded,
     no_shard_.fetch_add(1);
     outcome.response = json::dump(serve::make_error_response(
         serve::ErrorKind::Overloaded, "no healthy shard available",
-        options_.retry.base_ms * 2));
+        kFailover.base_ms * 2));
     return outcome;
 }
 
@@ -378,7 +385,7 @@ void Router::health_loop() {
                               {{"shard", shard->config.name}});
             } else {
                 const int failures = shard->ping_failures.fetch_add(1) + 1;
-                if (failures >= options_.health_failures_to_eject &&
+                if (failures >= kPingFailuresToEject &&
                     shard->healthy.exchange(false))
                     obs::warn("cluster.router", "shard unhealthy",
                               {{"shard", shard->config.name},

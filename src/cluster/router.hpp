@@ -70,13 +70,9 @@ struct RouterOptions {
     std::string socket_path;       ///< Unix listener ("" = TCP only)
     std::string listen_tcp;        ///< "host:port" ("" = none; port 0 = ephemeral)
     std::vector<ShardConfig> shards;
-    std::size_t vnodes = HashRing::kDefaultVnodes;
     long long health_interval_ms = 500;
-    int health_failures_to_eject = 2; ///< consecutive ping failures
-    BackoffPolicy retry;           ///< failover attempts + backoff window
     long long recv_timeout_ms = 30000; ///< client mid-frame and shard
                                        ///< response stall cap
-    std::uint64_t seed = 0x8a5cd789635d2dffULL; ///< backoff jitter seed
     long long slo_ms = 0; ///< flight-recorder latency SLO (0 = disabled)
     std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };

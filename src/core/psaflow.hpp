@@ -51,14 +51,16 @@ struct RunOptions {
 /// `app.allow_single_precision` gates the SP transforms.
 ///
 /// With a persistent store (session.store()), every compile first looks up
-/// the flow-result tier (local entries only, never a remote tier), keyed
-/// on everything the flow reads: app name and source, workload digest,
-/// allow_single_precision, the effective threshold_x, budget, cost model
-/// and feedback cap, and the flow's identity (the mode, or the manifest's
-/// canonical JSON). A hit returns
-/// the stored FlowResult, bit for bit the cold one, without parsing or
-/// running a task; a miss runs the flow (whose profile and
-/// design-artifact tiers may still hit) and stores its result. Counted
+/// the flow-result tier, keyed on everything the flow reads: app name and
+/// source, workload digest, allow_single_precision, the effective
+/// threshold_x, budget, cost model and feedback cap, and the flow's
+/// identity (the mode, or the manifest's canonical JSON). Like every tier
+/// it reads the local store, then through to the remote tier when one is
+/// attached (a remote hit is written locally), and publishes what it
+/// stores upstream (CasStore::get / put). A hit returns the stored
+/// FlowResult, bit for bit the cold one, without parsing or running a
+/// task; a miss runs the flow (whose profile and design-artifact tiers may
+/// still hit) and stores its result. Counted
 /// as "flow_cache.hits" / "flow_cache.misses" under one "flow_cache" span.
 /// FlowSession::run never consults this tier.
 [[nodiscard]] flow::FlowResult compile(flow::FlowSession& session,

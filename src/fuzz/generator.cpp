@@ -5,10 +5,10 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/profile_cache.hpp"
 #include "ast/builder.hpp"
 #include "ast/printer.hpp"
 #include "interp/value.hpp"
+#include "support/cas/cas.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
 
@@ -589,8 +589,7 @@ analysis::Workload fuzz_workload(const ast::Module& module, int problem_size) {
         std::vector<interp::Arg> args;
         bool first_int = true;
         for (const auto& p : params) {
-            const std::uint64_t h =
-                analysis::fnv1a(p.name.data(), p.name.size());
+            const std::uint64_t h = cas::fnv1a(p.name.data(), p.name.size());
             if (p.type.is_pointer) {
                 auto buf = std::make_shared<interp::Buffer>(
                     p.type.elem, static_cast<std::size_t>(n), p.name);

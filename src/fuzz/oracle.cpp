@@ -489,7 +489,7 @@ OracleOutcome run_oracles(const std::string& source,
             io.focus_function =
                 target.fn != nullptr ? target.fn->name : std::string();
             auto edited = ast::clone_module(*module);
-            SplitMix64 rng(analysis::fnv1a(source.data(), source.size()));
+            SplitMix64 rng(cas::fnv1a(source.data(), source.size()));
             add_random_pragmas(*edited, rng);
             const sema::TypeInfo edited_types = sema::check(*edited);
 

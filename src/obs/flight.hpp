@@ -1,4 +1,4 @@
-// Flight recorder: a bounded lock-free ring of per-request digests.
+// Flight recorder: a bounded ring of per-request digests.
 //
 // Every completed request — daemon compiles and sleeps, router relays,
 // psaflowc single-shot/batch runs — drops one fixed-size FlightRecord
@@ -10,23 +10,18 @@
 // auto-snapshotted to the structured log (obs::warn) the moment it
 // completes, so the evidence survives even after the ring wraps.
 //
-// Concurrency: writers claim a slot with one fetch_add and publish
-// through a per-slot seqlock (version odd while a write is in flight);
-// the record payload lives in atomic words, so concurrent writers that
-// lap the ring and concurrent readers are race-free (tsan-clean) — a
-// writer that catches a slot mid-write drops its record (counted) rather
-// than blocking, and a reader that observes a version change mid-copy
-// discards the torn snapshot. Steady-state cost per request is one
-// record copy; there is no lock anywhere on the record path.
+// Concurrency: one mutex guards the ring. A record costs one fixed-size
+// copy under it (the SLO log line is written outside it), so no record is
+// ever dropped and a snapshot is never torn.
 //
 // Each serving process owns its recorder (serve::Daemon, cluster::Router,
 // psaflowc), sized and given its SLO threshold at construction.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -35,8 +30,8 @@
 namespace psaflow::obs {
 
 /// One request's digest. Fixed-size (inline char fields, truncating
-/// writes) so a record fits in a handful of atomic words and the ring
-/// never allocates after construction.
+/// writes) so recording is one copy and the ring never allocates after
+/// construction.
 struct FlightRecord {
     std::uint64_t trace_id = 0;      ///< 0 when the request was untraced
     std::uint64_t seq = 0;           ///< stamped by the recorder (1-based)
@@ -75,46 +70,29 @@ public:
                             std::uint64_t slo_us = 0);
 
     /// Latency SLO in microseconds; 0 disables breach detection.
-    void set_slo_us(std::uint64_t us);
-    [[nodiscard]] std::uint64_t slo_us() const;
+    [[nodiscard]] std::uint64_t slo_us() const { return slo_us_; }
 
     /// Record one completed request (stamps rec.seq; flags + logs an SLO
-    /// breach). Lock-free; may drop the record when another writer holds
-    /// the claimed slot mid-write (counted in dropped()).
+    /// breach).
     void record(FlightRecord rec);
 
-    /// Consistent copies of the live records, oldest-first by seq; at most
-    /// `max_records` of the newest when max_records > 0. Lock-free.
+    /// Copies of the live records, oldest-first by seq; at most
+    /// `max_records` of the newest when max_records > 0.
     [[nodiscard]] std::vector<FlightRecord>
     snapshot(std::size_t max_records = 0) const;
 
-    [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-    /// Records accepted since construction/clear (including overwritten).
+    [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+    /// Records accepted since construction (including overwritten).
     [[nodiscard]] std::uint64_t total() const;
-    /// Records dropped on writer-writer slot collisions.
-    [[nodiscard]] std::uint64_t dropped() const;
     /// Requests that breached the SLO.
     [[nodiscard]] std::uint64_t breaches() const;
 
-    /// Reset to empty (test helper; callers must be quiescent).
-    void clear();
-
 private:
-    // Record payload as whole atomic words: sized so a FlightRecord
-    // round-trips through memcpy.
-    static constexpr std::size_t kWords =
-        (sizeof(FlightRecord) + sizeof(std::uint64_t) - 1) /
-        sizeof(std::uint64_t);
-    struct Slot {
-        std::atomic<std::uint64_t> version{0}; ///< odd = write in flight
-        std::atomic<std::uint64_t> words[kWords];
-    };
-
-    std::vector<Slot> slots_;
-    std::atomic<std::uint64_t> next_{0};
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> breaches_{0};
-    std::atomic<std::uint64_t> slo_us_{0};
+    const std::uint64_t slo_us_;
+    mutable std::mutex mu_;
+    std::vector<FlightRecord> ring_; ///< record seq s lives at (s-1) % size
+    std::uint64_t total_ = 0;        ///< seq of the newest record
+    std::uint64_t breaches_ = 0;
 };
 
 /// One record as a JSON object (trace_id as 16-hex, timings in

@@ -137,11 +137,6 @@ void Logger::set_echo_level(LogLevel level) {
     echo_ = level;
 }
 
-LogLevel Logger::echo_level() const {
-    std::lock_guard lock(mu_);
-    return echo_;
-}
-
 bool Logger::enabled(LogLevel level) const {
     std::lock_guard lock(mu_);
     return level >= level_ && level_ != LogLevel::Off &&

@@ -59,7 +59,6 @@ public:
     void set_level(LogLevel level);
     [[nodiscard]] LogLevel level() const;
     void set_echo_level(LogLevel level);
-    [[nodiscard]] LogLevel echo_level() const;
 
     /// True when a record at `level` would be captured — guard expensive
     /// field formatting with this.

@@ -368,15 +368,6 @@ ast::ValueType TypeInfo::var_type(const ast::Function& fn,
                                 fn.name + "'");
 }
 
-bool TypeInfo::has_var(const ast::Function& fn, const std::string& name) const {
-    auto it = fn_vars_.find(&fn);
-    if (it == fn_vars_.end()) return false;
-    for (const auto& v : it->second) {
-        if (v.name == name) return true;
-    }
-    return false;
-}
-
 const std::vector<TypeInfo::VarInfo>&
 TypeInfo::variables(const ast::Function& fn) const {
     auto it = fn_vars_.find(&fn);

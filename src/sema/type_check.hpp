@@ -26,10 +26,6 @@ public:
     [[nodiscard]] ast::ValueType
     var_type(const ast::Function& fn, const std::string& name) const;
 
-    /// True if `name` names a variable in `fn` (param, local or induction var).
-    [[nodiscard]] bool has_var(const ast::Function& fn,
-                               const std::string& name) const;
-
     /// All variables of `fn` in declaration order (params first).
     struct VarInfo {
         std::string name;

@@ -168,8 +168,6 @@ json::Value make_flight_response(const obs::FlightRecorder& recorder,
     response.set("capacity",
                  json::Value::number(double(recorder.capacity())));
     response.set("total", json::Value::number(double(recorder.total())));
-    response.set("dropped",
-                 json::Value::number(double(recorder.dropped())));
     response.set("slo_breaches",
                  json::Value::number(double(recorder.breaches())));
     response.set("slo_us", json::Value::number(double(recorder.slo_us())));

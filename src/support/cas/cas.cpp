@@ -406,26 +406,10 @@ std::uint64_t CasStore::size_bytes() const {
     return total_bytes_;
 }
 
-std::uint64_t CasStore::max_bytes() const {
-    std::lock_guard lock(mu_);
-    return max_bytes_;
-}
-
-void CasStore::set_max_bytes(std::uint64_t max_bytes) {
-    std::lock_guard lock(mu_);
-    max_bytes_ = max_bytes == 0 ? kDefaultMaxBytes : max_bytes;
-    evict_to_cap_locked();
-}
-
 void CasStore::set_remote(RemoteFetch fetch, RemotePublish publish) {
     std::lock_guard lock(remote_mu_);
     remote_fetch_ = std::move(fetch);
     remote_publish_ = std::move(publish);
-}
-
-bool CasStore::has_remote() const {
-    std::lock_guard lock(remote_mu_);
-    return static_cast<bool>(remote_fetch_);
 }
 
 } // namespace psaflow::cas

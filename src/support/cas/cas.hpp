@@ -186,7 +186,6 @@ public:
 
     /// Attach (or with empty functions, detach) a remote artifact tier.
     void set_remote(RemoteFetch fetch, RemotePublish publish);
-    [[nodiscard]] bool has_remote() const;
 
     /// Evict everything (used by tests and `psaflowc --cache-clear`).
     void clear();
@@ -195,8 +194,7 @@ public:
     [[nodiscard]] CasStats stats() const;
     /// Total bytes of indexed entries (headers included).
     [[nodiscard]] std::uint64_t size_bytes() const;
-    [[nodiscard]] std::uint64_t max_bytes() const;
-    void set_max_bytes(std::uint64_t max_bytes);
+    [[nodiscard]] std::uint64_t max_bytes() const { return max_bytes_; }
 
 private:
     struct IndexEntry {
@@ -220,7 +218,7 @@ private:
     mutable std::mutex remote_mu_; ///< guards the hook pair only
     RemoteFetch remote_fetch_;
     RemotePublish remote_publish_;
-    std::uint64_t max_bytes_;
+    const std::uint64_t max_bytes_;
     std::uint64_t total_bytes_ = 0;
     std::uint64_t tmp_counter_ = 0;
     LruList lru_;

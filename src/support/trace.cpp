@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_set>
 
 namespace psaflow::trace {
 
@@ -147,8 +146,6 @@ bool Registry::enabled() const {
 void Registry::clear() {
     std::lock_guard lock(mu_);
     spans_.clear();
-    held_ids_.clear();
-    indexed_ = 0;
     counters_.clear();
     max_thread_ = 0;
     epoch_ns_ = steady_ns();
@@ -213,34 +210,11 @@ void Registry::merge_from(const Registry& other) {
     std::map<std::uint64_t, std::uint64_t> track;
     for (const Span& span : spans) track.emplace(span.thread, 0);
     for (auto& [from, to] : track) to = ++max_thread_;
-    // Cross-process id-collision remap (see header): an incoming id that
-    // this registry already holds gets a fresh process-unique id; parent
-    // links that referenced a remapped incoming id follow it (a parent a
-    // source span recorded refers to the source's span, not ours). The
-    // held-id index only catches up on spans added since the last merge,
-    // so a merge costs time in the incoming spans, not in the spans held.
-    for (; indexed_ < spans_.size(); ++indexed_)
-        held_ids_.insert(spans_[indexed_].id);
-    std::unordered_set<std::uint64_t> incoming;
-    for (const Span& span : spans) incoming.insert(span.id);
-    std::map<std::uint64_t, std::uint64_t> id_remap;
-    for (const Span& span : spans) {
-        if (!held_ids_.contains(span.id) || id_remap.contains(span.id))
-            continue;
-        std::uint64_t fresh = next_span_id();
-        while (held_ids_.contains(fresh) || incoming.contains(fresh))
-            fresh = next_span_id();
-        id_remap.emplace(span.id, fresh);
-    }
     for (Span& span : spans) {
         const std::int64_t start =
             static_cast<std::int64_t>(span.start_us) + delta_us;
         span.start_us = start > 0 ? static_cast<std::uint64_t>(start) : 0;
         span.thread = track[span.thread];
-        if (auto it = id_remap.find(span.id); it != id_remap.end())
-            span.id = it->second;
-        if (auto it = id_remap.find(span.parent); it != id_remap.end())
-            span.parent = it->second;
         spans_.push_back(std::move(span));
     }
     for (const auto& [name, value] : counters) counters_[name] += value;

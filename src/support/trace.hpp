@@ -34,7 +34,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace psaflow::trace {
@@ -92,16 +91,13 @@ public:
     /// their thread ordinals remapped onto fresh tracks (two registries may
     /// have recorded unrelated work from the same pool threads; without the
     /// remap a merged Chrome trace would interleave them on one track).
-    /// Within one process span ids are unique, so parent links usually
-    /// survive unchanged; but a cross-process merge (two shards both count
-    /// ids from 1) can collide, so colliding incoming ids are remapped onto
-    /// fresh process-unique ids, with parent links that referenced a
-    /// remapped id rewritten to follow it. A parent id that exists only in
-    /// this registry is a cross-registry link and survives unchanged.
-    /// psaflowc (single app and --batch) merges each request's private
-    /// registry into global() so process-wide totals (--trace-out) still
-    /// accumulate. Costs time linear in `other`'s spans, whatever this
-    /// registry already holds.
+    /// Span ids and parent links are kept as they are, so both registries
+    /// must hold only this process's spans, whose ids are process-unique.
+    /// The one caller is psaflowc (single app and --batch), which merges
+    /// each request's private registry into global() so process-wide
+    /// totals (--trace-out) still accumulate; it has no remote tier, and a
+    /// request's hop spans stay out of the merge. Costs time linear in
+    /// `other`'s spans, whatever this registry already holds.
     void merge_from(const Registry& other);
 
 private:
@@ -110,10 +106,6 @@ private:
     std::int64_t epoch_ns_ = 0;
     std::uint64_t max_thread_ = 0; ///< highest track ordinal present
     std::vector<Span> spans_;
-    /// Ids of spans_[0, indexed_), brought up to date by merge_from only,
-    /// so add_span stays a plain append.
-    std::unordered_set<std::uint64_t> held_ids_;
-    std::size_t indexed_ = 0;
     std::map<std::string, std::uint64_t> counters_;
 };
 

@@ -133,6 +133,17 @@ TEST(HashRing, InsertionOrderDoesNotChangeTheRing) {
     }
 }
 
+TEST(HashRing, RingPositionsArePinned) {
+    // Every fleet's routing follows from these points: a change to the
+    // hash (its FNV offset basis, the finaliser) moves every key to a new
+    // owner while each distribution test above still passes.
+    EXPECT_EQ(cluster::ring_hash(""), 0x552d3fb62b3c344fULL);
+    EXPECT_EQ(cluster::ring_hash("a#0"), 0x5d6d62374d76c7f0ULL);
+    EXPECT_EQ(cluster::ring_hash("s0#0"), 0xb234dc5c864e2b62ULL);
+    EXPECT_EQ(cluster::ring_hash("s1#63"), 0x77868677e7464409ULL);
+    EXPECT_EQ(cluster::ring_hash("shard-a#1"), 0x769353ddb58a055fULL);
+}
+
 // ------------------------------------------------------ bounded-load pick ----
 
 /// A three-shard ring and one key's owner order on it.

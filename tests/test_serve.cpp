@@ -1327,6 +1327,58 @@ TEST(Daemon, FlowResultHitsReachStatsAndFlightRecords) {
     EXPECT_GE(records->elements[0].find("cache_hits")->number_value, 1.0);
 }
 
+TEST(Daemon, InteractiveCompilesOvertakeQueuedBatchCompiles) {
+    DaemonFixture fixture("priority", [] {
+        serve::DaemonOptions options;
+        options.workers = 1;
+        return options;
+    }());
+    fixture.start();
+    // Polls stats until `member` reads `value`; false after 10 s.
+    const auto wait_for = [&](const char* member, double value) {
+        for (int i = 0; i < 1000; ++i) {
+            const json::Value stats =
+                client_round_trip(fixture.socket(), R"({"type":"stats"})");
+            const json::Value* v = stats.find(member);
+            if (v != nullptr && v->number_value == value) return true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        return false;
+    };
+
+    // The sleep holds the only worker while a batch compile and then an
+    // interactive one queue up behind it.
+    std::vector<std::thread> clients;
+    const auto send = [&](std::string request) {
+        clients.emplace_back([&fixture, request] {
+            (void)client_round_trip(fixture.socket(), request);
+        });
+    };
+    send(R"({"type":"sleep","ms":2000})");
+    const bool sleeping = wait_for("in_flight", 1.0);
+    send(R"({"type":"compile","app":"kmeans","out":"b","priority":"batch"})");
+    const bool batch_queued = sleeping && wait_for("queue_depth", 1.0);
+    send(R"({"type":"compile","app":"bezier","out":"i",)"
+         R"("priority":"interactive"})");
+    const bool both_queued = batch_queued && wait_for("queue_depth", 2.0);
+    for (std::thread& t : clients) t.join();
+    ASSERT_TRUE(both_queued);
+
+    const json::Value flight =
+        client_round_trip(fixture.socket(), R"({"type":"flight"})");
+    const json::Value* records = flight.find("records");
+    ASSERT_NE(records, nullptr);
+    std::map<std::string, double> seq_by_lane;
+    for (const json::Value& record : records->elements) {
+        EXPECT_EQ(record.find("status")->string_or(""), "ok");
+        seq_by_lane[record.find("lane")->string_or("")] =
+            record.find("seq")->number_value;
+    }
+    ASSERT_EQ(seq_by_lane.count("interactive"), 1u);
+    ASSERT_EQ(seq_by_lane.count("batch"), 1u);
+    EXPECT_LT(seq_by_lane["interactive"], seq_by_lane["batch"]);
+}
+
 TEST(Daemon, FullQueueRejectsWithRetryHint) {
     DaemonFixture fixture("overload", [] {
         serve::DaemonOptions options;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -386,91 +385,6 @@ TEST(Trace, MergeRemapsThreadOrdinalsAndKeepsParentLinks) {
             EXPECT_EQ(span.parent, merged_root_id);
         }
     }
-}
-
-TEST(Trace, MergeRemapsCollidingSpanIds) {
-    // Two registries from *different processes* can hold the same span
-    // ids (each process numbers sequentially from 1). merge_from must
-    // remap the incoming ids off the collision while preserving the
-    // incoming parent links — regression for cross-process trace merges.
-    trace::Registry target;
-    target.set_enabled(true);
-    trace::Span mine_root;
-    mine_root.name = "mine-root";
-    mine_root.id = 100;
-    target.add_span(mine_root);
-    trace::Span mine_child;
-    mine_child.name = "mine-child";
-    mine_child.id = 101;
-    mine_child.parent = 100;
-    target.add_span(mine_child);
-
-    trace::Registry other;
-    other.set_enabled(true);
-    trace::Span theirs_root;
-    theirs_root.name = "theirs-root";
-    theirs_root.id = 100; // collides with mine-root
-    other.add_span(theirs_root);
-    trace::Span theirs_child;
-    theirs_child.name = "theirs-child";
-    theirs_child.id = 101; // collides with mine-child
-    theirs_child.parent = 100;
-    other.add_span(theirs_child);
-
-    target.merge_from(other);
-    const auto spans = target.spans();
-    ASSERT_EQ(spans.size(), 4u);
-    std::set<std::uint64_t> ids;
-    for (const auto& span : spans)
-        EXPECT_TRUE(ids.insert(span.id).second)
-            << "id " << span.id << " still duplicated on " << span.name;
-
-    std::uint64_t theirs_root_id = 0;
-    for (const auto& span : spans)
-        if (span.name == "theirs-root") theirs_root_id = span.id;
-    EXPECT_NE(theirs_root_id, 100u); // remapped off the collision
-    for (const auto& span : spans) {
-        if (span.name == "theirs-child") {
-            EXPECT_EQ(span.parent, theirs_root_id);
-        }
-        if (span.name == "mine-child") { // untouched: the target keeps its ids
-            EXPECT_EQ(span.parent, 100u);
-        }
-    }
-}
-
-TEST(Trace, MergeSeesSpansAddedBetweenMergesAndForgetsClearedOnes) {
-    // merge_from indexes the held ids lazily: spans added directly after
-    // one merge must still be seen as collisions by the next, and a
-    // cleared registry must not remember ids it no longer holds.
-    const auto one_span = [](std::uint64_t id) {
-        trace::Registry r;
-        r.set_enabled(true);
-        trace::Span span;
-        span.name = "s" + std::to_string(id);
-        span.id = id;
-        r.add_span(span);
-        return r.spans().front();
-    };
-    const auto merge_one = [](trace::Registry& target, trace::Span span) {
-        trace::Registry other;
-        other.set_enabled(true);
-        other.add_span(std::move(span));
-        target.merge_from(other);
-        return target.spans().back().id;
-    };
-
-    trace::Registry target;
-    target.set_enabled(true);
-    target.add_span(one_span(100));
-    EXPECT_EQ(merge_one(target, one_span(200)), 200u);
-    target.add_span(one_span(300));
-    EXPECT_NE(merge_one(target, one_span(300)), 300u); // collided
-    EXPECT_NE(merge_one(target, one_span(200)), 200u); // collided
-
-    target.clear();
-    EXPECT_EQ(merge_one(target, one_span(200)), 200u);
-    EXPECT_EQ(merge_one(target, one_span(300)), 300u);
 }
 
 TEST(Trace, WireSpanIdsAreSaltedDistinctAndJsonExact) {

@@ -153,8 +153,7 @@ void print_cluster_stats(const json::Value& response) {
 /// Human summary of a flight-recorder dump.
 void print_flight(const json::Value& response) {
     std::cout << "flight recorder: " << member_num(response, "total")
-              << " recorded, " << member_num(response, "dropped")
-              << " dropped, " << member_num(response, "slo_breaches")
+              << " recorded, " << member_num(response, "slo_breaches")
               << " SLO breach(es), capacity "
               << member_num(response, "capacity") << "\n";
     const json::Value* records = response.find("records");

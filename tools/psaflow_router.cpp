@@ -31,17 +31,12 @@ int main(int argc, char** argv) {
     options.slo_ms = env.slo_ms;
     options.flight_capacity = env.flight_capacity;
     std::vector<std::string> shard_specs;
-    long long vnodes = static_cast<long long>(cluster::HashRing::kDefaultVnodes);
-    long long max_attempts = 3;
-    long long seed = 0;
 
     cli::OptionParser parser(
         argv[0],
         {"[--socket <path>] [--listen <host:port>] --shard <name=endpoint>\n"
-         "      [--shard <name=endpoint> ...] [--vnodes <n>]\n"
-         "      [--health-interval-ms <n>] [--max-attempts <n>]\n"
-         "      [--backoff-base-ms <n>] [--backoff-max-ms <n>]\n"
-         "      [--recv-timeout-ms <n>] [--seed <n>]"});
+         "      [--shard <name=endpoint> ...] [--health-interval-ms <n>]\n"
+         "      [--recv-timeout-ms <n>]"});
     parser.str("--socket", "<path>", "Unix-domain socket to listen on",
                &options.socket_path);
     parser.str("--listen", "<host:port>",
@@ -51,29 +46,13 @@ int main(int argc, char** argv) {
                  "a psaflowd shard (repeatable); endpoint is host:port or "
                  "a socket path",
                  &shard_specs);
-    parser.integer("--vnodes", "<n>",
-                   "ring points per shard (default 64)", &vnodes,
-                   /*min=*/1);
     parser.integer("--health-interval-ms", "<n>",
                    "shard ping interval (default 500)",
                    &options.health_interval_ms, /*min=*/1);
-    parser.integer("--max-attempts", "<n>",
-                   "shards tried per request before giving up (default 3)",
-                   &max_attempts, /*min=*/1);
-    parser.integer("--backoff-base-ms", "<n>",
-                   "failover backoff window for the first retry "
-                   "(default 50)",
-                   &options.retry.base_ms, /*min=*/1);
-    parser.integer("--backoff-max-ms", "<n>",
-                   "failover backoff window cap (default 2000)",
-                   &options.retry.max_ms, /*min=*/1);
     parser.integer("--recv-timeout-ms", "<n>",
                    "stall cap on a client mid-frame and on a shard's "
                    "response (default 30000)",
                    &options.recv_timeout_ms, /*min=*/0);
-    parser.integer("--seed", "<n>",
-                   "backoff jitter seed (0 = built-in default)", &seed,
-                   /*min=*/0);
 
     if (!parser.parse(argc, argv)) return 2;
     if (shard_specs.empty() ||
@@ -90,9 +69,6 @@ int main(int argc, char** argv) {
         }
         options.shards.push_back(std::move(*config));
     }
-    options.vnodes = static_cast<std::size_t>(vnodes);
-    options.retry.max_attempts = static_cast<int>(max_attempts);
-    if (seed != 0) options.seed = static_cast<std::uint64_t>(seed);
 
     cluster::Router router(options);
     if (auto error = router.start()) {
