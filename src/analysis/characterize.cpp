@@ -47,11 +47,25 @@ const LoopProfile* KernelCharacterization::loop(Node::Id id) const {
     return nullptr;
 }
 
+FocusProfile focus_profile(const interp::ExecutionProfile& profile,
+                           const interp::FocusStats& focus, Node& root) {
+    FocusProfile out;
+    out.focus = focus;
+    for (const For* loop : meta::for_loops(root)) {
+        const interp::LoopStats* stats = profile.loop(loop->id);
+        out.loops.push_back(stats != nullptr
+                                ? std::optional<interp::LoopStats>(*stats)
+                                : std::nullopt);
+    }
+    return out;
+}
+
 KernelCharacterization characterize_kernel(Module& module,
                                            const sema::TypeInfo& types,
                                            const std::string& kernel,
                                            const Workload& workload,
-                                           ProfileCache* cache) {
+                                           ProfileCache* cache,
+                                           const FocusProfile* at_profile_scale) {
     Function* kernel_fn = module.find_function(kernel);
     ensure(kernel_fn != nullptr,
            "characterize_kernel: no function '" + kernel + "' in module");
@@ -60,40 +74,51 @@ KernelCharacterization characterize_kernel(Module& module,
     // up as a nested "run_function:" span (interp:vm), a hit does not.
     trace::ScopedSpan span("characterize:" + kernel, "analysis");
 
-    auto profile_at = [&](double scale) {
+    double work = 0.0;
+    auto observe = [&](double scale) {
         interp::InterpOptions opt;
         opt.profile = true;
         opt.focus_function = kernel;
-        return profile_run(cache, module, types, workload.entry,
-                           workload.make_args(scale), opt);
+        const interp::ExecutionProfile p =
+            profile_run(cache, module, types, workload.entry,
+                        workload.make_args(scale), opt);
+        work += p.total_cost;
+        return focus_profile(p, p.focus, *kernel_fn);
     };
 
+    const std::vector<For*> kernel_loops = meta::for_loops(*kernel_fn);
     const double s1 = workload.profile_scale;
-    const interp::ExecutionProfile p1 = profile_at(s1);
-    const interp::ExecutionProfile p2 = profile_at(2.0 * s1);
-    span.set_work_units(p1.total_cost + p2.total_cost);
+    FocusProfile observed_1x;
+    const FocusProfile* p1 = at_profile_scale;
+    if (p1 == nullptr || p1->loops.size() != kernel_loops.size()) {
+        observed_1x = observe(s1);
+        p1 = &observed_1x;
+    }
+    const FocusProfile p2 = observe(2.0 * s1);
+    span.set_work_units(work);
 
-    ensure(p1.focus_calls > 0, "characterize_kernel: kernel '" + kernel +
-                                   "' was never called by the workload");
+    const interp::FocusStats& f1 = p1->focus;
+    const interp::FocusStats& f2 = p2.focus;
+    ensure(f1.calls > 0, "characterize_kernel: kernel '" + kernel +
+                             "' was never called by the workload");
 
     KernelCharacterization ch;
     ch.kernel = kernel;
-    ch.flops = fit(p1.focus_flops, p2.focus_flops);
-    ch.call_flops = fit(p1.focus_call_flops, p2.focus_call_flops);
-    ch.mem_bytes = fit(p1.focus_mem_bytes, p2.focus_mem_bytes);
-    ch.cpu_cost = fit(p1.focus_cost, p2.focus_cost);
-    ch.bytes_in = fit(static_cast<double>(p1.focus_bytes_in()),
-                      static_cast<double>(p2.focus_bytes_in()));
-    ch.bytes_out = fit(static_cast<double>(p1.focus_bytes_out()),
-                       static_cast<double>(p2.focus_bytes_out()));
-    ch.footprint =
-        fit(static_cast<double>(p1.focus_bytes_in() + p1.focus_bytes_out()),
-            static_cast<double>(p2.focus_bytes_in() + p2.focus_bytes_out()));
-    ch.args_alias = p1.focus_args_alias || p2.focus_args_alias;
-    ch.kernel_calls = p1.focus_calls;
-    for (const auto& b1 : p1.focus_buffers) {
+    ch.flops = fit(f1.flops, f2.flops);
+    ch.call_flops = fit(f1.call_flops, f2.call_flops);
+    ch.mem_bytes = fit(f1.mem_bytes, f2.mem_bytes);
+    ch.cpu_cost = fit(f1.cost, f2.cost);
+    ch.bytes_in = fit(static_cast<double>(f1.bytes_in()),
+                      static_cast<double>(f2.bytes_in()));
+    ch.bytes_out = fit(static_cast<double>(f1.bytes_out()),
+                       static_cast<double>(f2.bytes_out()));
+    ch.footprint = fit(static_cast<double>(f1.bytes_in() + f1.bytes_out()),
+                       static_cast<double>(f2.bytes_in() + f2.bytes_out()));
+    ch.args_alias = f1.args_alias || f2.args_alias;
+    ch.kernel_calls = f1.calls;
+    for (const auto& b1 : f1.buffers) {
         const interp::BufferAccess* b2 = nullptr;
-        for (const auto& cand : p2.focus_buffers) {
+        for (const auto& cand : f2.buffers) {
             if (cand.buffer_name == b1.buffer_name) b2 = &cand;
         }
         if (b2 == nullptr) continue;
@@ -111,12 +136,12 @@ KernelCharacterization characterize_kernel(Module& module,
     }
 
     // Per-loop trip-count laws, outer-first (pre-order).
-    for (For* loop : meta::for_loops(*kernel_fn)) {
-        const interp::LoopStats* s1_stats = p1.loop(loop->id);
-        const interp::LoopStats* s2_stats = p2.loop(loop->id);
-        if (s1_stats == nullptr || s2_stats == nullptr) continue;
+    for (std::size_t i = 0; i < kernel_loops.size(); ++i) {
+        const std::optional<interp::LoopStats>& s1_stats = p1->loops[i];
+        const std::optional<interp::LoopStats>& s2_stats = p2.loops[i];
+        if (!s1_stats.has_value() || !s2_stats.has_value()) continue;
         LoopProfile lp;
-        lp.loop_id = loop->id;
+        lp.loop_id = kernel_loops[i]->id;
         lp.entries = s1_stats->entries;
         lp.trips_per_entry =
             fit(s1_stats->avg_trip_count(), s2_stats->avg_trip_count());

@@ -9,9 +9,15 @@
 //     power laws q(s) = q1 * s^k are fitted, so paper-sized workloads can be
 //     evaluated without interpreting them (the interpreter pays a ~100x
 //     constant factor versus native execution).
+//
+// The profile-scale observations need no run of their own when the kernel
+// was just extracted: the hotspot run profiled its loop as a focus region
+// (detect_hotspots), and a region observes exactly what the extracted
+// kernel's function focus would.
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,15 +96,37 @@ struct KernelCharacterization {
     long long kernel_calls = 0;
 };
 
+/// What one focus observed, in the form characterisation fits: its
+/// FocusStats and the LoopStats of the focused code's loops in pre-order
+/// (nullopt for a loop that never ran). Loops are keyed by position, not
+/// node id, so the observations of a loop's focus region carry over to the
+/// kernel extracted from that loop.
+struct FocusProfile {
+    interp::FocusStats focus;
+    std::vector<std::optional<interp::LoopStats>> loops;
+
+    bool operator==(const FocusProfile&) const = default;
+};
+
+/// `focus` together with `profile`'s stats for the loops under `root` (the
+/// focused loop or function), in meta::for_loops order.
+[[nodiscard]] FocusProfile focus_profile(const interp::ExecutionProfile& profile,
+                                         const interp::FocusStats& focus,
+                                         ast::Node& root);
+
 class ProfileCache;
 
 /// Profile `module`'s function `kernel` under `workload` at two scales and
 /// fit scaling laws. The module must already contain the extracted kernel
 /// (called from the application entry). Both runs go through `cache` when
-/// one is given.
+/// one is given. `at_profile_scale`, when given, are the observations at
+/// the profile scale — the focus region of the loop the kernel was
+/// extracted from — and replace that run; ignored unless they cover
+/// exactly the kernel's loops.
 [[nodiscard]] KernelCharacterization
 characterize_kernel(ast::Module& module, const sema::TypeInfo& types,
                     const std::string& kernel, const Workload& workload,
-                    ProfileCache* cache = nullptr);
+                    ProfileCache* cache = nullptr,
+                    const FocusProfile* at_profile_scale = nullptr);
 
 } // namespace psaflow::analysis

@@ -15,6 +15,7 @@ HotspotReport detect_hotspots(Module& module, const sema::TypeInfo& types,
                               const Workload& workload, ProfileCache* cache) {
     interp::InterpOptions opt;
     opt.profile = true;
+    opt.region_focus = true;
     // A real interpreter run (cache miss) nests its own "interp:vm"
     // "run_function:" span under this one; a hit does not.
     trace::ScopedSpan span("detect_hotspots:" + workload.entry, "analysis");
@@ -22,7 +23,11 @@ HotspotReport detect_hotspots(Module& module, const sema::TypeInfo& types,
         profile_run(cache, module, types, workload.entry,
                     workload.make_args(workload.profile_scale), opt);
     span.set_work_units(profile.total_cost);
+    return rank_hotspots(module, profile);
+}
 
+HotspotReport rank_hotspots(Module& module,
+                            const interp::ExecutionProfile& profile) {
     HotspotReport report;
     report.total_cost = profile.total_cost;
 
@@ -40,7 +45,9 @@ HotspotReport detect_hotspots(Module& module, const sema::TypeInfo& types,
                                 ? stats->self_cost / report.total_cost
                                 : 0.0;
             cand.trips = stats->trips;
-            report.candidates.push_back(cand);
+            if (const interp::FocusStats* region = profile.region(loop->id))
+                cand.region = focus_profile(profile, *region, *loop);
+            report.candidates.push_back(std::move(cand));
         }
     }
 

@@ -86,8 +86,56 @@ std::uint64_t digest_args(const std::vector<interp::Arg>& args) {
 }
 
 namespace {
-/// Payload schema revision for serialize_profile_payload.
-constexpr std::uint32_t kProfilePayloadVersion = 1;
+
+/// Payload schema revision for serialize_profile_payload. Revision 2 added
+/// the focus regions.
+constexpr std::uint32_t kProfilePayloadVersion = 2;
+
+void write_focus(cas::Writer& w, const interp::FocusStats& focus) {
+    w.i64(focus.calls);
+    w.real(focus.cost);
+    w.real(focus.flops);
+    w.real(focus.call_flops);
+    w.real(focus.mem_bytes);
+    w.u32(static_cast<std::uint32_t>(focus.buffers.size()));
+    for (const interp::BufferAccess& buf : focus.buffers) {
+        w.str(buf.buffer_name);
+        w.i64(buf.elem_bytes);
+        w.i64(buf.min_read);
+        w.i64(buf.max_read);
+        w.i64(buf.min_write);
+        w.i64(buf.max_write);
+        w.i64(buf.reads);
+        w.i64(buf.writes);
+    }
+    w.boolean(focus.args_alias);
+}
+
+bool read_focus(cas::Reader& r, interp::FocusStats& focus) {
+    focus.calls = r.i64();
+    focus.cost = r.real();
+    focus.flops = r.real();
+    focus.call_flops = r.real();
+    focus.mem_bytes = r.real();
+    const std::uint32_t buffers = r.u32();
+    if (!r.ok() || buffers > (1u << 16)) return false;
+    focus.buffers.reserve(buffers);
+    for (std::uint32_t i = 0; i < buffers && r.ok(); ++i) {
+        interp::BufferAccess buf;
+        buf.buffer_name = r.str();
+        buf.elem_bytes = static_cast<int>(r.i64());
+        buf.min_read = r.i64();
+        buf.max_read = r.i64();
+        buf.min_write = r.i64();
+        buf.max_write = r.i64();
+        buf.reads = r.i64();
+        buf.writes = r.i64();
+        focus.buffers.push_back(std::move(buf));
+    }
+    focus.args_alias = r.boolean();
+    return r.ok();
+}
+
 } // namespace
 
 std::string
@@ -122,23 +170,19 @@ serialize_profile_payload(const interp::ExecutionProfile& profile,
     w.real(profile.total_mem_bytes);
 
     w.str(profile.focus_function);
-    w.i64(profile.focus_calls);
-    w.real(profile.focus_cost);
-    w.real(profile.focus_flops);
-    w.real(profile.focus_call_flops);
-    w.real(profile.focus_mem_bytes);
-    w.u32(static_cast<std::uint32_t>(profile.focus_buffers.size()));
-    for (const interp::BufferAccess& buf : profile.focus_buffers) {
-        w.str(buf.buffer_name);
-        w.i64(buf.elem_bytes);
-        w.i64(buf.min_read);
-        w.i64(buf.max_read);
-        w.i64(buf.min_write);
-        w.i64(buf.max_write);
-        w.i64(buf.reads);
-        w.i64(buf.writes);
+    write_focus(w, profile.focus);
+
+    // Regions by loop position, like the loop stats.
+    std::uint32_t regions = 0;
+    for (ast::Node::Id id : loop_order)
+        if (profile.regions.count(id) != 0) ++regions;
+    w.u32(regions);
+    for (std::size_t pos = 0; pos < loop_order.size(); ++pos) {
+        auto it = profile.regions.find(loop_order[pos]);
+        if (it == profile.regions.end()) continue;
+        w.u64(pos);
+        write_focus(w, it->second);
     }
-    w.boolean(profile.focus_args_alias);
     return w.take();
 }
 
@@ -172,27 +216,16 @@ bool parse_profile_payload(std::string_view payload,
     profile.total_mem_bytes = r.real();
 
     profile.focus_function = r.str();
-    profile.focus_calls = r.i64();
-    profile.focus_cost = r.real();
-    profile.focus_flops = r.real();
-    profile.focus_call_flops = r.real();
-    profile.focus_mem_bytes = r.real();
-    const std::uint32_t buffers = r.u32();
-    if (!r.ok() || buffers > (1u << 16)) return false;
-    profile.focus_buffers.reserve(buffers);
-    for (std::uint32_t i = 0; i < buffers && r.ok(); ++i) {
-        interp::BufferAccess buf;
-        buf.buffer_name = r.str();
-        buf.elem_bytes = static_cast<int>(r.i64());
-        buf.min_read = r.i64();
-        buf.max_read = r.i64();
-        buf.min_write = r.i64();
-        buf.max_write = r.i64();
-        buf.reads = r.i64();
-        buf.writes = r.i64();
-        profile.focus_buffers.push_back(std::move(buf));
+    if (!read_focus(r, profile.focus)) return false;
+
+    const std::uint32_t regions = r.u32();
+    for (std::uint32_t i = 0; i < regions && r.ok(); ++i) {
+        const std::uint64_t pos = r.u64();
+        interp::FocusStats region;
+        if (!read_focus(r, region) || pos >= loops) return false;
+        profile.regions.emplace(static_cast<ast::Node::Id>(pos),
+                                std::move(region));
     }
-    profile.focus_args_alias = r.boolean();
     return r.complete();
 }
 
@@ -216,12 +249,18 @@ ProfileCache::remap_onto(const Entry& entry, const ast::Module& module) {
     interp::ExecutionProfile profile = entry.profile;
     std::unordered_map<ast::Node::Id, interp::LoopStats> remapped;
     remapped.reserve(profile.loops.size());
+    std::unordered_map<ast::Node::Id, interp::FocusStats> regions;
+    regions.reserve(profile.regions.size());
     for (std::size_t i = 0; i < current.size(); ++i) {
         auto stats = profile.loops.find(entry.loop_order[i]);
         if (stats != profile.loops.end())
             remapped.emplace(current[i], stats->second);
+        auto region = profile.regions.find(entry.loop_order[i]);
+        if (region != profile.regions.end())
+            regions.emplace(current[i], region->second);
     }
     profile.loops = std::move(remapped);
+    profile.regions = std::move(regions);
     return profile;
 }
 
@@ -239,6 +278,8 @@ ProfileCache::run(const ast::Module& module, const sema::TypeInfo& types,
     hasher.str(ast::to_source_without_pragmas(module));
     hasher.str(entry);
     hasher.str(options.focus_function);
+    // A region-focus profile carries more than a plain one: its own key.
+    if (options.region_focus) hasher.str("regions");
     hasher.u64(static_cast<std::uint64_t>(options.max_steps));
     hasher.u64(digest_args(args));
     const std::uint64_t key = hasher.digest();

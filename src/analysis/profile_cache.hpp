@@ -9,7 +9,8 @@
 // in both PSA modes) repeat the identical runs again.
 //
 // The cache keys a profiled run by
-//   (module content hash, entry/focus function, argument digest, step limit)
+//   (module content hash, entry/focus function, region focus, argument
+//    digest, step limit)
 // where the content hash covers the module printed with every pragma left
 // out (ast::to_source_without_pragmas) and the argument digest covers scalar
 // values and full buffer contents. The printer is source-faithful, so equal
@@ -23,8 +24,9 @@
 // across AST clones with one correction: LoopStats are keyed by node id, and
 // clones get fresh ids. Cached entries therefore also record the pre-order
 // For-loop id sequence of the module they were computed on; a hit remaps the
-// stats onto the current module's loop ids by position (equal pragma-free
-// text guarantees the same loop structure and order).
+// stats (and the focus regions, keyed by loop id too) onto the current
+// module's loop ids by position (equal pragma-free text guarantees the same
+// loop structure and order).
 //
 // A miss (or a run with no cache, see profile_run) runs the interpreter
 // inside its own "run_function:<entry>" span in category "interp:vm", so in
@@ -34,10 +36,10 @@
 // FlowSession passes its own) also persists profiles on disk: an
 // in-memory miss falls back to a checksum-verified disk read before
 // recomputing, and fresh profiles are written through.
-// Disk entries store loop stats keyed by *pre-order position* (not node
-// id), with bit-exact doubles, so any later process — whose clones carry
-// different node ids — can remap them onto its own module and reproduce
-// the computed profile exactly.
+// Disk entries store loop stats and regions keyed by *pre-order position*
+// (not node id), with bit-exact doubles, so any later process — whose
+// clones carry different node ids — can remap them onto its own module and
+// reproduce the computed profile exactly.
 //
 // Thread-safe; each FlowSession owns one. Hits/misses are counted here and
 // mirrored into the trace registry as "profile_cache.hits" /

@@ -45,17 +45,27 @@ remap_loops(const analysis::KernelCharacterization& ch, ast::Module& from,
 
 FlowContext::FlowContext(std::string app_name, ast::ModulePtr source_module,
                          analysis::Workload workload)
-    : app_name_(std::move(app_name)), module_(std::move(source_module)),
+    : FlowContext(std::move(app_name), std::move(source_module),
+                  std::move(workload), std::nullopt) {}
+
+FlowContext::FlowContext(std::string app_name, ast::ModulePtr module,
+                         analysis::Workload workload,
+                         std::optional<std::string> reference_source)
+    : app_name_(std::move(app_name)), module_(std::move(module)),
       workload_(std::move(workload)) {
     ensure(module_ != nullptr, "FlowContext: null module");
     types_ = sema::check(*module_);
-    reference_source_ = ast::to_source(*module_);
+    reference_source_ = reference_source.has_value()
+                            ? std::move(*reference_source)
+                            : ast::to_source(*module_);
     spec.app_name = app_name_;
 }
 
 FlowContext FlowContext::fork() const {
-    FlowContext out(app_name_, ast::clone_module(*module_), workload_);
-    out.reference_source_ = reference_source_;
+    // The fork keeps the original's reference print: printing the clone
+    // would only be thrown away.
+    FlowContext out(app_name_, ast::clone_module(*module_), workload_,
+                    reference_source_);
     out.spec = spec;
     out.fpga_report = fpga_report;
     out.allow_single_precision = allow_single_precision;
@@ -88,6 +98,16 @@ void FlowContext::invalidate() {
     types_ = sema::check(*module_);
     ch_.reset();
     outer_dep_.reset();
+    hotspot_region.reset();
+}
+
+void FlowContext::kernel_extracted() {
+    const std::optional<analysis::FocusProfile> region =
+        std::move(hotspot_region);
+    invalidate();
+    ch_ = analysis::characterize_kernel(
+        *module_, types_, spec.kernel_name, workload_, profile_cache,
+        region.has_value() ? &*region : nullptr);
 }
 
 const analysis::KernelCharacterization& FlowContext::characterization() {

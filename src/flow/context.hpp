@@ -79,6 +79,12 @@ public:
     /// characterisation (node ids / costs changed).
     void invalidate();
 
+    /// invalidate() for the extraction of the kernel from the hotspot loop,
+    /// then the kernel's characterisation, which takes its profile-scale
+    /// observations from the loop's focus region (hotspot_region) instead
+    /// of a run.
+    void kernel_extracted();
+
     /// Dynamic kernel characterisation of the *current* module state;
     /// recomputed lazily after invalidation.
     [[nodiscard]] const analysis::KernelCharacterization& characterization();
@@ -124,6 +130,8 @@ public:
     std::optional<ast::Node::Id> hotspot_loop_id;
     std::string hotspot_function;
     double hotspot_fraction = 0.0;
+    /// The hotspot loop's focus region; invalidate() drops it.
+    std::optional<analysis::FocusProfile> hotspot_region;
 
     /// Cooperative cancellation token for this flow (not owned; may be
     /// null). The engine polls it between tasks and installs it as the
@@ -140,6 +148,12 @@ public:
     cas::CasStore* store = nullptr;
 
 private:
+    /// Takes `reference_source` as the print of the module's original
+    /// state instead of printing `module`.
+    FlowContext(std::string app_name, ast::ModulePtr module,
+                analysis::Workload workload,
+                std::optional<std::string> reference_source);
+
     std::string app_name_;
     ast::ModulePtr module_;
     sema::TypeInfo types_;

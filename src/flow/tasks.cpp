@@ -75,6 +75,7 @@ public:
         ctx.hotspot_loop_id = top->loop->id;
         ctx.hotspot_function = top->function->name;
         ctx.hotspot_fraction = top->fraction;
+        ctx.hotspot_region = top->region;
         ctx.note("hotspot: loop in '" + top->function->name + "' covering " +
                  format_compact(100.0 * top->fraction, 3) +
                  "% of execution cost");
@@ -100,7 +101,7 @@ public:
         transform::extract_hotspot(ctx.module(), ctx.types(), *loop,
                                    kernel_name);
         ctx.spec.kernel_name = kernel_name;
-        ctx.invalidate();
+        ctx.kernel_extracted();
         // Capture the single-thread CPU reference time from the pristine
         // kernel, before any target-specific transform perturbs the shape.
         const double ref = ctx.reference_seconds();

@@ -17,7 +17,9 @@
 
 #include <unistd.h>
 
+#include "analysis/characterize.hpp"
 #include "analysis/dependence.hpp"
+#include "analysis/hotspot.hpp"
 #include "analysis/profile_cache.hpp"
 #include "ast/builder.hpp"
 #include "ast/clone.hpp"
@@ -247,6 +249,7 @@ EngineCapture capture_engine_run(const ast::Module& module,
     auto args = workload.make_args(1.0);
     interp::InterpOptions io;
     io.focus_function = focus;
+    io.region_focus = true;
     io.engine = engine;
     try {
         // Direct run_function — deliberately not the ProfileCache, which
@@ -317,6 +320,76 @@ std::optional<std::string> compare_engine_runs(const EngineCapture& tree,
         return "serialized profile payloads differ (" +
                std::to_string(tree.profile.size()) + " vs " +
                std::to_string(vm.profile.size()) + " bytes)";
+    return std::nullopt;
+}
+
+// ---------------------------------------------------- region focus ---
+
+/// Which part of two focus observations differs, if any.
+std::optional<std::string> focus_difference(const analysis::FocusProfile& a,
+                                            const analysis::FocusProfile& b) {
+    if (a.focus.buffers != b.focus.buffers)
+        return std::string("buffer access summaries");
+    if (a.loops != b.loops) return std::string("loop stats");
+    if (!(a.focus == b.focus))
+        return std::string("calls, totals or aliasing");
+    return std::nullopt;
+}
+
+/// The "interp:region" oracle under `engine`: the focus region of the
+/// program's hottest outermost loop equals the function focus of a kernel
+/// extracted from that loop, run on the same inputs — the equality that
+/// lets characterisation skip the kernel's profile-scale run. nullopt when
+/// they agree, or when there is nothing to compare (no loop ran, the
+/// extraction precondition fails, or a run raises: the baseline, transform
+/// and interp:vm oracles own those).
+std::optional<std::string> check_region(ast::Module& module,
+                                        const sema::TypeInfo& types,
+                                        const analysis::Workload& workload,
+                                        interp::Engine engine) {
+    interp::InterpOptions io;
+    io.region_focus = true;
+    io.engine = engine;
+    analysis::HotspotReport report;
+    try {
+        report = analysis::rank_hotspots(
+            module, interp::run_function(module, types, workload.entry,
+                                         workload.make_args(1.0), io)
+                        .profile);
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+    const analysis::HotspotCandidate* top = report.top();
+    if (top == nullptr) return std::nullopt;
+
+    const std::vector<ast::For*> loops = meta::for_loops(module);
+    const auto position = static_cast<std::size_t>(
+        std::find(loops.begin(), loops.end(), top->loop) - loops.begin());
+    auto clone = ast::clone_module(module);
+    const std::string kernel = "fz_region_kernel";
+    interp::InterpOptions ko;
+    ko.focus_function = kernel;
+    ko.engine = engine;
+    analysis::FocusProfile extracted;
+    try {
+        const sema::TypeInfo clone_types = sema::check(*clone);
+        (void)transform::extract_hotspot(
+            *clone, clone_types, *meta::for_loops(*clone)[position], kernel);
+        const sema::TypeInfo kernel_types = sema::check(*clone);
+        const interp::ExecutionProfile kp =
+            interp::run_function(*clone, kernel_types, workload.entry,
+                                 workload.make_args(1.0), ko)
+                .profile;
+        extracted = analysis::focus_profile(kp, kp.focus,
+                                            *clone->find_function(kernel));
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+    if (const auto field = focus_difference(top->region, extracted))
+        return std::string(engine == interp::Engine::Tree ? "tree" : "vm") +
+               ": the region of the hottest loop (in '" +
+               top->function->name + "') and the extracted kernel's focus "
+               "differ in " + *field;
     return std::nullopt;
 }
 
@@ -474,6 +547,17 @@ OracleOutcome run_oracles(const std::string& source,
                 fail("interp:vm", *mismatch);
         } catch (const std::exception& e) {
             fail("interp:vm:crash", e.what());
+        }
+
+        ++out.oracles_run;
+        try {
+            for (interp::Engine engine :
+                 {interp::Engine::Tree, interp::Engine::Vm})
+                if (const auto mismatch =
+                        check_region(*module, types, workload, engine))
+                    fail("interp:region", *mismatch);
+        } catch (const std::exception& e) {
+            fail("interp:region:crash", e.what());
         }
     }
 

@@ -9,7 +9,12 @@
 //   baseline    the program interprets crash-free under fuzz_workload
 //   interp:vm   (with check_vm) the bytecode VM and the tree walker produce
 //               bit-identical results, buffer contents, error strings and
-//               serialized execution profiles on the same workload
+//               serialized execution profiles (focus regions included) on
+//               the same workload
+//   interp:region
+//               (with check_vm) under each engine, the focus region of the
+//               hottest outermost loop equals the function focus of the
+//               kernel extracted from it, loop stats included
 //   profile:pragma
 //               (with check_cache) the program with random pragmas added
 //               hits the profile-cache entry of the original, and the
@@ -57,10 +62,11 @@ struct OracleOptions {
 
     /// Tree-vs-VM engine differential ("interp:vm"): run the program under
     /// both interpreter engines with profiling focused on the function
-    /// holding the first outer loop, and demand bit-exact equality of the
-    /// result value, every buffer, the serialized profile payload and (when
-    /// both runs raise) the error string. Off by default — it adds two
-    /// profiled interpreter passes per program.
+    /// holding the first outer loop and on every outermost loop's region,
+    /// and demand bit-exact equality of the result value, every buffer,
+    /// the serialized profile payload and (when both runs raise) the error
+    /// string. Also enables the "interp:region" oracle. Off by default — it
+    /// adds six profiled interpreter passes per program.
     bool check_vm = false;
 
     /// Cold-vs-warm persistent-cache oracle ("flow:cache"): run the flow

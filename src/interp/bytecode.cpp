@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "ast/walk.hpp"
+#include "interp/focus.hpp"
 #include "support/error.hpp"
 
 namespace psaflow::interp::bc {
@@ -29,12 +30,14 @@ struct Reg {
 };
 
 struct ModuleCompiler {
-    ModuleCompiler(const Module& m, const sema::TypeInfo& t, std::string f)
-        : module(m), types(t), focus(std::move(f)) {}
+    ModuleCompiler(const Module& m, const sema::TypeInfo& t, std::string f,
+                   bool r)
+        : module(m), types(t), focus(std::move(f)), region_focus(r) {}
 
     const Module& module;
     const sema::TypeInfo& types;
     const std::string focus;
+    const bool region_focus;
     CompiledModule out;
 
     std::unordered_map<std::string, std::int32_t> name_ids;
@@ -195,6 +198,27 @@ std::int32_t* jump_target(Insn& in) {
     }
 }
 
+/// The fused sequences, longest first so a run takes the longest match.
+struct FusedSeq {
+    Op fused;
+    std::uint8_t size;
+    Op members[3];
+};
+
+constexpr FusedSeq kFusedSeqs[] = {
+    {Op::MulI_AddI_LoadElemD, 3, {Op::MulI, Op::AddI, Op::LoadElemD}},
+    {Op::MulI_AddI, 2, {Op::MulI, Op::AddI}},
+    {Op::AddI_LoadElemD, 2, {Op::AddI, Op::LoadElemD}},
+    {Op::MulD_AddD, 2, {Op::MulD, Op::AddD}},
+    {Op::DivD_SubD, 2, {Op::DivD, Op::SubD}},
+    {Op::AddD_DivD, 2, {Op::AddD, Op::DivD}},
+    {Op::MulD_CAddD, 2, {Op::MulD, Op::CAddD}},
+    {Op::LoadElemD_SubD, 2, {Op::LoadElemD, Op::SubD}},
+    {Op::SubD_MulD, 2, {Op::SubD, Op::MulD}},
+    {Op::SubD_CallBuiltin, 2, {Op::SubD, Op::CallBuiltin}},
+    {Op::CallBuiltin_MulD, 2, {Op::CallBuiltin, Op::MulD}},
+};
+
 /// A LoopNext at `at` whose body starts at `body`.
 struct BackEdge {
     std::int32_t at;
@@ -255,6 +279,35 @@ void fold_charges(std::vector<Insn>& code,
     code.resize(out);
 }
 
+/// Turns the first instruction of each run that matches a fused sequence
+/// into the fused op, scanning left to right. A run matches only when no
+/// jump and no LoopNext back-edge lands on a member after its first, so
+/// every path into the run enters at its head and executes all of it.
+void fuse_sequences(std::vector<Insn>& code) {
+    const std::size_t n = code.size();
+    std::vector<bool> target(n + 1, false);
+    for (std::size_t pc = 0; pc < n; ++pc) {
+        if (const std::int32_t* t = jump_target(code[pc]))
+            target[static_cast<std::size_t>(*t)] = true;
+        if (code[pc].op == Op::LoopNext) target[pc - code[pc].back] = true;
+    }
+    for (std::size_t pc = 0; pc < n;) {
+        std::size_t step = 1;
+        for (const FusedSeq& seq : kFusedSeqs) {
+            if (pc + seq.size > n) continue;
+            bool match = true;
+            for (std::size_t k = 0; k < seq.size && match; ++k)
+                match = code[pc + k].op == seq.members[k] &&
+                        (k == 0 || !target[pc + k]);
+            if (!match) continue;
+            code[pc].op = seq.fused;
+            step = seq.size;
+            break;
+        }
+        pc += step;
+    }
+}
+
 class FnCompiler {
 public:
     FnCompiler(ModuleCompiler& mc, const Function& fn) : mc_(mc), fn_(fn) {}
@@ -286,6 +339,21 @@ public:
         n_named_ = next_reg_;
         max_reg_ = next_reg_;
         const std::size_t arg_base = mc_.out.arg_pool.size();
+
+        if (mc_.region_focus) {
+            for (const RegionSpec& spec : focus_regions(fn_, mc_.types)) {
+                RegionDecl decl;
+                decl.loop = spec.loop->id;
+                for (const std::string& name : spec.buffers) {
+                    decl.bufs.push_back(breg(name));
+                    decl.names.push_back(name);
+                }
+                region_of_.emplace(
+                    decl.loop,
+                    static_cast<std::int32_t>(mc_.out.region_pool.size()));
+                mc_.out.region_pool.push_back(std::move(decl));
+            }
+        }
 
         emit_block(*fn_.body);
         // Falling off the end of a non-void function mirrors the tree
@@ -320,6 +388,7 @@ public:
                       static_cast<std::uint32_t>(cf_.consts.size());
         cf_.n_bregs = static_cast<std::uint32_t>(n_bregs);
         fold_charges(cf_.code, back_edges_);
+        fuse_sequences(cf_.code);
         return std::move(cf_);
     }
 
@@ -340,6 +409,8 @@ private:
     std::int32_t next_reg_ = 0;
     std::int32_t max_reg_ = 0;
     std::vector<BackEdge> back_edges_;
+    /// Loop node id -> region_pool index (region focus only).
+    std::unordered_map<Node::Id, std::int32_t> region_of_;
 
     // ---- emission helpers --------------------------------------------
 
@@ -919,6 +990,8 @@ private:
     }
 
     void emit_for(const For& loop) {
+        const auto region = region_of_.find(loop.id);
+        if (region != region_of_.end()) emit(Op::RegionEnter, region->second);
         const std::int32_t save = next_reg_;
         const std::int32_t lidx = mc_.intern_loop(loop.id);
         emit(Op::LoopEnter, lidx);
@@ -964,6 +1037,7 @@ private:
         next_reg_ = body_save;
         cf_.code[static_cast<std::size_t>(jexit)].c = here();
         emit(Op::LoopExit);
+        if (region != region_of_.end()) emit(Op::RegionExit, region->second);
         next_reg_ = save;
     }
 };
@@ -971,8 +1045,8 @@ private:
 } // namespace
 
 CompiledModule compile(const ast::Module& module, const sema::TypeInfo& types,
-                       const std::string& focus_function) {
-    ModuleCompiler mc(module, types, focus_function);
+                       const std::string& focus_function, bool region_focus) {
+    ModuleCompiler mc(module, types, focus_function, region_focus);
     // Two phases: indices first, so calls can reference any function.
     for (const auto& fn : module.functions) {
         mc.out.fn_index.emplace(
@@ -1061,8 +1135,27 @@ const char* to_string(Op op) {
         case Op::Ret: return "Ret";
         case Op::RetVoid: return "RetVoid";
         case Op::Trap: return "Trap";
+        case Op::RegionEnter: return "RegionEnter";
+        case Op::RegionExit: return "RegionExit";
+        case Op::MulI_AddI_LoadElemD: return "MulI+AddI+LoadElemD";
+        case Op::MulI_AddI: return "MulI+AddI";
+        case Op::AddI_LoadElemD: return "AddI+LoadElemD";
+        case Op::MulD_AddD: return "MulD+AddD";
+        case Op::DivD_SubD: return "DivD+SubD";
+        case Op::AddD_DivD: return "AddD+DivD";
+        case Op::MulD_CAddD: return "MulD+CAddD";
+        case Op::LoadElemD_SubD: return "LoadElemD+SubD";
+        case Op::SubD_MulD: return "SubD+MulD";
+        case Op::SubD_CallBuiltin: return "SubD+CallBuiltin";
+        case Op::CallBuiltin_MulD: return "CallBuiltin+MulD";
     }
     return "?";
+}
+
+std::span<const Op> fused_members(Op op) {
+    for (const FusedSeq& seq : kFusedSeqs)
+        if (seq.fused == op) return {seq.members, seq.size};
+    return {};
 }
 
 namespace {
@@ -1079,7 +1172,9 @@ void disasm_insn(std::ostringstream& os, const CompiledModule& m,
     const auto b = [](std::int32_t r) { return "b" + std::to_string(r); };
     const auto at = [](std::int32_t pc) { return "@" + std::to_string(pc); };
     os << to_string(in.op);
-    switch (in.op) {
+    // A fused op shows its first member's operands.
+    const std::span<const Op> members = fused_members(in.op);
+    switch (members.empty() ? in.op : members.front()) {
         case Op::LoadB:
             os << " " << s(in.a) << ", " << (in.b != 0 ? "true" : "false");
             break;
@@ -1107,6 +1202,10 @@ void disasm_insn(std::ostringstream& os, const CompiledModule& m,
         case Op::LoopEnter:
         case Op::LoopTrip:
             os << " L" << in.a;
+            break;
+        case Op::RegionEnter:
+        case Op::RegionExit:
+            os << " R" << in.a;
             break;
         case Op::LoopHead:
             os << " " << s(in.a) << ", " << s(in.b) << ", " << at(in.c);

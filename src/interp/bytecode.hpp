@@ -43,9 +43,18 @@
 //     data movement lies between them and no jump lands in between. The
 //     VM charges the folded ones first, one step and one cost unit each,
 //     so the sequence of charges is unchanged.
+//   - After folding, the first instruction of each run of the hottest
+//     adjacent op sequences (fused_members) becomes a fused op, provided
+//     no jump lands on a later member. The members stay in the stream with
+//     their own operands and `pre`; the VM dispatches the run once and
+//     executes each member's body, charge included, in order.
+//   - Compiled for region focus, every outermost loop is bracketed by
+//     RegionEnter/RegionExit. Neither charges nor folds, so the charges
+//     are those of the plain lowering.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -155,7 +164,31 @@ enum class Op : std::uint8_t {
     Ret,         ///< return S[a] (already converted to the return type)
     RetVoid,     ///< return from a void function
     Trap,        ///< throw InterpError(name_pool[a])
+    // ---- focus regions (region focus only) ----
+    RegionEnter, ///< profiling: open region_pool[a]; just before LoopEnter
+    RegionExit,  ///< profiling: close region_pool[a]; just after LoopExit
+    // ---- fused sequences: the head of a run of the listed members ----
+    MulI_AddI_LoadElemD,
+    MulI_AddI,
+    AddI_LoadElemD,
+    MulD_AddD,
+    DivD_SubD,
+    AddD_DivD,
+    MulD_CAddD,
+    LoadElemD_SubD,
+    SubD_MulD,
+    SubD_CallBuiltin,
+    CallBuiltin_MulD,
 };
+
+inline constexpr std::size_t kOpCount =
+    static_cast<std::size_t>(Op::CallBuiltin_MulD) + 1;
+
+/// The member ops of fused op `op`, in stream order (the first is the
+/// op the fused one stands in for); empty for an op that is not fused.
+/// The set was chosen from the executed-pair census of the ten cold
+/// compiles (CMake option PSAFLOW_OP_COUNTER, EXPERIMENTS.md).
+[[nodiscard]] std::span<const Op> fused_members(Op op);
 
 [[nodiscard]] const char* to_string(Op op);
 
@@ -210,6 +243,15 @@ struct ParamSpec {
     std::string name;
 };
 
+/// One focus region (RegionEnter/RegionExit operand): an outermost loop
+/// and the buffer slots of its free arrays, which bind at entry as the
+/// pointer parameters of a kernel extracted from the loop would.
+struct RegionDecl {
+    ast::Node::Id loop = 0;
+    std::vector<std::int32_t> bufs;  ///< buffer slots, parameter order
+    std::vector<std::string> names;  ///< the arrays' names, same order
+};
+
 struct CompiledFunction {
     std::string name;
     ast::Type ret = ast::Type::Void;
@@ -236,6 +278,8 @@ struct CompiledModule {
     std::vector<ast::Node::Id> loop_pool; ///< For node ids, compile order
     std::vector<BufDecl> buf_pool;
     std::vector<std::int32_t> arg_pool; ///< flattened call argument registers
+    std::vector<RegionDecl> region_pool; ///< region focus only
+
 
     [[nodiscard]] const CompiledFunction* find(const std::string& name) const {
         auto it = fn_index.find(name);
@@ -244,16 +288,20 @@ struct CompiledModule {
 };
 
 /// Lower every function of a checked module. `focus_function` is baked into
-/// the CompiledFunction::is_focus flags (compilation is O(AST) and cheap
-/// next to any profiled run, so the VM compiles per run like the tree
-/// walker constructs its Impl).
+/// the CompiledFunction::is_focus flags, and `region_focus` brackets every
+/// outermost loop with RegionEnter/RegionExit (compilation is O(AST) and
+/// cheap next to any profiled run, so the VM compiles per run like the
+/// tree walker constructs its Impl).
 [[nodiscard]] CompiledModule compile(const ast::Module& module,
                                      const sema::TypeInfo& types,
-                                     const std::string& focus_function = {});
+                                     const std::string& focus_function = {},
+                                     bool region_focus = false);
 
 /// Human-readable listing of one function / the whole module, used by the
-/// lowering snapshot tests. Loop operands print as pool indices (node ids
-/// are process-unique and would not be stable snapshot material).
+/// lowering snapshot tests. Loop and region operands print as pool indices
+/// (node ids are process-unique and would not be stable snapshot
+/// material); a fused op prints as its members joined by '+', with the
+/// first member's operands.
 [[nodiscard]] std::string disassemble(const CompiledModule& module,
                                       const CompiledFunction& fn);
 [[nodiscard]] std::string disassemble(const CompiledModule& module);

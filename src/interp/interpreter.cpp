@@ -3,6 +3,7 @@
 #include <atomic>
 #include <unordered_map>
 
+#include "interp/focus.hpp"
 #include "interp/vm.hpp"
 #include "sema/builtins.hpp"
 #include "support/cancel.hpp"
@@ -65,9 +66,15 @@ struct Interpreter::Impl {
     };
     std::vector<ActiveLoop> loop_stack;
 
-    // Focus-function tracking (active only at recursion depth 1).
-    int focus_depth = 0;
-    std::unordered_map<int, std::size_t> focus_buffer_index; // buffer id -> idx
+    FocusTracker focus; ///< the focus function's calls
+
+    // Focus regions (options.region_focus), by loop node id.
+    struct Region {
+        RegionSpec spec;
+        std::size_t index; ///< RegionFocus region number
+    };
+    std::unordered_map<ast::Node::Id, Region> regions;
+    RegionFocus region_focus{0};
 
     long long steps = 0;
 
@@ -75,7 +82,16 @@ struct Interpreter::Impl {
     Value return_value;
 
     Impl(const Module& m, const sema::TypeInfo& t, InterpOptions o)
-        : module(m), types(t), options(std::move(o)) {}
+        : module(m), types(t), options(std::move(o)) {
+        focus.stats = &prof.focus;
+        if (!options.profile || !options.region_focus) return;
+        for (const auto& fn : module.functions)
+            for (RegionSpec& spec : focus_regions(*fn, types)) {
+                const ast::Node::Id id = spec.loop->id;
+                regions.emplace(id, Region{std::move(spec), regions.size()});
+            }
+        region_focus = RegionFocus(regions.size());
+    }
 
     // ---- bookkeeping -------------------------------------------------------
 
@@ -101,19 +117,9 @@ struct Interpreter::Impl {
 
     void note_access(const BufferPtr& buf, long long index, bool write) {
         charge(kMemCost, 0.0, buf->elem_bytes());
-        if (!options.profile || focus_depth != 1) return;
-        auto it = focus_buffer_index.find(buf->id());
-        if (it == focus_buffer_index.end()) return;
-        BufferAccess& acc = prof.focus_buffers[it->second];
-        if (write) {
-            acc.min_write = std::min(acc.min_write, index);
-            acc.max_write = std::max(acc.max_write, index);
-            ++acc.writes;
-        } else {
-            acc.min_read = std::min(acc.min_read, index);
-            acc.max_read = std::max(acc.max_read, index);
-            ++acc.reads;
-        }
+        if (!options.profile) return;
+        focus.note(buf->id(), index, write);
+        if (region_focus.open()) region_focus.note(buf->id(), index, write);
     }
 
     // ---- environment -------------------------------------------------------
@@ -154,21 +160,9 @@ struct Interpreter::Impl {
 
         const bool is_focus =
             options.profile && fn.name == options.focus_function;
-        double cost_before = 0.0;
-        double flops_before = 0.0;
-        double call_flops_before = 0.0;
-        double bytes_before = 0.0;
-        if (is_focus) {
-            ++focus_depth;
-            if (focus_depth == 1) {
-                prof.focus_function = fn.name;
-                ++prof.focus_calls;
-                cost_before = prof.total_cost;
-                flops_before = prof.total_flops;
-                call_flops_before = prof.total_call_flops;
-                bytes_before = prof.total_mem_bytes;
-                bind_focus_buffers(fn, arg_slots);
-            }
+        if (is_focus && focus.enter(prof)) {
+            prof.focus_function = fn.name;
+            bind_focus_buffers(fn, arg_slots);
         }
 
         Frame new_frame;
@@ -200,39 +194,35 @@ struct Interpreter::Impl {
         Value result = return_value;
         frames.pop_back();
 
-        if (is_focus) {
-            if (focus_depth == 1) {
-                prof.focus_cost += prof.total_cost - cost_before;
-                prof.focus_flops += prof.total_flops - flops_before;
-                prof.focus_call_flops +=
-                    prof.total_call_flops - call_flops_before;
-                prof.focus_mem_bytes += prof.total_mem_bytes - bytes_before;
-            }
-            --focus_depth;
-        }
+        if (is_focus) focus.exit(prof);
 
         if (fn.ret != Type::Void) return result.convert_to(fn.ret);
         return Value::void_value();
     }
 
     void bind_focus_buffers(const Function& fn, const std::vector<Slot>& args) {
-        std::unordered_map<int, std::string> seen;
         for (std::size_t i = 0; i < fn.params.size(); ++i) {
             if (!fn.params[i]->type.is_pointer) continue;
             const auto* b = std::get_if<BufferPtr>(&args[i]);
             if (b == nullptr) continue;
-            const int id = (*b)->id();
-            if (auto it = seen.find(id); it != seen.end()) {
-                prof.focus_args_alias = true;
-            }
-            seen.emplace(id, fn.params[i]->name);
-            if (focus_buffer_index.count(id) == 0) {
-                BufferAccess acc;
-                acc.buffer_name = fn.params[i]->name;
-                acc.elem_bytes = (*b)->elem_bytes();
-                focus_buffer_index.emplace(id, prof.focus_buffers.size());
-                prof.focus_buffers.push_back(acc);
-            }
+            focus.bind((*b)->id(), (*b)->elem_bytes(), fn.params[i]->name);
+        }
+    }
+
+    /// A region opens where a kernel extracted from its loop would take
+    /// its focus snapshot: after everything before the loop, before the
+    /// loop's init. The free arrays bind as that kernel's pointer
+    /// parameters would.
+    void region_enter(const Region& region) {
+        if (!region_focus.enter(region.index,
+                                prof.regions[region.spec.loop->id], prof,
+                                frames.size()))
+            return;
+        for (const std::string& name : region.spec.buffers) {
+            auto it = frame().find(name);
+            if (it == frame().end()) continue;
+            if (const auto* b = std::get_if<BufferPtr>(&it->second))
+                region_focus.bind((*b)->id(), (*b)->elem_bytes(), name);
         }
     }
 
@@ -303,6 +293,13 @@ struct Interpreter::Impl {
     }
 
     Flow exec_for(const For& loop) {
+        Region* region = nullptr;
+        if (!regions.empty()) {
+            auto it = regions.find(loop.id);
+            if (it != regions.end()) region = &it->second;
+        }
+        if (region != nullptr) region_enter(*region);
+
         LoopStats* stats = nullptr;
         if (options.profile) {
             stats = &prof.loops[loop.id];
@@ -333,6 +330,7 @@ struct Interpreter::Impl {
         }
 
         if (options.profile) loop_stack.pop_back();
+        if (region != nullptr) region_focus.exit(prof);
         return flow;
     }
 

@@ -34,6 +34,10 @@ enum class Engine {
 struct InterpOptions {
     bool profile = false;            ///< collect ExecutionProfile
     std::string focus_function;      ///< function whose calls are summarised
+    /// Also summarise every outermost for-loop of every function as a focus
+    /// region (ExecutionProfile::regions): what a kernel extracted from the
+    /// loop would observe as focus function, without extracting it.
+    bool region_focus = false;
     long long max_steps = 500'000'000; ///< abort runaway programs
     /// Engine for this run. NOTE: the profile cache key deliberately
     /// excludes this — both engines produce identical profiles.

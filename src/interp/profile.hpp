@@ -1,9 +1,10 @@
 // Execution profiles collected by the interpreter. These are the raw
 // material of the paper's dynamic analyses: per-loop cost ("loop timers"),
 // trip counts, per-buffer access ranges (data in/out), and observed argument
-// aliasing for the kernel function.
+// aliasing for the kernel function or for each outermost loop.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -30,6 +31,8 @@ struct LoopStats {
                             : static_cast<double>(trips) /
                                   static_cast<double>(entries);
     }
+
+    bool operator==(const LoopStats&) const = default;
 };
 
 /// Observed access range for one buffer within the focus function.
@@ -55,6 +58,70 @@ struct BufferAccess {
     [[nodiscard]] long long bytes_out() const {
         return written() ? (max_write - min_write + 1) * elem_bytes : 0;
     }
+
+    /// Adds one element access.
+    void record(long long index, bool write) {
+        if (write) {
+            min_write = std::min(min_write, index);
+            max_write = std::max(max_write, index);
+            ++writes;
+        } else {
+            min_read = std::min(min_read, index);
+            max_read = std::max(max_read, index);
+            ++reads;
+        }
+    }
+
+    /// Adds the accesses `other` summarises.
+    void merge(const BufferAccess& other) {
+        min_read = std::min(min_read, other.min_read);
+        max_read = std::max(max_read, other.max_read);
+        min_write = std::min(min_write, other.min_write);
+        max_write = std::max(max_write, other.max_write);
+        reads += other.reads;
+        writes += other.writes;
+    }
+
+    bool operator==(const BufferAccess&) const = default;
+};
+
+/// What one focus observed: the calls of the focus function, or the
+/// entries of one focus region (an outermost loop, see
+/// InterpOptions::region_focus). Only an outermost activation counts; a
+/// recursive re-entry is part of the activation that encloses it.
+struct FocusStats {
+    long long calls = 0; ///< activations: focus calls or region entries
+    double cost = 0.0;
+    double flops = 0.0;
+    double call_flops = 0.0; ///< flops charged by builtin math calls
+    double mem_bytes = 0.0;
+    /// Access summary per buffer: the focus function's pointer parameters,
+    /// or the region's free arrays, in parameter order.
+    std::vector<BufferAccess> buffers;
+    /// True if two of those buffers named the same buffer at any entry.
+    bool args_alias = false;
+
+    [[nodiscard]] const BufferAccess* buffer(const std::string& name) const {
+        for (const auto& b : buffers) {
+            if (b.buffer_name == name) return &b;
+        }
+        return nullptr;
+    }
+
+    /// Total bytes in+out — the paper's "data in/out analysis" result used
+    /// to estimate accelerator transfer time.
+    [[nodiscard]] long long bytes_in() const {
+        long long total = 0;
+        for (const auto& b : buffers) total += b.bytes_in();
+        return total;
+    }
+    [[nodiscard]] long long bytes_out() const {
+        long long total = 0;
+        for (const auto& b : buffers) total += b.bytes_out();
+        return total;
+    }
+
+    bool operator==(const FocusStats&) const = default;
 };
 
 /// Full profile of one interpreted run.
@@ -71,39 +138,22 @@ struct ExecutionProfile {
     /// Focus-function observations (set when the interpreter was given a
     /// focus function, normally the extracted hotspot kernel).
     std::string focus_function;
-    long long focus_calls = 0;
-    double focus_cost = 0.0;
-    double focus_flops = 0.0;
-    double focus_call_flops = 0.0;
-    double focus_mem_bytes = 0.0;
-    /// Access summary per pointer parameter of the focus function.
-    std::vector<BufferAccess> focus_buffers;
-    /// True if two pointer arguments of any focus call named the same buffer.
-    bool focus_args_alias = false;
+    FocusStats focus;
+
+    /// Region observations (InterpOptions::region_focus), keyed by the node
+    /// id of each outermost loop that ran. A region's stats equal the
+    /// function focus of a kernel extracted from that loop
+    /// (transform::extract_hotspot) on the same inputs.
+    std::unordered_map<ast::Node::Id, FocusStats> regions;
 
     [[nodiscard]] const LoopStats* loop(ast::Node::Id id) const {
         auto it = loops.find(id);
         return it == loops.end() ? nullptr : &it->second;
     }
 
-    [[nodiscard]] const BufferAccess* buffer(const std::string& name) const {
-        for (const auto& b : focus_buffers) {
-            if (b.buffer_name == name) return &b;
-        }
-        return nullptr;
-    }
-
-    /// Total bytes in+out for the focus function — the paper's "data in/out
-    /// analysis" result used to estimate accelerator transfer time.
-    [[nodiscard]] long long focus_bytes_in() const {
-        long long total = 0;
-        for (const auto& b : focus_buffers) total += b.bytes_in();
-        return total;
-    }
-    [[nodiscard]] long long focus_bytes_out() const {
-        long long total = 0;
-        for (const auto& b : focus_buffers) total += b.bytes_out();
-        return total;
+    [[nodiscard]] const FocusStats* region(ast::Node::Id id) const {
+        auto it = regions.find(id);
+        return it == regions.end() ? nullptr : &it->second;
     }
 };
 

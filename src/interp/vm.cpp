@@ -1,10 +1,13 @@
 #include "interp/vm.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "interp/bytecode.hpp"
+#include "interp/focus.hpp"
 #include "support/cancel.hpp"
 #include "support/error.hpp"
 #include "support/trace.hpp"
@@ -41,6 +44,61 @@ double round_f(double v) {
     return static_cast<double>(static_cast<float>(v));
 }
 
+#ifdef PSAFLOW_OP_COUNTER
+/// Census of executed ops (CMake option PSAFLOW_OP_COUNTER): each op, and
+/// each pair of ops where the second fell through from the first. A fused
+/// run counts as its members, so the census does not depend on which
+/// sequences are fused. Exported as the trace counters "interp.op.<Op>"
+/// and "interp.pair.<Op>+<Op>".
+class OpCounter {
+public:
+    void note(const bc::Insn* ip) {
+        const std::span<const bc::Op> members = bc::fused_members(ip->op);
+        if (members.empty()) {
+            count(ip, ip->op);
+            return;
+        }
+        for (std::size_t k = 0; k < members.size(); ++k)
+            count(ip + k, members[k]);
+    }
+
+    void flush() {
+        trace::Registry& registry = trace::Registry::current();
+        for (std::size_t a = 0; a < bc::kOpCount; ++a) {
+            const auto op_a = static_cast<bc::Op>(a);
+            if (ops_[a] != 0)
+                registry.count(std::string("interp.op.") + bc::to_string(op_a),
+                               ops_[a]);
+            for (std::size_t b = 0; b < bc::kOpCount; ++b) {
+                const std::uint64_t n = pairs_[a * bc::kOpCount + b];
+                if (n == 0) continue;
+                registry.count(std::string("interp.pair.") +
+                                   bc::to_string(op_a) + "+" +
+                                   bc::to_string(static_cast<bc::Op>(b)),
+                               n);
+            }
+        }
+        ops_.fill(0);
+        pairs_.fill(0);
+        next_ = nullptr;
+    }
+
+private:
+    void count(const bc::Insn* at, bc::Op op) {
+        const auto i = static_cast<std::size_t>(op);
+        ++ops_[i];
+        if (at == next_) ++pairs_[prev_ * bc::kOpCount + i];
+        prev_ = i;
+        next_ = at + 1;
+    }
+
+    std::array<std::uint64_t, bc::kOpCount> ops_{};
+    std::array<std::uint64_t, bc::kOpCount * bc::kOpCount> pairs_{};
+    std::size_t prev_ = 0;
+    const bc::Insn* next_ = nullptr; ///< where a fall-through lands
+};
+#endif
+
 } // namespace
 
 struct Vm::Impl {
@@ -61,12 +119,6 @@ struct Vm::Impl {
         std::size_t sbase = 0;
         std::size_t bbase = 0;
         std::size_t loop_mark = 0; ///< loop_stack depth at entry (Ret unwind)
-        // Focus snapshots (depth-1 focus calls only), mirroring the locals
-        // of the tree walker's call_function.
-        double cost_before = 0.0;
-        double flops_before = 0.0;
-        double call_flops_before = 0.0;
-        double bytes_before = 0.0;
     };
     std::vector<Frame> frames;
 
@@ -80,11 +132,10 @@ struct Vm::Impl {
     /// unordered_map, so the pointers are rehash-stable.
     std::vector<LoopStats*> loop_cache;
 
-    int focus_depth = 0;
-    /// Buffer id -> prof.focus_buffers index. Focus functions have a
-    /// handful of pointer params, so a flat scan beats hashing on the
-    /// per-element-access path.
-    std::vector<std::pair<int, std::size_t>> focus_buffer_index;
+    FocusTracker focus; ///< the focus function's calls
+    /// The region_pool's regions; an activation is tagged with the frame
+    /// depth it opened at, so Ret closes the returning frame's own.
+    RegionFocus regions;
 
     long long steps = 0;
 
@@ -113,12 +164,19 @@ struct Vm::Impl {
     // Per-call arg staging (the dispatch loop is not reentrant).
     std::vector<Sreg> scratch_s;
     std::vector<BufferPtr> scratch_b;
-    std::vector<int> scratch_ids; ///< bind_focus's aliasing probe
+
+#ifdef PSAFLOW_OP_COUNTER
+    OpCounter op_counter;
+#endif
 
     Impl(const ast::Module& m, const sema::TypeInfo& t, InterpOptions o)
         : options(std::move(o)),
-          code(bc::compile(m, t, options.focus_function)),
-          loop_cache(code.loop_pool.size(), nullptr) {}
+          code(bc::compile(m, t, options.focus_function,
+                           options.profile && options.region_focus)),
+          loop_cache(code.loop_pool.size(), nullptr),
+          regions(code.region_pool.size()) {
+        focus.stats = &prof.focus;
+    }
 
     // ---- bookkeeping (identical to the tree walker's) -----------------
 
@@ -204,82 +262,34 @@ struct Vm::Impl {
         pend_bytes = 0;
     }
 
-    /// The focus function's access-range bookkeeping for an element access
-    /// it made (after the access's charge).
-    void note_focus_access(const BufferPtr& buf, long long index,
-                           bool write) {
-        const int id = buf->id();
-        for (const auto& [bid, slot] : focus_buffer_index) {
-            if (bid != id) continue;
-            BufferAccess& acc = prof.focus_buffers[slot];
-            if (write) {
-                acc.min_write = std::min(acc.min_write, index);
-                acc.max_write = std::max(acc.max_write, index);
-                ++acc.writes;
-            } else {
-                acc.min_read = std::min(acc.min_read, index);
-                acc.max_read = std::max(acc.max_read, index);
-                ++acc.reads;
-            }
-            return;
-        }
-    }
-
     // ---- focus tracking ------------------------------------------------
 
-    /// Mirrors bind_focus_buffers: pointer params in declaration order,
-    /// aliasing detected by buffer identity.
-    void bind_focus(const bc::CompiledFunction& fn,
-                    const std::vector<BufferPtr>& bufs) {
-        std::vector<int>& seen = scratch_ids;
-        seen.clear();
+    /// Focus-entry bookkeeping shared by entry and nested calls; runs after
+    /// the kCallCost charge and before parameter binding, exactly like the
+    /// tree walker. `bufs` are the pointer params' buffers in order.
+    void focus_enter(const bc::CompiledFunction& fn,
+                     const std::vector<BufferPtr>& bufs) {
+        if (!focus.enter(prof)) return;
+        prof.focus_function = fn.name;
         std::size_t bi = 0;
         for (const bc::ParamSpec& p : fn.params) {
             if (!p.is_pointer) continue;
             const BufferPtr& b = bufs[bi++];
-            const int id = b->id();
-            if (std::find(seen.begin(), seen.end(), id) != seen.end())
-                prof.focus_args_alias = true;
-            seen.push_back(id);
-            bool known = false;
-            for (const auto& [bid, slot] : focus_buffer_index)
-                if (bid == id) known = true;
-            if (!known) {
-                BufferAccess acc;
-                acc.buffer_name = p.name;
-                acc.elem_bytes = b->elem_bytes();
-                focus_buffer_index.emplace_back(id,
-                                                prof.focus_buffers.size());
-                prof.focus_buffers.push_back(acc);
-            }
+            focus.bind(b->id(), b->elem_bytes(), p.name);
         }
     }
 
-    /// Focus-entry bookkeeping shared by entry and nested calls; runs after
-    /// the kCallCost charge and before parameter binding, exactly like the
-    /// tree walker.
-    void focus_enter(const bc::CompiledFunction& fn, Frame& f,
-                     const std::vector<BufferPtr>& bufs) {
-        ++focus_depth;
-        if (focus_depth != 1) return;
-        prof.focus_function = fn.name;
-        ++prof.focus_calls;
-        f.cost_before = prof.total_cost;
-        f.flops_before = prof.total_flops;
-        f.call_flops_before = prof.total_call_flops;
-        f.bytes_before = prof.total_mem_bytes;
-        bind_focus(fn, bufs);
-    }
-
-    void focus_exit(const Frame& f) {
-        if (focus_depth == 1) {
-            prof.focus_cost += prof.total_cost - f.cost_before;
-            prof.focus_flops += prof.total_flops - f.flops_before;
-            prof.focus_call_flops +=
-                prof.total_call_flops - f.call_flops_before;
-            prof.focus_mem_bytes += prof.total_mem_bytes - f.bytes_before;
+    /// RegionEnter: after the charges before the loop are flushed, like a
+    /// kernel call's focus snapshot after its kCallCost.
+    void region_enter(std::size_t idx, const BufferPtr* B) {
+        const bc::RegionDecl& decl = code.region_pool[idx];
+        if (!regions.enter(idx, prof.regions[decl.loop], prof, frames.size()))
+            return;
+        for (std::size_t k = 0; k < decl.bufs.size(); ++k) {
+            const BufferPtr& b = B[decl.bufs[k]];
+            if (b != nullptr)
+                regions.bind(b->id(), b->elem_bytes(), decl.names[k]);
         }
-        --focus_depth;
     }
 
     // ---- entry ---------------------------------------------------------
@@ -297,16 +307,16 @@ struct Vm::Impl {
         f.bbase = bregs.size();
         f.loop_mark = loop_stack.size();
 
-        if (options.profile && fn.is_focus) {
+        if (options.profile && fn.is_focus && focus.enter(prof)) {
             // Focus binding sees the buffer args only (a scalar passed for
             // a pointer param is skipped here and rejected just below).
-            std::vector<BufferPtr> bufs;
+            prof.focus_function = fn.name;
             for (std::size_t i = 0; i < fn.params.size(); ++i) {
                 if (!fn.params[i].is_pointer) continue;
                 if (const auto* b = std::get_if<BufferPtr>(&args[i]))
-                    bufs.push_back(*b);
+                    focus.bind((*b)->id(), (*b)->elem_bytes(),
+                               fn.params[i].name);
             }
-            focus_enter(fn, f, bufs);
         }
 
         scratch_s.clear();
@@ -370,6 +380,72 @@ struct Vm::Impl {
         }
     }
 
+    // ---- op bodies -----------------------------------------------------
+    // The ops fused sequences are made of, shared by their own case and by
+    // every fused case that runs them; `S` and `B` are the running frame's
+    // register windows.
+
+    [[gnu::always_inline]] void mul_i(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, kIntOpCost);
+        S[x.a].i = S[x.b].i * S[x.c].i;
+    }
+    [[gnu::always_inline]] void add_i(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, kIntOpCost);
+        S[x.a].i = S[x.b].i + S[x.c].i;
+    }
+    [[gnu::always_inline]] void add_d(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, 1, 1);
+        S[x.a].d = add_pinned(S[x.b].d, S[x.c].d);
+    }
+    [[gnu::always_inline]] void sub_d(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, 1, 1);
+        S[x.a].d = S[x.b].d - S[x.c].d;
+    }
+    [[gnu::always_inline]] void mul_d(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, 1, 1);
+        S[x.a].d = mul_pinned(S[x.b].d, S[x.c].d);
+    }
+    [[gnu::always_inline]] void div_d(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, 4, 4);
+        S[x.a].d = S[x.b].d / S[x.c].d;
+    }
+    [[gnu::always_inline]] void cadd_d(Meter& m, Sreg* S, const bc::Insn& x) {
+        charge(m, x.pre, 1, 1);
+        S[x.a].d = add_pinned(S[x.b].d, S[x.c].d);
+    }
+
+    [[gnu::always_inline]] void call_builtin(Meter& m, Sreg* S,
+                                             const bc::Insn& x) {
+        const sema::BuiltinInfo* b =
+            code.builtin_pool[static_cast<std::size_t>(x.b)];
+        double argv[4];
+        for (int k = 0; k < b->arity; ++k)
+            argv[k] = S[code.arg_pool[static_cast<std::size_t>(x.c + k)]].d;
+        charge(m, x.pre, b->flop_cost, b->flop_cost);
+        if (options.profile) prof.total_call_flops += b->flop_cost;
+        const double out = sema::eval_builtin(
+            *b, std::span<const double>(argv,
+                                        static_cast<std::size_t>(b->arity)));
+        S[x.a].d = b->result == ast::Type::Float ? round_f(out) : out;
+    }
+
+    /// An element access: its charge, then the focus bookkeeping (the
+    /// focus function's in a focus run, the regions' in a region run).
+    [[gnu::always_inline]] void access(Meter& m, int pre, const BufferPtr& buf,
+                                       long long idx, bool write) {
+        charge(m, pre, kMemCost, 0, buf->elem_bytes());
+        if (!options.profile) return;
+        if (focus.depth == 1) focus.note(buf->id(), idx, write);
+        if (regions.open()) regions.note(buf->id(), idx, write);
+    }
+
+    [[gnu::always_inline]] void load_d(Meter& m, Sreg* S, BufferPtr* B,
+                                       const bc::Insn& x) {
+        const long long idx = S[x.c].i;
+        access(m, x.pre, B[x.b], idx, /*write=*/false);
+        S[x.a].d = B[x.b]->load(idx);
+    }
+
     // ---- the dispatch loop ---------------------------------------------
 
     /// Runs until the entry frame returns, with the charge state in the
@@ -396,15 +472,10 @@ struct Vm::Impl {
         Sreg* S = sregs.data() + fr->sbase;
         BufferPtr* B = bregs.data() + fr->bbase;
 
-        // An element access: its charge, then the focus bookkeeping.
-        const auto access = [&](int pre, const BufferPtr& buf, long long idx,
-                                bool write) __attribute__((always_inline)) {
-            charge(m, pre, kMemCost, 0, buf->elem_bytes());
-            if (profile && focus_depth == 1)
-                note_focus_access(buf, idx, write);
-        };
-
         for (;;) {
+#ifdef PSAFLOW_OP_COUNTER
+            op_counter.note(ip);
+#endif
             // Handlers that move ip `continue`; the others fall through to
             // the `++ip` below the switch.
             const bc::Insn& in = *ip;
@@ -437,18 +508,12 @@ struct Vm::Impl {
                 case Op::ChargeCmp: charge(m, in.pre, kCmpCost); break;
                 case Op::ChargeAssign: charge(m, in.pre, kAssignCost); break;
                 // ---- int arithmetic ----
-                case Op::AddI:
-                    charge(m, in.pre, kIntOpCost);
-                    S[in.a].i = S[in.b].i + S[in.c].i;
-                    break;
+                case Op::AddI: add_i(m, S, in); break;
                 case Op::SubI:
                     charge(m, in.pre, kIntOpCost);
                     S[in.a].i = S[in.b].i - S[in.c].i;
                     break;
-                case Op::MulI:
-                    charge(m, in.pre, kIntOpCost);
-                    S[in.a].i = S[in.b].i * S[in.c].i;
-                    break;
+                case Op::MulI: mul_i(m, S, in); break;
                 case Op::DivI:
                     charge(m, in.pre, kIntOpCost);
                     if (S[in.c].i == 0)
@@ -467,22 +532,10 @@ struct Vm::Impl {
                     break;
                 case Op::IncI: S[in.a].i = S[in.b].i + S[in.c].i; break;
                 // ---- double arithmetic ----
-                case Op::AddD:
-                    charge(m, in.pre, 1, 1);
-                    S[in.a].d = add_pinned(S[in.b].d, S[in.c].d);
-                    break;
-                case Op::SubD:
-                    charge(m, in.pre, 1, 1);
-                    S[in.a].d = S[in.b].d - S[in.c].d;
-                    break;
-                case Op::MulD:
-                    charge(m, in.pre, 1, 1);
-                    S[in.a].d = mul_pinned(S[in.b].d, S[in.c].d);
-                    break;
-                case Op::DivD:
-                    charge(m, in.pre, 4, 4);
-                    S[in.a].d = S[in.b].d / S[in.c].d;
-                    break;
+                case Op::AddD: add_d(m, S, in); break;
+                case Op::SubD: sub_d(m, S, in); break;
+                case Op::MulD: mul_d(m, S, in); break;
+                case Op::DivD: div_d(m, S, in); break;
                 case Op::NegD:
                     charge(m, in.pre, 1, 1);
                     S[in.a].d = -S[in.b].d;
@@ -535,10 +588,7 @@ struct Vm::Impl {
                         throw InterpError("integer division by zero");
                     S[in.a].i = S[in.b].i / S[in.c].i;
                     break;
-                case Op::CAddD:
-                    charge(m, in.pre, 1, 1);
-                    S[in.a].d = add_pinned(S[in.b].d, S[in.c].d);
-                    break;
+                case Op::CAddD: cadd_d(m, S, in); break;
                 case Op::CSubD:
                     charge(m, in.pre, 1, 1);
                     S[in.a].d = S[in.b].d - S[in.c].d;
@@ -680,50 +730,28 @@ struct Vm::Impl {
                 }
                 case Op::LoadElemI: {
                     const long long idx = S[in.c].i;
-                    access(in.pre, B[in.b], idx, /*write=*/false);
+                    access(m, in.pre, B[in.b], idx, /*write=*/false);
                     S[in.a].i = static_cast<long long>(B[in.b]->load(idx));
                     break;
                 }
                 case Op::LoadElemF: {
                     const long long idx = S[in.c].i;
-                    access(in.pre, B[in.b], idx, /*write=*/false);
+                    access(m, in.pre, B[in.b], idx, /*write=*/false);
                     // of_float rounds; raw() writers may store unrounded.
                     S[in.a].d = round_f(B[in.b]->load(idx));
                     break;
                 }
-                case Op::LoadElemD: {
-                    const long long idx = S[in.c].i;
-                    access(in.pre, B[in.b], idx, /*write=*/false);
-                    S[in.a].d = B[in.b]->load(idx);
-                    break;
-                }
+                case Op::LoadElemD: load_d(m, S, B, in); break;
                 case Op::StoreElem: {
                     const long long idx = S[in.b].i;
                     // Throws before the write's charge, like the tree
                     // walker, so no charge folds into a store.
                     B[in.a]->store(idx, S[in.c].d);
-                    access(0, B[in.a], idx, /*write=*/true);
+                    access(m, 0, B[in.a], idx, /*write=*/true);
                     break;
                 }
                 // ---- calls ----
-                case Op::CallBuiltin: {
-                    const sema::BuiltinInfo* b =
-                        code.builtin_pool[static_cast<std::size_t>(in.b)];
-                    double argv[4];
-                    for (int k = 0; k < b->arity; ++k)
-                        argv[k] =
-                            S[code.arg_pool[static_cast<std::size_t>(
-                                  in.c + k)]]
-                                .d;
-                    charge(m, in.pre, b->flop_cost, b->flop_cost);
-                    if (profile) prof.total_call_flops += b->flop_cost;
-                    const double out = sema::eval_builtin(
-                        *b, std::span<const double>(
-                                argv, static_cast<std::size_t>(b->arity)));
-                    S[in.a].d =
-                        b->result == ast::Type::Float ? round_f(out) : out;
-                    break;
-                }
+                case Op::CallBuiltin: call_builtin(m, S, in); break;
                 case Op::CallUser: {
                     const bc::CompiledFunction& callee =
                         code.functions[static_cast<std::size_t>(in.b)];
@@ -751,7 +779,7 @@ struct Vm::Impl {
                     nf.bbase = bregs.size();
                     nf.loop_mark = loop_stack.size();
                     if (profile && callee.is_focus)
-                        focus_enter(callee, nf, scratch_b);
+                        focus_enter(callee, scratch_b);
 
                     // The tree walker re-validates buffer elem types on
                     // every call; keep the identical check and wording.
@@ -777,7 +805,12 @@ struct Vm::Impl {
                     settle(m);
                     flush_charges();
                     const Frame f = *fr;
-                    if (profile && f.fn->is_focus) focus_exit(f);
+                    if (profile && f.fn->is_focus) focus.exit(prof);
+                    // A return from inside a region closes it, like the
+                    // tree walker's exec_for on the Returned path.
+                    while (regions.open() &&
+                           regions.open_frame() == frames.size())
+                        regions.exit(prof);
                     Sreg rv{};
                     if (in.op == Op::Ret) rv = S[in.a];
                     // A return from inside loops unwinds every ActiveLoop
@@ -801,6 +834,78 @@ struct Vm::Impl {
                 case Op::Trap:
                     throw InterpError(
                         code.name_pool[static_cast<std::size_t>(in.a)]);
+                // ---- focus regions ----
+                case Op::RegionEnter:
+                    if (profile) {
+                        settle(m);
+                        flush_charges();
+                        region_enter(static_cast<std::size_t>(in.a), B);
+                    }
+                    break;
+                case Op::RegionExit:
+                    if (profile) {
+                        settle(m);
+                        flush_charges();
+                        regions.exit(prof);
+                    }
+                    break;
+                // ---- fused sequences: each member's body, in order ----
+                case Op::MulI_AddI_LoadElemD:
+                    mul_i(m, S, in);
+                    add_i(m, S, ip[1]);
+                    load_d(m, S, B, ip[2]);
+                    ip += 3;
+                    continue;
+                case Op::MulI_AddI:
+                    mul_i(m, S, in);
+                    add_i(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::AddI_LoadElemD:
+                    add_i(m, S, in);
+                    load_d(m, S, B, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::MulD_AddD:
+                    mul_d(m, S, in);
+                    add_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::DivD_SubD:
+                    div_d(m, S, in);
+                    sub_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::AddD_DivD:
+                    add_d(m, S, in);
+                    div_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::MulD_CAddD:
+                    mul_d(m, S, in);
+                    cadd_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::LoadElemD_SubD:
+                    load_d(m, S, B, in);
+                    sub_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::SubD_MulD:
+                    sub_d(m, S, in);
+                    mul_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::SubD_CallBuiltin:
+                    sub_d(m, S, in);
+                    call_builtin(m, S, ip[1]);
+                    ip += 2;
+                    continue;
+                case Op::CallBuiltin_MulD:
+                    call_builtin(m, S, in);
+                    mul_d(m, S, ip[1]);
+                    ip += 2;
+                    continue;
             }
             ++ip;
         }
@@ -828,8 +933,14 @@ Value Vm::call(const std::string& name, const std::vector<Arg>& args) {
         // Keep the partial profile bit-identical to the tree walker's: the
         // charges since the last boundary are still pending.
         impl_->flush_charges();
+#ifdef PSAFLOW_OP_COUNTER
+        impl_->op_counter.flush();
+#endif
         throw;
     }
+#ifdef PSAFLOW_OP_COUNTER
+    impl_->op_counter.flush();
+#endif
     trace::Registry::current().count(
         "interp.steps",
         static_cast<std::uint64_t>(impl_->steps - steps_before));

@@ -14,10 +14,22 @@ std::vector<For*> for_loops(Node& root,
     return collect<For>(root, pred);
 }
 
-std::vector<For*> outermost_for_loops(Node& root) {
-    std::vector<For*> out;
+std::vector<const For*> outermost_for_loops(const Node& root) {
+    std::vector<const For*> out;
     // Walk but do not descend into loop bodies: whatever we reach first is
     // outermost relative to `root`.
+    walk(root, [&](const Node& n) {
+        if (const auto* loop = dyn_cast<For>(&n)) {
+            out.push_back(loop);
+            return false;
+        }
+        return true;
+    });
+    return out;
+}
+
+std::vector<For*> outermost_for_loops(Node& root) {
+    std::vector<For*> out;
     walk(root, [&](Node& n) {
         if (auto* loop = dyn_cast<For>(&n)) {
             out.push_back(loop);
@@ -97,24 +109,24 @@ long long constant_trip_count(const For& loop) {
     return (*limit - *init + *step - 1) / *step;
 }
 
-std::vector<std::string> declared_names(Node& node) {
+std::vector<std::string> declared_names(const Node& node) {
     std::vector<std::string> out;
-    walk(node, [&](Node& n) {
-        if (auto* d = dyn_cast<VarDecl>(&n)) out.push_back(d->name);
-        if (auto* f = dyn_cast<For>(&n)) out.push_back(f->var);
+    walk(node, [&](const Node& n) {
+        if (const auto* d = dyn_cast<VarDecl>(&n)) out.push_back(d->name);
+        if (const auto* f = dyn_cast<For>(&n)) out.push_back(f->var);
         return true;
     });
     return out;
 }
 
-std::vector<std::string> free_variables(Node& node) {
+std::vector<std::string> free_variables(const Node& node) {
     std::unordered_set<std::string> declared;
     for (const auto& name : declared_names(node)) declared.insert(name);
 
     std::vector<std::string> out;
     std::unordered_set<std::string> seen;
-    walk(node, [&](Node& n) {
-        if (auto* id = dyn_cast<Ident>(&n)) {
+    walk(node, [&](const Node& n) {
+        if (const auto* id = dyn_cast<Ident>(&n)) {
             if (declared.count(id->name) == 0 && seen.insert(id->name).second)
                 out.push_back(id->name);
         }

@@ -30,6 +30,8 @@ namespace psaflow::meta {
 /// Loops under `root` not enclosed by any other loop *within root* — the
 /// "outermost for-loops" of Fig. 2's unroll meta-program.
 [[nodiscard]] std::vector<ast::For*> outermost_for_loops(ast::Node& root);
+[[nodiscard]] std::vector<const ast::For*>
+outermost_for_loops(const ast::Node& root);
 
 /// Loops strictly inside `loop`.
 [[nodiscard]] std::vector<ast::For*> inner_for_loops(ast::For& loop);
@@ -53,10 +55,10 @@ namespace psaflow::meta {
 /// used but not declared within `node`. Array names used as call arguments
 /// or subscript bases are included. Induction variables of loops inside
 /// `node` are *not* free.
-[[nodiscard]] std::vector<std::string> free_variables(ast::Node& node);
+[[nodiscard]] std::vector<std::string> free_variables(const ast::Node& node);
 
 /// Names declared (VarDecl or loop induction) inside `node`.
-[[nodiscard]] std::vector<std::string> declared_names(ast::Node& node);
+[[nodiscard]] std::vector<std::string> declared_names(const ast::Node& node);
 
 /// True if any statement under `node` writes variable `name` (assignment to
 /// the scalar or to an element of the array of that name).

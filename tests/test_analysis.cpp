@@ -9,6 +9,7 @@
 #include "ast/walk.hpp"
 #include "meta/query.hpp"
 #include "test_util.hpp"
+#include "transform/extract.hpp"
 
 namespace psaflow {
 namespace {
@@ -477,6 +478,235 @@ void app(int n) { }
         return std::vector<interp::Arg>{integer(1)};
     };
     EXPECT_THROW((void)characterize_kernel(*mod, types, "kernel", w), Error);
+}
+
+// ---------------------------------------------------------- region focus ----
+
+/// Under each engine, every outermost loop's focus region from one
+/// region-focus run of `w` equals the function focus of a kernel extracted
+/// from that loop and run on the same inputs. Returns the candidates of the
+/// VM run for further checks.
+std::vector<HotspotCandidate> expect_regions_match_kernels(Module& mod,
+                                                           const Workload& w) {
+    std::vector<HotspotCandidate> out;
+    for (const interp::Engine engine :
+         {interp::Engine::Tree, interp::Engine::Vm}) {
+        SCOPED_TRACE(engine == interp::Engine::Tree ? "tree" : "vm");
+        const sema::TypeInfo types = sema::check(mod);
+        interp::InterpOptions io;
+        io.region_focus = true;
+        io.engine = engine;
+        const auto run = interp::run_function(
+            mod, types, w.entry, w.make_args(w.profile_scale), io);
+        HotspotReport report = rank_hotspots(mod, run.profile);
+        EXPECT_FALSE(report.candidates.empty());
+
+        const auto loops = meta::for_loops(mod);
+        for (const HotspotCandidate& cand : report.candidates) {
+            const auto pos = static_cast<std::size_t>(
+                std::find(loops.begin(), loops.end(), cand.loop) -
+                loops.begin());
+            SCOPED_TRACE("loop #" + std::to_string(pos));
+            auto clone = clone_module(mod);
+            (void)transform::extract_hotspot(*clone, sema::check(*clone),
+                                             *meta::for_loops(*clone)[pos],
+                                             "kernel_x");
+            const sema::TypeInfo kernel_types = sema::check(*clone);
+            interp::InterpOptions ko;
+            ko.focus_function = "kernel_x";
+            ko.engine = engine;
+            const auto kernel_run = interp::run_function(
+                *clone, kernel_types, w.entry, w.make_args(w.profile_scale),
+                ko);
+            const FocusProfile kernel =
+                focus_profile(kernel_run.profile, kernel_run.profile.focus,
+                              *clone->find_function("kernel_x"));
+            EXPECT_GT(kernel.focus.calls, 0);
+            EXPECT_TRUE(cand.region == kernel);
+            EXPECT_EQ(cand.region.focus.calls, kernel.focus.calls);
+            EXPECT_EQ(cand.region.focus.cost, kernel.focus.cost);
+            EXPECT_EQ(cand.region.focus.buffers.size(),
+                      kernel.focus.buffers.size());
+        }
+        if (engine == interp::Engine::Vm) out = std::move(report.candidates);
+    }
+    return out;
+}
+
+TEST(RegionFocus, OutermostLoopsNestAcrossACall) {
+    // The rushlarsen shape: the time loop of `run` calls `step`, whose
+    // spatial loop is the hotspot. Both are outermost in their functions,
+    // so while `step` runs two regions are open at once. The accesses just
+    // before the spatial loop belong to the time loop's region only.
+    auto [mod, types] = parse_and_check(R"(
+void step(int n, double* v, double* g, double dt) {
+    g[n - 1] = g[n - 1] + v[0];
+    for (int i = 0; i < n; i++) {
+        double a = exp(0.0 - v[i]);
+        for (int k = 0; k < 3; k++) {
+            g[i] = g[i] * a + dt;
+        }
+        v[i] = v[i] + dt * g[i];
+    }
+}
+
+void run(int n, int steps, double* v, double* g) {
+    double dt = 0.01;
+    for (int t = 0; t < steps; t++) {
+        v[t] = v[t] * 0.5;
+        step(n, v, g, dt);
+    }
+}
+)");
+    Workload w;
+    w.entry = "run";
+    w.make_args = [](double scale) {
+        const int n = static_cast<int>(12 * scale);
+        return std::vector<interp::Arg>{
+            integer(n), integer(5),
+            std::make_shared<interp::Buffer>(Type::Double, n, "v"),
+            std::make_shared<interp::Buffer>(Type::Double, n, "g")};
+    };
+    const auto cands = expect_regions_match_kernels(*mod, w);
+    ASSERT_EQ(cands.size(), 2u);
+    EXPECT_EQ(cands[0].function->name, "step"); // ranked by self cost
+    EXPECT_EQ(cands[0].region.focus.calls, 5);
+    EXPECT_EQ(cands[0].region.loops.size(), 2u);
+    EXPECT_EQ(cands[1].function->name, "run");
+    EXPECT_EQ(cands[1].region.focus.calls, 1);
+    // The time loop's region sees the accesses `step` makes for it.
+    ASSERT_EQ(cands[1].region.focus.buffers.size(), 2u);
+    EXPECT_EQ(cands[1].region.focus.buffers[0].buffer_name, "v");
+    EXPECT_EQ(cands[1].region.focus.buffers[0].writes, 5 + 5 * 12);
+    EXPECT_EQ(cands[0].region.focus.buffers[0].writes, 5 * 12);
+    EXPECT_GT(cands[1].region.focus.cost, cands[0].region.focus.cost);
+}
+
+TEST(RegionFocus, AliasedFreeArrays) {
+    auto [mod, types] = parse_and_check(R"(
+void app(int n, double* a, double* b) {
+    for (int i = 0; i < n; i++) {
+        a[i] = b[i] + 1.0;
+    }
+}
+
+void run(int n, double* a) {
+    app(n, a, a);
+}
+)");
+    Workload w;
+    w.entry = "run";
+    w.make_args = [](double scale) {
+        const int n = static_cast<int>(8 * scale);
+        return std::vector<interp::Arg>{
+            integer(n),
+            std::make_shared<interp::Buffer>(Type::Double, 64, "a")};
+    };
+    const auto cands = expect_regions_match_kernels(*mod, w);
+    ASSERT_EQ(cands.size(), 1u);
+    EXPECT_TRUE(cands[0].region.focus.args_alias);
+    // One buffer behind both names: one access summary, named first.
+    ASSERT_EQ(cands[0].region.focus.buffers.size(), 1u);
+    EXPECT_EQ(cands[0].region.focus.buffers[0].buffer_name, "a");
+}
+
+TEST(RegionFocus, HotLoopInAFunctionCalledThreeTimes) {
+    auto [mod, types] = parse_and_check(R"(
+void work(int n, int off, double* a, double* b) {
+    for (int i = 0; i < n; i++) {
+        a[i + off] = a[i + off] * 2.0 + b[i];
+    }
+}
+
+void run(int n, double* a, double* b, double* c) {
+    work(n, 0, a, b);
+    work(n, 2, a, c);
+    work(n, 4, a, b);
+}
+)");
+    Workload w;
+    w.entry = "run";
+    w.make_args = [](double scale) {
+        const int n = static_cast<int>(10 * scale);
+        return std::vector<interp::Arg>{
+            integer(n),
+            std::make_shared<interp::Buffer>(Type::Double, n + 4, "a"),
+            std::make_shared<interp::Buffer>(Type::Double, n, "b"),
+            std::make_shared<interp::Buffer>(Type::Double, n, "c")};
+    };
+    const auto cands = expect_regions_match_kernels(*mod, w);
+    ASSERT_EQ(cands.size(), 1u);
+    const interp::FocusStats& region = cands[0].region.focus;
+    EXPECT_EQ(region.calls, 3);
+    EXPECT_FALSE(region.args_alias);
+    // a, then b, then c under the name of the parameter it was passed for.
+    ASSERT_EQ(region.buffers.size(), 3u);
+    EXPECT_EQ(region.buffers[0].buffer_name, "a");
+    EXPECT_EQ(region.buffers[0].min_write, 0);
+    EXPECT_EQ(region.buffers[0].max_write, 13);
+    EXPECT_EQ(region.buffers[1].buffer_name, "b");
+    EXPECT_EQ(region.buffers[1].reads, 20);
+    EXPECT_EQ(region.buffers[2].buffer_name, "b");
+    EXPECT_EQ(region.buffers[2].reads, 10);
+    ASSERT_EQ(cands[0].region.loops.size(), 1u);
+    EXPECT_EQ(cands[0].region.loops[0]->entries, 3);
+}
+
+TEST(RegionFocus, SeededCharacterizationMatchesTwoRuns) {
+    // Characterisation seeded with the hotspot region at profile scale
+    // fits exactly what it fits from two runs, with one run fewer.
+    auto [mod, types] = parse_and_check(R"(
+void app(int n, double* a, double* b) {
+    for (int i = 0; i < n; i++) {
+        for (int j = 0; j < n; j++) {
+            a[i] = a[i] + sqrt(b[j] * 0.5 + 1.0);
+        }
+    }
+}
+)");
+    Workload w;
+    w.entry = "app";
+    w.make_args = [](double scale) {
+        const int n = static_cast<int>(8 * scale);
+        return std::vector<interp::Arg>{
+            integer(n),
+            std::make_shared<interp::Buffer>(Type::Double, n, "a"),
+            std::make_shared<interp::Buffer>(Type::Double, n, "b")};
+    };
+    const HotspotReport report = detect_hotspots(*mod, types, w);
+    ASSERT_NE(report.top(), nullptr);
+    const FocusProfile region = report.top()->region;
+    (void)transform::extract_hotspot(*mod, types, *report.top()->loop,
+                                     "kernel");
+    const sema::TypeInfo kernel_types = sema::check(*mod);
+
+    ProfileCache cache;
+    const auto seeded =
+        characterize_kernel(*mod, kernel_types, "kernel", w, &cache, &region);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    const auto ran = characterize_kernel(*mod, kernel_types, "kernel", w);
+
+    for (const auto& [got, want] :
+         {std::pair{seeded.flops, ran.flops},
+          std::pair{seeded.call_flops, ran.call_flops},
+          std::pair{seeded.mem_bytes, ran.mem_bytes},
+          std::pair{seeded.footprint, ran.footprint},
+          std::pair{seeded.cpu_cost, ran.cpu_cost}}) {
+        EXPECT_EQ(got.base, want.base);
+        EXPECT_EQ(got.exponent, want.exponent);
+    }
+    EXPECT_EQ(seeded.kernel_calls, ran.kernel_calls);
+    EXPECT_EQ(seeded.args_alias, ran.args_alias);
+    ASSERT_EQ(seeded.buffers.size(), ran.buffers.size());
+    ASSERT_EQ(seeded.loops.size(), 2u);
+    ASSERT_EQ(ran.loops.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(seeded.loops[i].loop_id, ran.loops[i].loop_id);
+        EXPECT_EQ(seeded.loops[i].entries, ran.loops[i].entries);
+        EXPECT_EQ(seeded.loops[i].trips_total.base,
+                  ran.loops[i].trips_total.base);
+        EXPECT_EQ(seeded.loops[i].flops.exponent, ran.loops[i].flops.exponent);
+    }
 }
 
 // --------------------------------------------------------- profile cache ----

@@ -447,11 +447,11 @@ interp::ExecutionProfile sample_profile() {
     p.total_call_flops = 16.0;
     p.total_mem_bytes = 4096.0;
     p.focus_function = "kernel";
-    p.focus_calls = 3;
-    p.focus_cost = 1100.0;
-    p.focus_flops = 480.0;
-    p.focus_call_flops = 8.0;
-    p.focus_mem_bytes = 3900.0;
+    p.focus.calls = 3;
+    p.focus.cost = 1100.0;
+    p.focus.flops = 480.0;
+    p.focus.call_flops = 8.0;
+    p.focus.mem_bytes = 3900.0;
     interp::BufferAccess buf;
     buf.buffer_name = "data";
     buf.elem_bytes = 8;
@@ -461,8 +461,8 @@ interp::ExecutionProfile sample_profile() {
     buf.max_write = 62;
     buf.reads = 64;
     buf.writes = 62;
-    p.focus_buffers.push_back(buf);
-    p.focus_args_alias = true;
+    p.focus.buffers.push_back(buf);
+    p.focus.args_alias = true;
     return p;
 }
 
@@ -494,13 +494,13 @@ TEST(ProfilePayload, RoundTripKeyedByPosition) {
     EXPECT_EQ(loaded.total_cost, profile.total_cost);
     EXPECT_EQ(loaded.total_call_flops, profile.total_call_flops);
     EXPECT_EQ(loaded.focus_function, "kernel");
-    EXPECT_EQ(loaded.focus_calls, 3);
-    EXPECT_EQ(loaded.focus_mem_bytes, profile.focus_mem_bytes);
-    ASSERT_EQ(loaded.focus_buffers.size(), 1u);
-    EXPECT_EQ(loaded.focus_buffers[0].buffer_name, "data");
-    EXPECT_EQ(loaded.focus_buffers[0].max_read, 63);
-    EXPECT_EQ(loaded.focus_buffers[0].writes, 62);
-    EXPECT_TRUE(loaded.focus_args_alias);
+    EXPECT_EQ(loaded.focus.calls, 3);
+    EXPECT_EQ(loaded.focus.mem_bytes, profile.focus.mem_bytes);
+    ASSERT_EQ(loaded.focus.buffers.size(), 1u);
+    EXPECT_EQ(loaded.focus.buffers[0].buffer_name, "data");
+    EXPECT_EQ(loaded.focus.buffers[0].max_read, 63);
+    EXPECT_EQ(loaded.focus.buffers[0].writes, 62);
+    EXPECT_TRUE(loaded.focus.args_alias);
 }
 
 TEST(ProfilePayload, RejectsTruncatedPayload) {

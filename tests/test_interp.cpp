@@ -281,17 +281,17 @@ void run(int n, double* in, double* out) {
     auto run = run_function(*mod, types, "run",
                             {integer(32), in_buf, out_buf}, opt);
 
-    EXPECT_EQ(run.profile.focus_calls, 1);
-    EXPECT_FALSE(run.profile.focus_args_alias);
-    const auto* in_acc = run.profile.buffer("in");
-    const auto* out_acc = run.profile.buffer("out");
+    EXPECT_EQ(run.profile.focus.calls, 1);
+    EXPECT_FALSE(run.profile.focus.args_alias);
+    const auto* in_acc = run.profile.focus.buffer("in");
+    const auto* out_acc = run.profile.focus.buffer("out");
     ASSERT_NE(in_acc, nullptr);
     ASSERT_NE(out_acc, nullptr);
     EXPECT_EQ(in_acc->bytes_in(), 32 * 8);
     EXPECT_EQ(in_acc->bytes_out(), 0);
     EXPECT_EQ(out_acc->bytes_out(), 32 * 8);
-    EXPECT_EQ(run.profile.focus_bytes_in(), 32 * 8);
-    EXPECT_EQ(run.profile.focus_bytes_out(), 32 * 8);
+    EXPECT_EQ(run.profile.focus.bytes_in(), 32 * 8);
+    EXPECT_EQ(run.profile.focus.bytes_out(), 32 * 8);
 }
 
 TEST(Profile, AliasDetection) {
@@ -310,7 +310,7 @@ void run(int n, double* a) {
     InterpOptions opt;
     opt.focus_function = "kernel";
     auto run = run_function(*mod, types, "run", {integer(8), a}, opt);
-    EXPECT_TRUE(run.profile.focus_args_alias);
+    EXPECT_TRUE(run.profile.focus.args_alias);
 }
 
 TEST(Profile, FocusCostIsSubsetOfTotal) {
@@ -332,8 +332,8 @@ void run(int n, double* a) {
     InterpOptions opt;
     opt.focus_function = "kernel";
     auto run = run_function(*mod, types, "run", {integer(64), a}, opt);
-    EXPECT_GT(run.profile.focus_cost, 0.0);
-    EXPECT_LT(run.profile.focus_cost, run.profile.total_cost);
+    EXPECT_GT(run.profile.focus.cost, 0.0);
+    EXPECT_LT(run.profile.focus.cost, run.profile.total_cost);
 }
 
 } // namespace

@@ -49,13 +49,15 @@ std::string disasm(std::string_view src) {
 // ----------------------------------------------------------------------
 
 TEST(VmLowering, ArithmeticAndReturn) {
+    // `a * x + y` is the fused sequence MulD+AddD: the head prints as its
+    // members, and the AddD stays in the stream with its own operands.
     EXPECT_EQ(disasm(R"(double axpy(double a, double x, double y) {
     return a * x + y;
 }
 )"),
               "func axpy(a: double, x: double, y: double) ret=double "
               "sregs=5 bregs=0\n"
-              "   0: MulD s3, s0, s1\n"
+              "   0: MulD+AddD s3, s0, s1\n"
               "   1: AddD s4, s3, s2\n"
               "   2: Ret s4\n"
               "   3: Trap \"value is not numeric\"\n");
@@ -245,7 +247,7 @@ double run(int n, double* b) {
 )"),
               "func norm(x: double, y: double) ret=double sregs=6 bregs=0\n"
               "   0: MulD s2, s0, s0\n"
-              "   1: MulD s3, s1, s1\n"
+              "   1: MulD+AddD s3, s1, s1\n"
               "   2: AddD s4, s2, s3\n"
               "   3: CallBuiltin s5, sqrt(s4)\n"
               "   4: Ret s5\n"
@@ -322,7 +324,7 @@ TEST(VmLowering, LiteralsUseConstantRegisters) {
               "   4: LoopHead s2, s8, @12\n"
               "   5: LoopTrip L0\n"
               "   6: LoadElemD s3, b0[s2] pre=1\n"
-              "   7: CallBuiltin s4, fmax(s3, s9)\n"
+              "   7: CallBuiltin+MulD s4, fmax(s3, s9)\n"
               "   8: MulD s5, s4, s9\n"
               "   9: CAddD s1, s1, s5\n"
               "  10: StepCheck s0, \"3:5: for-loop step must be positive\"\n"
@@ -910,15 +912,18 @@ struct SweepEnd {
 
 /// For every max_steps limit from 1 up to the first one under which `fn`
 /// runs to its end (it returns, or fails with an error of its own), both
-/// engines stop with the same error and partial profile.
+/// engines stop with the same error and partial profile. With
+/// `region_focus` the profiles include every outermost loop's region.
 SweepEnd sweep_max_steps(std::string_view src, const std::string& fn,
                          const std::function<std::vector<Arg>()>& args,
-                         const std::string& focus = {}) {
+                         const std::string& focus = {},
+                         bool region_focus = false) {
     auto [mod, types] = parse_and_check(std::string(src));
     for (long long limit = 1; limit <= 100000; ++limit) {
         InterpOptions options;
         options.max_steps = limit;
         options.focus_function = focus;
+        options.region_focus = region_focus;
         const LimitedRun tree =
             run_limited<Interpreter>(*mod, types, fn, args(), options);
         const LimitedRun vm = run_limited<Vm>(*mod, types, fn, args(), options);
@@ -929,6 +934,56 @@ SweepEnd sweep_max_steps(std::string_view src, const std::string& fn,
     }
     ADD_FAILURE() << "no limit up to 100000 let '" << fn << "' complete";
     return {};
+}
+
+/// A program whose lowering contains every fused sequence, each run once
+/// per loop iteration; `fused` takes v (at least 2n + 2 elements) and n.
+const char* kFusedProgram = R"(double fused(double* v, int n) {
+    double acc = 0.0;
+    double a = 1.5;
+    double b = 0.25;
+    for (int i = 0; i < n; i++) {
+        double x = v[i * 2 + 1];
+        int k = i * 2 + 1;
+        double y = v[i + 1];
+        double z = v[i] - a;
+        double p = x * a + b;
+        double q = x / a - b;
+        double r = (x + a) / b;
+        double s = (x - a) * b;
+        double e = exp(x - a);
+        double w = fabs(y) * b;
+        acc += x * a;
+        acc = acc + y + z + p + q + r + s + e + w + k;
+    }
+    return acc;
+}
+)";
+
+/// The fused ops' names as the disassembler prints them.
+std::vector<std::string> fused_op_names() {
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < bc::kOpCount; ++i) {
+        const auto op = static_cast<bc::Op>(i);
+        if (!bc::fused_members(op).empty()) names.emplace_back(bc::to_string(op));
+    }
+    return names;
+}
+
+std::vector<Arg> fused_args(int n) {
+    auto buf = std::make_shared<Buffer>(ast::Type::Double, 2 * n + 2, "v");
+    for (int i = 0; i < 2 * n + 2; ++i) buf->store(i, 0.5 * i - 1.0);
+    return {buf, Value::of_int(n)};
+}
+
+TEST(VmCharging, FusedProgramContainsEveryFusedSequence) {
+    const std::string listing = disasm(kFusedProgram);
+    const std::vector<std::string> names = fused_op_names();
+    EXPECT_EQ(names.size(), 11u);
+    for (const std::string& name : names)
+        EXPECT_NE(listing.find(" " + name + " "), std::string::npos)
+            << name << "\n"
+            << listing;
 }
 
 TEST(VmCharging, MaxStepsSweepStopsAtTheSameStepWithTheSameProfile) {
@@ -962,7 +1017,8 @@ double sweep(double* v, int n) {
     // The program exercises what this sweep is about, including a charge
     // folded into a LoopNext (`last = k`).
     const std::string listing = disasm(src);
-    for (const char* feature : {" pre=", "CallUser ", "CallBuiltin "})
+    // The builtin call heads the fused CallBuiltin+MulD.
+    for (const char* feature : {" pre=", "CallUser ", "CallBuiltin+MulD "})
         EXPECT_NE(listing.find(feature), std::string::npos) << feature;
     const auto loop_next = listing.find("LoopNext ");
     ASSERT_NE(loop_next, std::string::npos) << listing;
@@ -980,6 +1036,25 @@ double sweep(double* v, int n) {
     const SweepEnd end = sweep_max_steps(src, "sweep", args, "kernel");
     EXPECT_EQ(end.error, "");
     EXPECT_GT(end.steps, 200);
+    // The same stops under region focus: regions open and close at the
+    // loops and at `kernel`'s early exits without moving a charge.
+    EXPECT_EQ(sweep_max_steps(src, "sweep", args, "kernel",
+                              /*region_focus=*/true)
+                  .steps,
+              end.steps);
+}
+
+TEST(VmCharging, MaxStepsSweepOverFusedSequences) {
+    // Every fused run charges its members one by one, so a limit that
+    // lands inside a run stops at the same member as the tree walker.
+    for (const bool regions : {false, true}) {
+        SCOPED_TRACE(regions ? "region focus" : "plain");
+        const SweepEnd end = sweep_max_steps(
+            kFusedProgram, "fused", [] { return fused_args(3); }, "",
+            regions);
+        EXPECT_EQ(end.error, "");
+        EXPECT_GT(end.steps, 100);
+    }
 }
 
 TEST(VmCharging, MaxStepsSweepAcrossJumpTargets) {
@@ -1105,18 +1180,36 @@ TEST(VmCharging, CancellationPollsLandOnTheTreeWalkersSteps) {
 )";
     EXPECT_NE(disasm(src).find("AddI s1, s1, s2 pre=2"), std::string::npos)
         << disasm(src);
-    auto [mod, types] = parse_and_check(src);
-    const std::vector<Arg> args{Value::of_int(1000000)};
     CancelToken token;
     token.cancel();
     CancelScope scope(&token);
-    const LimitedRun tree = run_limited<Interpreter>(*mod, types, "spin",
-                                                     args, InterpOptions{});
-    const LimitedRun vm =
-        run_limited<Vm>(*mod, types, "spin", args, InterpOptions{});
-    EXPECT_EQ(tree.error, "request cancelled");
-    EXPECT_EQ(tree.error, vm.error);
-    EXPECT_EQ(tree.profile, vm.profile);
+    {
+        auto [mod, types] = parse_and_check(src);
+        const std::vector<Arg> args{Value::of_int(1000000)};
+        const LimitedRun tree = run_limited<Interpreter>(
+            *mod, types, "spin", args, InterpOptions{});
+        const LimitedRun vm =
+            run_limited<Vm>(*mod, types, "spin", args, InterpOptions{});
+        EXPECT_EQ(tree.error, "request cancelled");
+        EXPECT_EQ(tree.error, vm.error);
+        EXPECT_EQ(tree.profile, vm.profile);
+    }
+    // The fused runs (every one of them, see
+    // FusedProgramContainsEveryFusedSequence) charge member by member, so
+    // the poll lands on the same step inside a run.
+    auto [mod, types] = parse_and_check(kFusedProgram);
+    for (const bool regions : {false, true}) {
+        SCOPED_TRACE(regions ? "region focus" : "plain");
+        InterpOptions options;
+        options.region_focus = regions;
+        const LimitedRun tree = run_limited<Interpreter>(
+            *mod, types, "fused", fused_args(20000), options);
+        const LimitedRun vm =
+            run_limited<Vm>(*mod, types, "fused", fused_args(20000), options);
+        EXPECT_EQ(tree.error, "request cancelled");
+        EXPECT_EQ(tree.error, vm.error);
+        EXPECT_EQ(tree.profile, vm.profile);
+    }
 }
 
 // ----------------------------------------------------------------------
